@@ -116,7 +116,7 @@ RULES: dict[str, Rule] = dict(
         _rule(
             "ANL006", "pipeline-purity", "everywhere", SEV_ERROR,
             "Window/CachedWindow op methods must not inline pipeline concerns",
-            "move the concern into its repro.rma interceptor or cache stage",
+            "move the concern into the repro.rma handler or serve_cached_get",
         ),
         _rule(
             "ANL007", "deterministic-policies", "everywhere", SEV_ERROR,

@@ -30,7 +30,7 @@ Rules
     must describe + issue through the :mod:`repro.rma` pipeline only: no
     inlined cost, fault, retry or telemetry logic (``self.cost``,
     ``self._faults``, ``self._emit`` and friends) in their bodies.  Each
-    cross-cutting concern lives in exactly one interceptor/stage.
+    cross-cutting concern lives once, in a :mod:`repro.rma` handler.
 ``ANL007`` **deterministic-policies** — cache policy implementations
     (classes with a base ending in ``Policy``, i.e. anything pluggable
     into the :mod:`repro.core.policy` registry) must not read wall-clock
@@ -129,8 +129,8 @@ PIPELINE_OP_METHODS = frozenset(
 )
 
 #: Cross-cutting concern attributes owned by the repro.rma pipeline (ANL006):
-#: accessing them from an op method re-inlines a concern an interceptor or
-#: cache stage already owns.
+#: accessing them from an op method re-inlines a concern a repro.rma
+#: handler already owns.
 PIPELINE_CONCERNS = frozenset(
     {
         "_emit",
@@ -411,7 +411,7 @@ def _check_pipeline_purity(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
                     yield node.lineno, "ANL006", (
                         f"op method {cls.name}.{fn.name}() touches "
                         f"{node.attr!r}; that concern belongs to a repro.rma "
-                        "interceptor/stage — describe + issue only"
+                        "handler — describe + issue only"
                     )
 
 

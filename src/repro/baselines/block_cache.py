@@ -20,15 +20,13 @@ to the raw window (the UPC cache had the same restriction).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from repro.core.costmodel import CostModel
 from repro.mpi.datatypes import Datatype
-from repro.mpi.window import Window
+from repro.mpi.window import Window, WindowProxy
 
 
 @dataclass
@@ -51,7 +49,7 @@ class BlockCacheStats:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
-class BlockCachedWindow:
+class BlockCachedWindow(WindowProxy):
     """Direct-mapped block cache layered over a plain RMA window."""
 
     def __init__(self, window: Window, block_size: int = 1024, memory_bytes: int = 1 << 20):
@@ -75,49 +73,6 @@ class BlockCachedWindow:
         self._fetch_buf = np.empty(block_size, dtype=np.uint8)
 
     # ------------------------------------------------------------------
-    @property
-    def raw(self) -> Window:
-        return self._win
-
-    def lock(self, rank: int, lock_type: str = "shared") -> None:
-        self._win.lock(rank, lock_type)
-
-    def lock_all(self) -> None:
-        self._win.lock_all()
-
-    def unlock(self, rank: int) -> None:
-        self._win.unlock(rank)
-
-    def unlock_all(self) -> None:
-        self._win.unlock_all()
-
-    def flush(self, rank: int) -> None:
-        self._win.flush(rank)
-
-    def flush_all(self) -> None:
-        self._win.flush_all()
-
-    @contextmanager
-    def lock_epoch(
-        self, rank: int, lock_type: str = "shared"
-    ) -> Iterator["BlockCachedWindow"]:
-        """Scoped passive-target epoch towards ``rank``."""
-        with self._win.lock_epoch(rank, lock_type):
-            yield self
-
-    @contextmanager
-    def lock_all_epoch(self) -> Iterator["BlockCachedWindow"]:
-        """Scoped passive-target epoch towards every rank."""
-        with self._win.lock_all_epoch():
-            yield self
-
-    @property
-    def local_buffer(self) -> np.ndarray:
-        return self._win.local_buffer
-
-    def local_view(self, dtype) -> np.ndarray:
-        return self._win.local_view(dtype)
-
     def invalidate(self) -> None:
         """Drop every cached block."""
         self._tag_target.fill(-1)
@@ -181,11 +136,6 @@ class BlockCachedWindow:
             self.cost.copy(part)
             self.stats.bytes_from_cache += part
         return nbytes
-
-    def get_blocking(self, origin, target_rank, target_disp, count=None, datatype=None) -> int:
-        n = self.get(origin, target_rank, target_disp, count, datatype)
-        self.flush(target_rank)
-        return n
 
     def get_batch(self, requests) -> list[int]:
         """Element-wise batch: block granularity already amortises fetches.

@@ -31,6 +31,10 @@ from repro.util import KiB, MiB, format_bytes
 
 US = 1e6  # seconds -> microseconds
 
+#: the paper's three victim-score policies (Figs. 10/11), by registry name
+TEMPORAL, POSITIONAL, FULL = "clampi-temporal", "clampi-positional", "clampi-full"
+SCORE_POLICIES = (TEMPORAL, POSITIONAL, FULL)
+
 
 # ----------------------------------------------------------------------
 # Fig. 1 — latency per message size and process/node mapping
@@ -372,11 +376,7 @@ def fig10_fragmentation(
     )
     series = {}
     saturated_mean = {}
-    for policy in (
-        clampi.EvictionPolicy.TEMPORAL,
-        clampi.EvictionPolicy.POSITIONAL,
-        clampi.EvictionPolicy.FULL,
-    ):
+    for policy in SCORE_POLICIES:
         res = run_micro(
             wl,
             CacheSpec.clampi_fixed(index_entries, storage, policy=policy),
@@ -392,25 +392,28 @@ def fig10_fragmentation(
         fig.rows.append(
             [
                 i,
-                round(float(series[clampi.EvictionPolicy.TEMPORAL][i - 1]), 3),
-                round(float(series[clampi.EvictionPolicy.POSITIONAL][i - 1]), 3),
-                round(float(series[clampi.EvictionPolicy.FULL][i - 1]), 3),
+                round(float(series[TEMPORAL][i - 1]), 3),
+                round(float(series[POSITIONAL][i - 1]), 3),
+                round(float(series[FULL][i - 1]), 3),
             ]
         )
     for pol, mean in saturated_mean.items():
-        fig.notes.append(f"mean occupancy after saturation [{pol.value}]: {mean:.3f}")
+        fig.notes.append(
+            "mean occupancy after saturation "
+            f"[{pol.removeprefix('clampi-')}]: {mean:.3f}"
+        )
     fig.add_claim(
         "Temporal fragments: its occupancy is the lowest of the three",
-        saturated_mean[clampi.EvictionPolicy.TEMPORAL]
+        saturated_mean[TEMPORAL]
         < min(
-            saturated_mean[clampi.EvictionPolicy.FULL],
-            saturated_mean[clampi.EvictionPolicy.POSITIONAL],
+            saturated_mean[FULL],
+            saturated_mean[POSITIONAL],
         ),
     )
     fig.add_claim(
         "Full and Positional keep occupancy around 85-95% of |S_w|",
-        saturated_mean[clampi.EvictionPolicy.FULL] > 0.8
-        and saturated_mean[clampi.EvictionPolicy.POSITIONAL] > 0.8,
+        saturated_mean[FULL] > 0.8
+        and saturated_mean[POSITIONAL] > 0.8,
     )
     return fig
 
@@ -442,15 +445,11 @@ def fig11_victim(
             "free Full",
         ],
     )
-    hits = {p: {} for p in clampi.EvictionPolicy}
+    hits = {p: {} for p in SCORE_POLICIES}
     for h in hash_sizes:
         row: list = [h]
         per_policy = {}
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
+        for policy in SCORE_POLICIES:
             res = run_micro(
                 wl, CacheSpec.clampi_fixed(h, storage, policy=policy),
                 record_occupancy=True,
@@ -461,21 +460,13 @@ def fig11_victim(
                 + res.stats["hit_partial"]
                 + res.stats["hit_pending"]
             )
-        full = per_policy[clampi.EvictionPolicy.FULL]
+        full = per_policy[FULL]
         evictions = max(full.stats["capacity_evictions"], 1)
         row.append(round(full.stats["eviction_visited"] / evictions, 1))
         row.append(round(full.stats["eviction_nonempty"] / evictions, 1))
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
+        for policy in SCORE_POLICIES:
             row.append(hits[policy][h])
-        for policy in (
-            clampi.EvictionPolicy.TEMPORAL,
-            clampi.EvictionPolicy.POSITIONAL,
-            clampi.EvictionPolicy.FULL,
-        ):
+        for policy in SCORE_POLICIES:
             occ = per_policy[policy].occupancy
             row.append(round(1.0 - float(occ[len(occ) // 2 :].mean()), 3))
         fig.rows.append(row)
@@ -487,10 +478,10 @@ def fig11_victim(
     fig.add_claim(
         "Full achieves the best hit count for every |I_w|",
         all(
-            hits[clampi.EvictionPolicy.FULL][h]
+            hits[FULL][h]
             >= max(
-                hits[clampi.EvictionPolicy.TEMPORAL][h],
-                hits[clampi.EvictionPolicy.POSITIONAL][h],
+                hits[TEMPORAL][h],
+                hits[POSITIONAL][h],
             )
             - int(0.02 * z)
             for h in hash_sizes

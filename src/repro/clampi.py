@@ -35,9 +35,8 @@ The eviction/admission **policy** resolves through the same funnel, by
    left the policy at the default;
 5. the registry default (``"clampi-full"``, the paper's score policy).
 
-Any channel accepts a registry name (``"lru"``, ``"gdsf"``, ...), a name
-registered at runtime via :func:`register`, or — deprecated — an
-:class:`EvictionPolicy` enum value.
+Any channel accepts a registry name (``"lru"``, ``"gdsf"``, ...) or a name
+registered at runtime via :func:`register`.
 
 Example (user-defined mode, paper Listing 1)::
 
@@ -71,7 +70,6 @@ from repro.core.config import (
     RECOVERY_MODES,
     AdaptiveParams,
     Config,
-    EvictionPolicy,
     Mode,
 )
 from repro.core.policy import (
@@ -97,7 +95,6 @@ __all__ = [
     "Config",
     "DEFAULT_POLICY",
     "ENV_POLICY_VAR",
-    "EvictionPolicy",
     "INFO_MODE_KEY",
     "INFO_POLICY_KEY",
     "INFO_RECOVERY_KEY",
@@ -124,7 +121,7 @@ def resolve_config(
     config: Config | None = None,
     mode: Mode | None = None,
     info: Mapping[str, Any] | None = None,
-    policy: str | EvictionPolicy | None = None,
+    policy: str | None = None,
     recovery: str | None = None,
 ) -> Config:
     """Resolve the effective :class:`Config` from every facade channel.
@@ -152,7 +149,7 @@ def resolve_config(
     if mode is not None:
         cfg = replace(cfg, mode=mode)
     if policy is not None:
-        cfg = replace(cfg, policy=canonical_policy_name(policy))
+        cfg = replace(cfg, policy=policy)
     if recovery is not None:
         cfg = replace(cfg, recovery=recovery)
     if info is not None:
@@ -161,7 +158,7 @@ def resolve_config(
             cfg = replace(cfg, mode=Mode(info_mode))
         info_policy = info.get(INFO_POLICY_KEY)
         if info_policy is not None:
-            cfg = replace(cfg, policy=canonical_policy_name(info_policy))
+            cfg = replace(cfg, policy=info_policy)
         info_recovery = info.get(INFO_RECOVERY_KEY)
         if info_recovery is not None:
             cfg = replace(cfg, recovery=info_recovery)
@@ -172,7 +169,7 @@ def resolve_config(
     ):
         env_policy = os.environ.get(ENV_POLICY_VAR)
         if env_policy:
-            cfg = replace(cfg, policy=canonical_policy_name(env_policy))
+            cfg = replace(cfg, policy=env_policy)
     return cfg
 
 
@@ -194,7 +191,7 @@ def window_allocate(
     mode: Mode | None = None,
     config: Config | None = None,
     info: Mapping[str, Any] | None = None,
-    policy: str | EvictionPolicy | None = None,
+    policy: str | None = None,
     recovery: str | None = None,
 ) -> CachedWindow:
     """Collectively allocate a caching-enabled window.
@@ -218,7 +215,7 @@ def window_create(
     mode: Mode | None = None,
     config: Config | None = None,
     info: Mapping[str, Any] | None = None,
-    policy: str | EvictionPolicy | None = None,
+    policy: str | None = None,
     recovery: str | None = None,
 ) -> CachedWindow:
     """Collectively cache-enable a window over an existing local buffer.
@@ -235,7 +232,7 @@ def wrap(
     window: Window,
     mode: Mode | None = None,
     config: Config | None = None,
-    policy: str | EvictionPolicy | None = None,
+    policy: str | None = None,
     recovery: str | None = None,
 ) -> CachedWindow:
     """Cache-enable an already-created plain window (local operation).

@@ -23,7 +23,7 @@ Subpackage map (paper section in brackets):
 The user-facing facade lives in :mod:`repro.clampi`.
 """
 
-from repro.core.config import Config, EvictionPolicy, Mode
+from repro.core.config import Config, Mode
 from repro.core.policy import CachePolicy, PolicyContext
 from repro.core.stats import AccessType, CacheStats
 from repro.core.states import EntryState
@@ -36,7 +36,6 @@ __all__ = [
     "CachedWindow",
     "Config",
     "EntryState",
-    "EvictionPolicy",
     "Mode",
     "PolicyContext",
 ]

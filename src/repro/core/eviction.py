@@ -35,7 +35,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.config import EvictionPolicy
 from repro.core.cuckoo import CuckooIndex
 from repro.core.entry import CacheEntry
 from repro.core.policy import CachePolicy, PolicyContext, make_policy
@@ -56,17 +55,17 @@ class SampleResult:
 class EvictionEngine:
     """Samples candidates and applies one policy's scores/decisions.
 
-    ``policy`` may be a :class:`~repro.core.policy.CachePolicy` instance,
-    a registry name, or (deprecated) an :class:`EvictionPolicy` enum
-    value.  ``miss_cost`` — when the engine serves a window — estimates
-    the virtual-time refetch penalty of an entry for cost-aware policies.
+    ``policy`` may be a :class:`~repro.core.policy.CachePolicy` instance
+    or a registry name.  ``miss_cost`` — when the engine serves a window —
+    estimates the virtual-time refetch penalty of an entry for cost-aware
+    policies.
     """
 
     def __init__(
         self,
         index: CuckooIndex,
         storage: Storage,
-        policy: CachePolicy | str | EvictionPolicy,
+        policy: CachePolicy | str,
         sample_size: int,
         seed: int = 0,
         miss_cost: Callable[[CacheEntry], float] | None = None,

@@ -38,10 +38,7 @@ Policies are selected **by name** through a process-global registry::
 
 Built-in names: ``clampi-full`` (paper default, bit-identical to the
 historical score engine), ``clampi-temporal``, ``clampi-positional``,
-``lru``, ``slru``, ``gdsf`` and ``tinylfu``.  The legacy
-:class:`~repro.core.config.EvictionPolicy` enum values remain accepted
-everywhere a name is (``FULL`` → ``clampi-full`` and so on) but are
-**deprecated** aliases; new code should pass registry names.
+``lru``, ``slru``, ``gdsf`` and ``tinylfu``.
 
 Determinism: policies must not read wall clocks or global RNG state
 (lint rule ANL007) — any randomness must come from the seed handed to
@@ -50,11 +47,9 @@ Determinism: policies must not read wall clocks or global RNG state
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Type
 
-from repro.core.config import EvictionPolicy
 from repro.core.scores import full_score, positional_score, temporal_score
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,13 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Default policy name (the paper's full-score engine).
 DEFAULT_POLICY = "clampi-full"
-
-#: Legacy EvictionPolicy enum values / bare score names -> registry names.
-LEGACY_ALIASES = {
-    "full": "clampi-full",
-    "temporal": "clampi-temporal",
-    "positional": "clampi-positional",
-}
 
 
 @dataclass
@@ -383,10 +371,6 @@ def register(
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"policy name must be a non-empty string, got {name!r}")
-    if name in LEGACY_ALIASES:
-        raise ValueError(
-            f"{name!r} is a reserved legacy alias for {LEGACY_ALIASES[name]!r}"
-        )
     if name in _REGISTRY and not replace:
         raise ValueError(
             f"policy {name!r} is already registered; pass replace=True to override"
@@ -399,37 +383,23 @@ def available_policies() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def canonical_policy_name(spec: "str | EvictionPolicy") -> str:
-    """Resolve any accepted policy spelling to its registry name.
+def canonical_policy_name(name: str) -> str:
+    """Validate a registry name and return it.
 
-    Accepts registry names verbatim, the legacy bare score names
-    (``"full"``/``"temporal"``/``"positional"``) and the deprecated
-    :class:`EvictionPolicy` enum values.  Unknown names raise
-    ``ValueError`` listing what is registered.
+    Unknown names raise ``ValueError`` listing what is registered.
     """
-    if isinstance(spec, EvictionPolicy):
-        warnings.warn(
-            f"EvictionPolicy.{spec.name} is deprecated; pass the registry "
-            f"name {LEGACY_ALIASES[spec.value]!r} instead "
-            "(see docs/api.md, policy registry)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = spec.value
-    if not isinstance(spec, str):
-        raise TypeError(f"policy must be a str or EvictionPolicy, got {spec!r}")
-    name = LEGACY_ALIASES.get(spec, spec)
+    if not isinstance(name, str):
+        raise TypeError(f"policy must be a registry name (str), got {name!r}")
     if name not in _REGISTRY:
         raise ValueError(
-            f"unknown policy {spec!r}; registered: {available_policies()}"
+            f"unknown policy {name!r}; registered: {available_policies()}"
         )
     return name
 
 
-def make_policy(spec: "str | EvictionPolicy", seed: int = 0) -> CachePolicy:
-    """Instantiate the policy named by ``spec`` (name, alias or enum)."""
-    name = canonical_policy_name(spec)
-    pol = _REGISTRY[name](seed=seed)
+def make_policy(name: str, seed: int = 0) -> CachePolicy:
+    """Instantiate the policy registered under ``name``."""
+    pol = _REGISTRY[canonical_policy_name(name)](seed=seed)
     if pol.name != name:
         # factories may be lambdas over a configurable class: stamp the
         # registered name so stats/events report what was selected

@@ -28,20 +28,18 @@ closure (only intra-epoch reuse); ALWAYS_CACHE never invalidates;
 USER_DEFINED is ALWAYS_CACHE plus the explicit :meth:`invalidate`
 (CLAMPI_Invalidate).
 
-The get_c flow is orchestrated by the staged pipeline of
-:mod:`repro.rma.cache` (Accounting → Degradation → Consult → Miss →
-Adapt): each concern — sequence accounting, quarantine, the cost-charged
-index consult, miss insertion/eviction, adaptation — lives in exactly one
-stage; this class keeps the structural machinery (index, storage,
-evictor) the stages drive.  :meth:`CachedWindow.get_batch` serves N
-requests through the same stages with one accounting event and one
-batched event for the miss traffic.
+The get_c flow is orchestrated by
+:func:`repro.rma.cache.serve_cached_get` (sequence accounting → crash
+check → quarantine → consult → miss, then accounting events and
+adaptation); this class keeps the structural machinery (index, storage,
+evictor) it drives.  :meth:`CachedWindow.get_batch` serves N requests
+through the same function with one accounting event and one batched event
+for the miss traffic.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -57,14 +55,13 @@ from repro.core.costmodel import CostModel
 from repro.core.cuckoo import CuckooIndex, InsertResult
 from repro.core.entry import CacheEntry
 from repro.core.eviction import EvictionEngine
-from repro.core.policy import canonical_policy_name, make_policy
+from repro.core.policy import make_policy
 from repro.core.states import EntryState
 from repro.core.stats import AccessType, CacheStats
 from repro.core.storage import Storage
-from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import StorageFault, TargetFailedError
-from repro.mpi.window import Window
+from repro.mpi.window import Window, WindowProxy
 from repro.obs import (
     CACHE_ACCESS,
     CACHE_ADAPT,
@@ -81,16 +78,16 @@ from repro.obs import (
 )
 from repro.rma.cache import (
     CacheGetRequest,
-    build_cache_pipeline,
     describe_cached_get,
     emit_cache_batch,
+    serve_cached_get,
     serve_write,
 )
 from repro.rma.descriptor import describe_get
 from repro.rma.interceptors import emit_get_batch
 
 
-class CachedWindow:
+class CachedWindow(WindowProxy):
     """A caching layer ``C_w = (I_w, S_w)`` wrapped around an MPI window."""
 
     def __init__(self, window: Window, config: Config | None = None):
@@ -112,7 +109,7 @@ class CachedWindow:
         #: crashed target ranks whose entries were already dispositioned
         self._observed_failures: set[int] = set()
         #: resolved registry name of the eviction/admission policy
-        self.policy_name = canonical_policy_name(cfg.policy)
+        self.policy_name = cfg.policy
         self.stats = CacheStats(policy=self.policy_name)
         self.cost = CostModel(
             memory=window.comm.perf.memory, sink=window.comm.proc.advance
@@ -148,9 +145,6 @@ class CachedWindow:
             self.obs.attach(
                 CallbackSink(self._timeline_sample, kinds=(CACHE_EPOCH,))
             )
-        #: the staged get_c pipeline (repro.rma.cache) every cached get
-        #: flows through; stages drive the structures kept on this class
-        self._get_pipe = build_cache_pipeline()
         window.add_epoch_close_hook(self._on_epoch_close)
 
     def _timeline_sample(self, event: Event) -> None:
@@ -177,30 +171,6 @@ class CachedWindow:
     # ------------------------------------------------------------------
     # plumbing / introspection
     # ------------------------------------------------------------------
-    @property
-    def raw(self) -> Window:
-        """The underlying (uncached) MPI window."""
-        return self._win
-
-    @property
-    def comm(self) -> Communicator:
-        return self._win.comm
-
-    @property
-    def eph(self) -> int:
-        return self._win.eph
-
-    @property
-    def info(self) -> Mapping[str, Any]:
-        return self._win.info
-
-    @property
-    def local_buffer(self) -> np.ndarray:
-        return self._win.local_buffer
-
-    def local_view(self, dtype: np.dtype | type) -> np.ndarray:
-        return self._win.local_view(dtype)
-
     @property
     def index(self) -> CuckooIndex:
         return self._index
@@ -247,52 +217,8 @@ class CachedWindow:
         )
 
     # ------------------------------------------------------------------
-    # epoch management (proxied to the underlying window)
+    # writes (epochs, syncs and introspection come from WindowProxy)
     # ------------------------------------------------------------------
-    def lock(self, rank: int, lock_type: str = "shared") -> None:
-        self._win.lock(rank, lock_type)
-
-    def lock_all(self) -> None:
-        self._win.lock_all()
-
-    def unlock(self, rank: int) -> None:
-        self._win.unlock(rank)
-
-    def unlock_all(self) -> None:
-        self._win.unlock_all()
-
-    def flush(self, rank: int) -> None:
-        self._win.flush(rank)
-
-    def flush_all(self) -> None:
-        self._win.flush_all()
-
-    def fence(self) -> None:
-        self._win.fence()
-
-    @contextmanager
-    def lock_epoch(
-        self, rank: int, lock_type: str = "shared"
-    ) -> Iterator["CachedWindow"]:
-        """Scoped passive-target epoch towards ``rank`` (see Window.lock_epoch)."""
-        with self._win.lock_epoch(rank, lock_type):
-            yield self
-
-    @contextmanager
-    def lock_all_epoch(self) -> Iterator["CachedWindow"]:
-        """Scoped passive-target epoch towards every rank."""
-        with self._win.lock_all_epoch():
-            yield self
-
-    @contextmanager
-    def fence_epoch(self) -> Iterator["CachedWindow"]:
-        """Scoped active-target epoch: fence on entry and exit."""
-        with self._win.fence_epoch():
-            yield self
-
-    def free(self) -> None:
-        self._win.free()
-
     def put(
         self,
         origin: np.ndarray,
@@ -385,14 +311,14 @@ class CachedWindow:
         req = describe_cached_get(
             self, origin, target_rank, target_disp, count, datatype
         )
-        return self._get_pipe.serve(self, req)
+        return serve_cached_get(self, req)
 
     def get_batch(self, requests) -> list[int]:
         """Serve a batch of cached gets with one accounting pass.
 
         ``requests`` holds ``(origin, target_rank, target_disp[, count
-        [, datatype]])`` tuples.  Every element flows through the same
-        staged pipeline as a scalar :meth:`get` — classification, cost
+        [, datatype]])`` tuples.  Every element is served exactly like a
+        scalar :meth:`get` — classification, cost
         charges, quarantine probes and adaptation checks are per-element,
         so virtual time is bit-identical to N scalar gets — but telemetry
         is batched: misses (and degraded/partial-hit refetches) issue
@@ -403,7 +329,7 @@ class CachedWindow:
         access_sink: list[dict] = []
         net_sink: list = []
         results = [
-            self._get_pipe.serve(
+            serve_cached_get(
                 self,
                 describe_cached_get(
                     self,
@@ -424,7 +350,7 @@ class CachedWindow:
         return results
 
     def _consult(self, req: CacheGetRequest) -> int | None:
-        """Cost-charged index consult (the Consult stage's ``before``)."""
+        """Cost-charged index consult; serves full and partial hits."""
         self.cost.lookup()
         entry, _probes = self._index.lookup((req.target, req.disp))
         if entry is None or not isinstance(entry, CacheEntry):
@@ -439,7 +365,7 @@ class CachedWindow:
         """Issue ``req``'s bytes on the wrapped (uncached) window.
 
         Scalar requests use the plain op method; batch elements issue a
-        quiet descriptor through the window's pipeline and record it for
+        quiet descriptor through the window and record it for
         the batch-level ``rma.get_batch`` event.
         """
         if req.net_sink is None:
@@ -467,18 +393,6 @@ class CachedWindow:
             nbytes=size,
             base=target_disp * self._win._group.disp_units[target_rank],
         )
-
-    def get_blocking(
-        self,
-        origin: np.ndarray,
-        target_rank: int,
-        target_disp: int,
-        count: int | None = None,
-        datatype: Datatype | None = None,
-    ) -> int:
-        n = self.get(origin, target_rank, target_disp, count, datatype)
-        self.flush(target_rank)
-        return n
 
     # ------------------------------------------------------------------
     def _serve_full_hit(
@@ -756,9 +670,8 @@ class CachedWindow:
     def _serve_degraded(self, req: CacheGetRequest) -> int:
         """Quarantined get: straight to the network, classified FAILING.
 
-        Accounting emission and the probe countdown run in the Accounting
-        and Degradation stages' ``after`` passes, in that (telemetry
-        contract) order.
+        ``serve_cached_get`` emits the accounting event and then runs the
+        probe countdown, in that (telemetry contract) order.
         """
         nbytes = self._raw_get(req)
         self.stats.record_access(AccessType.FAILING)
@@ -834,12 +747,12 @@ class CachedWindow:
                 )
 
     def _serve_failed_target(self, req: CacheGetRequest) -> int:
-        """A get towards a crashed rank (the CacheRecovery stage's serve).
+        """A get towards a crashed rank (``serve_cached_get``'s crash check).
 
         ``serve-stale`` serves exact full hits from the rank's pinned
         entries; anything else — and every get in ``invalidate`` mode —
         is classified FAILING and fails with a deferred
-        :class:`TargetFailedError` (raised after the accounting passes).
+        :class:`TargetFailedError` (raised after the accounting events).
         """
         if self.recovery_mode == "serve-stale":
             self.cost.lookup()
@@ -861,9 +774,18 @@ class CachedWindow:
     # epoch closure, invalidation, adaptation
     # ------------------------------------------------------------------
     def _on_epoch_close(self, _win: Window, targets: set[int] | None) -> None:
-        # Observe any crash that happened inside the closing epoch first,
-        # so serve-stale pins land before TRANSPARENT-mode invalidation.
-        if self._win._comm.proc.can_fail:
+        proc = self._win._comm.proc
+        if proc.can_fail:
+            if proc.crashing:
+                # This rank is the victim, closing epochs from ``finally:``
+                # blocks while its stack unwinds.  The crash may have
+                # interrupted a mutation half-way (time is charged between
+                # the index and storage updates), and nobody reads a dead
+                # rank's cache: leave it alone.
+                return
+            # Observe any crash that happened inside the closing epoch
+            # first, so serve-stale pins land before TRANSPARENT-mode
+            # invalidation.
             self._observe_failures()
 
         def closes(e: CacheEntry) -> bool:

@@ -248,8 +248,8 @@ def _run_crash_app(
     clean = run(None)
     victim = (seed + nprocs // 2) % nprocs
     # Armed but unfired: the crash machinery is active (failure detector,
-    # Recovery interceptor, CacheRecovery stage) but the victim would die
-    # long after the run ends -- results and virtual times must stay
+    # rma dead-target fail-fast, the cache's crash check) but the victim
+    # would die long after the run ends -- results and virtual times must stay
     # bit-identical to the clean run.
     unfired = run(crash_plan(seed, victim, t_start=clean.makespan * 10.0))
     unfired_identical = (

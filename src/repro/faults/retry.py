@@ -9,8 +9,8 @@ per-rank :class:`~repro.faults.plan.FaultInjector` stream), never by wall
 clocks or global RNG state.
 
 Single owner: the retry *loop* consuming this policy lives in exactly one
-place — :class:`repro.rma.interceptors.Retry`, the outermost interceptor
-of both the data and sync pipelines.  Nothing else re-issues failed
+place — the resilience wrapper :mod:`repro.rma.interceptors` binds around
+both the data and the sync handler.  Nothing else re-issues failed
 operations; lint rule ANL003 keeps callers from reaching around it.
 """
 

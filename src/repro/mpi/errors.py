@@ -82,8 +82,8 @@ class StorageFault(FaultError):
 class TargetFailedError(MPIError):
     """An RMA operation targeted a rank that crashed permanently.
 
-    Raised fail-fast by the ``Recovery`` interceptor in the
-    :mod:`repro.rma` pipeline — no time is charged and no retry happens,
+    Raised fail-fast by the resilience wrapper of the :mod:`repro.rma`
+    handlers — no time is charged and no retry happens,
     because crash-stop failures (unlike :class:`TransientNetworkError`)
     never heal.  The caching engine may still satisfy reads from
     epoch-consistent entries in ``serve-stale`` recovery mode, in which

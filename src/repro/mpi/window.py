@@ -26,12 +26,12 @@ asynchronous completion model.
 
 Every operation is *described* as an
 :class:`repro.rma.descriptor.OpDescriptor` and *issued* through the
-window's interceptor pipeline (:mod:`repro.rma`): retry/backoff, fault
-injection, the simulated transport (byte movement + cost pricing),
-telemetry emission and epoch closure each live in exactly one
-interceptor.  The op methods below only validate, build the descriptor
-and manage epoch state; :meth:`Window.get_batch` issues N descriptors
-with one epoch-bookkeeping pass and one batched telemetry event.
+window's bound data or sync handler (:mod:`repro.rma.interceptors`), which
+owns retry/backoff, fault injection, the simulated transport (byte
+movement + cost pricing), telemetry emission and epoch closure.  The op
+methods below only validate, build the descriptor and manage epoch state;
+:meth:`Window.get_batch` issues N descriptors with one epoch-bookkeeping
+pass and one batched telemetry event.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Window:
         self._scalar_desc: OpDescriptor | None = OpDescriptor(kind="get")
         #: memoized per-target flush descriptors (see :meth:`flush`)
         self._flush_descs: dict[int, OpDescriptor] = {}
-        #: the interceptor pipelines every op is issued through (repro.rma)
+        #: the bound handlers every op is issued through (repro.rma)
         self._data_pipe = build_data_pipeline(self)
         self._sync_pipe = build_sync_pipeline(self)
         # Failure-report diagnostic: the scheduler appends each rank's open
@@ -651,7 +651,7 @@ class Window:
         target) and emits **one** batched telemetry event
         (``rma.get_batch``, carrying every op's sanitizer footprint)
         instead of N per-op events.  Each element still flows through the
-        full interceptor pipeline — fault injection fires, retries charge
+        full data handler — fault injection fires, retries charge
         their virtual-time backoff, transfers are priced per element — so
         the resulting virtual time is bit-identical to N scalar gets.
         """
@@ -662,7 +662,7 @@ class Window:
         return [d.result for d in descs]
 
     def issue(self, desc: OpDescriptor) -> OpDescriptor:
-        """Issue a pre-built descriptor through the matching pipeline.
+        """Issue a pre-built descriptor through the matching handler.
 
         The extension point for layered windows (the CLaMPI cache batches
         its miss traffic through here) and future backends; scalar op
@@ -856,3 +856,96 @@ class Window:
 
     def _diagnostic(self) -> str:
         return f"win {self.win_id}: {self._epoch_state()}"
+
+
+class WindowProxy:
+    """The non-data surface of a window layered over a plain :class:`Window`.
+
+    Epochs, synchronisation, the scoped ``*_epoch`` context managers (which
+    yield the *layered* window) and buffer introspection all delegate to
+    the wrapped window in ``self._win``.  Layered windows (CLaMPI's
+    ``CachedWindow``, the block-cache baseline) inherit this and define
+    only their data ops; ``get_blocking`` goes through the subclass's own
+    ``get``.
+    """
+
+    _win: Window
+
+    @property
+    def raw(self) -> Window:
+        """The underlying plain MPI window."""
+        return self._win
+
+    @property
+    def comm(self) -> Communicator:
+        return self._win.comm
+
+    @property
+    def eph(self) -> int:
+        return self._win.eph
+
+    @property
+    def info(self) -> Mapping[str, Any]:
+        return self._win.info
+
+    @property
+    def local_buffer(self) -> np.ndarray:
+        return self._win.local_buffer
+
+    def local_view(self, dtype: np.dtype | type) -> np.ndarray:
+        return self._win.local_view(dtype)
+
+    def lock(self, rank: int, lock_type: str = LOCK_SHARED) -> None:
+        self._win.lock(rank, lock_type)
+
+    def lock_all(self) -> None:
+        self._win.lock_all()
+
+    def unlock(self, rank: int) -> None:
+        self._win.unlock(rank)
+
+    def unlock_all(self) -> None:
+        self._win.unlock_all()
+
+    def flush(self, rank: int) -> None:
+        self._win.flush(rank)
+
+    def flush_all(self) -> None:
+        self._win.flush_all()
+
+    def fence(self) -> None:
+        self._win.fence()
+
+    def free(self) -> None:
+        self._win.free()
+
+    @contextmanager
+    def lock_epoch(self, rank: int, lock_type: str = LOCK_SHARED) -> Iterator[Any]:
+        """Scoped passive-target epoch towards ``rank`` (see Window.lock_epoch)."""
+        with self._win.lock_epoch(rank, lock_type):
+            yield self
+
+    @contextmanager
+    def lock_all_epoch(self) -> Iterator[Any]:
+        """Scoped passive-target epoch towards every rank."""
+        with self._win.lock_all_epoch():
+            yield self
+
+    @contextmanager
+    def fence_epoch(self) -> Iterator[Any]:
+        """Scoped active-target epoch: fence on entry and exit."""
+        with self._win.fence_epoch():
+            yield self
+
+    def get_blocking(
+        self,
+        origin: np.ndarray,
+        target_rank: int,
+        target_disp: int,
+        count: int | None = None,
+        datatype: Datatype | None = None,
+    ) -> int:
+        """Convenience: ``get`` + ``flush(target_rank)``."""
+        n = self.get(origin, target_rank, target_disp, count, datatype)
+        self.flush(target_rank)
+        return n

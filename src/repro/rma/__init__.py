@@ -1,33 +1,25 @@
-"""``repro.rma`` — op descriptors and the composable interceptor pipeline.
+"""``repro.rma`` — op descriptors and the handlers they are issued through.
 
 The architectural seam between window APIs and everything that happens to
 an RMA operation.  Ops are *described* once
 (:class:`~repro.rma.descriptor.OpDescriptor`: kind, target footprint,
-dtype, origin identity, policy switches) and *issued* through a pipeline
-whose interceptors each own exactly one concern — retry/backoff, fault
-injection, simulated transport (byte movement + cost-model pricing),
-telemetry emission, epoch closure.  The CLaMPI cached-get path composes
-the same idea as a staged pipeline (:mod:`repro.rma.cache`).
+dtype, origin identity, policy switches) and *issued* through one
+straight-line handler per chain (:mod:`repro.rma.interceptors`) whose
+statement order is the ordering contract — byte movement, fault
+injection, cost-model pricing, telemetry, epoch closure — with one shared
+retry/fail-fast wrapper bound only on windows that can see faults.  The
+CLaMPI cached get is one function, :func:`repro.rma.cache.serve_cached_get`.
 
-Future backends (sharding, async progress, multi-transport) plug in here:
-a new transport is one interceptor swap, not a window rewrite.  See
-``docs/architecture.md`` for the layering diagram and ordering
-invariants, ``docs/api.md`` for the descriptor / ``get_batch`` API.
+A data-plane change (a new transport, a new charge) is one edit in one
+handler.  See ``docs/architecture.md`` for the layering diagram and
+ordering invariants, ``docs/api.md`` for the descriptor / ``get_batch`` API.
 """
 
 from repro.rma.cache import (
-    Accounting,
-    Adapt,
     CacheGetRequest,
-    CachePipeline,
-    CacheRecovery,
-    CacheStage,
-    Consult,
-    Degradation,
-    Miss,
-    build_cache_pipeline,
     describe_cached_get,
     emit_cache_batch,
+    serve_cached_get,
     serve_write,
 )
 from repro.rma.descriptor import (
@@ -42,45 +34,18 @@ from repro.rma.descriptor import (
     describe_sync,
 )
 from repro.rma.interceptors import (
-    Completion,
-    EpochClose,
-    FaultInjection,
-    Move,
-    Obs,
-    Pricing,
-    Recovery,
-    Retry,
     build_data_pipeline,
     build_sync_pipeline,
     emit_get_batch,
 )
-from repro.rma.pipeline import Handler, Interceptor, Pipeline
+from repro.rma.pipeline import BoundPipeline
 
 __all__ = [
-    "Accounting",
-    "Adapt",
+    "BoundPipeline",
     "CacheGetRequest",
-    "CachePipeline",
-    "CacheRecovery",
-    "CacheStage",
-    "Completion",
-    "Consult",
     "DATA_KINDS",
-    "Degradation",
-    "EpochClose",
-    "FaultInjection",
-    "Handler",
-    "Interceptor",
-    "Miss",
-    "Move",
-    "Obs",
     "OpDescriptor",
-    "Pipeline",
-    "Pricing",
-    "Recovery",
-    "Retry",
     "SYNC_KINDS",
-    "build_cache_pipeline",
     "build_data_pipeline",
     "build_sync_pipeline",
     "describe_accumulate",
@@ -92,5 +57,6 @@ __all__ = [
     "describe_sync",
     "emit_cache_batch",
     "emit_get_batch",
+    "serve_cached_get",
     "serve_write",
 ]

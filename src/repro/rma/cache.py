@@ -1,37 +1,27 @@
-"""The staged pipeline behind CLaMPI's ``get_c`` processing engine.
+"""CLaMPI's ``get_c`` processing engine (paper Sec. III-B) as one function.
 
-Unlike the MPI-layer onion (:mod:`repro.rma.pipeline`), the cached-get
-path is a **staged** pipeline: every stage gets a ``before`` pass (run in
-order until one serves the request) and an ``after`` pass (always run, in
-the same order).  The split exists because the cache's telemetry contract
-is ordered — ``cache.access`` must precede the degradation probe's
-``cache.degraded`` re-enable event, which an onion's unwind order would
-invert.
+:func:`serve_cached_get` is the whole cached-get flow in statement order::
 
-Stage order for ``CachedWindow.get`` (see ``docs/architecture.md``)::
-
-    Accounting    before: sequence bookkeeping (seq, size sum)
-    CacheRecovery before: crash-stop handling for dead targets
-    Degradation   before: quarantine entry + degraded direct serve
-    Consult       before: cost-charged index lookup, full/partial hit serve
-    Miss          before: remote issue + insert/evict (always serves)
+    sequence accounting (seq, size sum)
+    crash check          dead target: pinned serve or deferred failure
+    quarantine           enter on a storage-fault streak; degraded direct serve
+    consult              cost-charged index lookup, full/partial hit serve
+    miss                 remote issue + insert/evict under its flight time
     --
-    Accounting    after:  cache.access emission + fault-counter fold
-    Degradation   after:  probe countdown / re-enable
-    Adapt         after:  adaptive controller check
+    cache.access emission + fault-counter fold
+    probe countdown / re-enable (degraded)  *or*  adaptive-controller check
+    deferred failure raise
 
-Stages must not raise between ``Accounting.before`` and the after
-passes — that would skip the ordered telemetry contract.  A stage that
-needs to fail the get records the exception on ``req.failure`` and
-returns a served size of 0; :meth:`CachePipeline.serve` raises it only
-after every ``after`` pass has run.
+The second half always runs, in that order: the telemetry contract is
+ordered (``cache.access`` precedes the probe's ``cache.degraded``
+re-enable event), so a step that must fail the get records the exception
+on ``req.failure`` and serves 0 bytes; it is raised last.
 
-The stages orchestrate; the structural machinery (cuckoo index, storage,
-eviction engine) stays on :class:`repro.core.window.CachedWindow`, which
-the request hands back to each stage.
+The function orchestrates; the structural machinery (cuckoo index,
+storage, eviction engine) stays on :class:`repro.core.window.CachedWindow`.
 
 Batched requests (``quiet=True``) serve element-by-element through the
-same stages — identical classification, cost charges and adaptation
+same function — identical classification, cost charges and adaptation
 points, hence bit-identical virtual time — but collect their access
 records and raw-transfer descriptors into shared sinks so the batch entry
 point can emit one ``cache.access_batch`` + one ``rma.get_batch`` event
@@ -55,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(slots=True)
 class CacheGetRequest:
-    """One ``get_c`` flowing through the staged cache pipeline."""
+    """One ``get_c`` as :func:`serve_cached_get` sees it."""
 
     origin: np.ndarray
     target: int
@@ -64,167 +54,63 @@ class CacheGetRequest:
     dtype: Datatype
     size: int                #: transfer size in bytes
     quiet: bool = False      #: batch element: suppress the per-op event
-    degraded: bool = False   #: served direct by the quarantined cache
-    result: int = 0
-    #: deferred failure: raised by serve() after the after-passes ran, so
-    #: accounting/telemetry stay ordered even for refused gets
+    #: deferred failure: raised after accounting/telemetry ran, so both
+    #: stay ordered even for refused gets
     failure: Exception | None = None
     #: batch sinks (shared across one get_batch); None on the scalar path
     access_sink: list[dict[str, Any]] | None = None
     net_sink: list[OpDescriptor] | None = None
 
 
-class CacheStage:
-    """One stage of the cached-get pipeline."""
-
-    name = "stage"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
-        """Serve ``req`` (return payload bytes) or pass (return None)."""
-        return None
-
-    def after(self, cw: "CachedWindow", req: CacheGetRequest) -> None:
-        """Post-serve pass; runs for every stage, in stage order."""
-
-
-class CachePipeline:
-    """The bound stage sequence of one :class:`CachedWindow`."""
-
-    def __init__(self, stages: list[CacheStage]):
-        self.stages = tuple(stages)
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages)
-
-    def serve(self, cw: "CachedWindow", req: CacheGetRequest) -> int:
-        for stage in self.stages:
-            nbytes = stage.before(cw, req)
-            if nbytes is not None:
-                req.result = nbytes
-                break
-        for stage in self.stages:
-            stage.after(cw, req)
-        if req.failure is not None:
-            raise req.failure
-        return req.result
-
-
-class Accounting(CacheStage):
-    """Sequence bookkeeping and the per-get accounting event."""
-
-    name = "accounting"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
-        cw._seq += 1
-        cw._size_sum += req.size
-        return None
-
-    def after(self, cw: "CachedWindow", req: CacheGetRequest) -> None:
-        if req.quiet:
-            if req.access_sink is not None:
-                assert cw.stats.last_access is not None
-                req.access_sink.append(
-                    {
-                        "access": cw.stats.last_access.value,
-                        "target": req.target,
-                        "disp": req.disp,
-                        "nbytes": req.size,
-                        "base": req.disp
-                        * cw._win._group.disp_units[req.target],
-                    }
-                )
-        else:
-            cw._emit_access(req.target, req.disp, req.size)
-        cw._sync_fault_counters()
-
-
-class CacheRecovery(CacheStage):
-    """Crash-stop handling: gets targeting a dead rank never reach Miss.
-
-    Elided on the hot path — ``before`` is a no-op until the underlying
-    world can fail at all (no fault plan with crash rules -> zero cost,
-    bit-identical behaviour).  Otherwise the request is routed to the
-    window's recovery logic: ``serve-stale`` serves exact-match pinned
-    entries read-only, everything else records a FAILING access and
-    defers a ``TargetFailedError`` via ``req.failure``.
-    """
-
-    name = "recovery"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
-        if not cw._win._comm.proc.can_fail:
-            return None
+def serve_cached_get(cw: "CachedWindow", req: CacheGetRequest) -> int:
+    """Serve one ``get_c``; returns payload bytes (order: module docstring)."""
+    cw._seq += 1
+    cw._size_sum += req.size
+    proc = cw._win._comm.proc
+    nbytes = None
+    degraded = False
+    # A world without a crash plan never pays for the failure detector.
+    if proc.can_fail:
         cw._observe_failures()
-        if req.target not in cw._win._comm.proc.failed_ranks:
-            return None
-        return cw._serve_failed_target(req)
-
-
-class Degradation(CacheStage):
-    """Graceful degradation: quarantine entry, direct serve, probe."""
-
-    name = "degradation"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
+        if req.target in proc.failed_ranks:
+            nbytes = cw._serve_failed_target(req)
+    if nbytes is None:
         if (
             not cw._quarantined
             and cw._fault_streak >= cw.config.quarantine_threshold
         ):
             cw._enter_quarantine()
-        if not cw._quarantined:
-            return None
-        req.degraded = True
-        return cw._serve_degraded(req)
+        if cw._quarantined:
+            degraded = True
+            nbytes = cw._serve_degraded(req)
+        else:
+            nbytes = cw._consult(req)
+            if nbytes is None:
+                nbytes = cw._serve_miss(req)
 
-    def after(self, cw: "CachedWindow", req: CacheGetRequest) -> None:
-        if not req.degraded:
-            return
+    if not req.quiet:
+        cw._emit_access(req.target, req.disp, req.size)
+    elif req.access_sink is not None:
+        assert cw.stats.last_access is not None
+        req.access_sink.append(
+            {
+                "access": cw.stats.last_access.value,
+                "target": req.target,
+                "disp": req.disp,
+                "nbytes": req.size,
+                "base": req.disp * cw._win._group.disp_units[req.target],
+            }
+        )
+    cw._sync_fault_counters()
+    if degraded:
         cw._probe_countdown -= 1
         if cw._probe_countdown <= 0:
             cw._leave_quarantine()
-
-
-class Consult(CacheStage):
-    """Cost-charged index consult; serves full and partial hits."""
-
-    name = "consult"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
-        return cw._consult(req)
-
-
-class Miss(CacheStage):
-    """Remote issue + index insert / eviction; always serves."""
-
-    name = "miss"
-
-    def before(self, cw: "CachedWindow", req: CacheGetRequest) -> int | None:
-        return cw._serve_miss(req)
-
-
-class Adapt(CacheStage):
-    """Adaptive-controller check after each non-degraded get."""
-
-    name = "adapt"
-
-    def after(self, cw: "CachedWindow", req: CacheGetRequest) -> None:
-        if not req.degraded:
-            cw._maybe_adapt()
-
-
-def build_cache_pipeline() -> CachePipeline:
-    """The standard ``get_c`` stage sequence."""
-    return CachePipeline(
-        [
-            Accounting(),
-            CacheRecovery(),
-            Degradation(),
-            Consult(),
-            Miss(),
-            Adapt(),
-        ]
-    )
+    else:
+        cw._maybe_adapt()
+    if req.failure is not None:
+        raise req.failure
+    return nbytes
 
 
 def describe_cached_get(
@@ -263,7 +149,7 @@ def serve_write(
     datatype: Datatype | None,
     acc_op: str = "sum",
 ) -> int:
-    """Write-through stage for cached puts/accumulates.
+    """Write-through for cached puts/accumulates.
 
     Writes are never cached (paper Sec. II): pass through to the wrapped
     window's pipeline, then drop any cached entries overlapping the

@@ -1,11 +1,11 @@
-"""Op descriptors: the one value that flows through the RMA pipeline.
+"""Op descriptors: the one value that flows through the RMA handlers.
 
 Every one-sided operation — data movement (get/put/accumulate) and
 synchronisation (flush/unlock/fence/PSCW complete, plus epoch-opening
 locks) — is first *described* (validated, datatype-resolved, byte
-footprint computed) and then *issued* through the window's interceptor
-pipeline (:mod:`repro.rma.pipeline`).  The descriptor carries everything
-an interceptor needs so no concern has to reach back into the op-method
+footprint computed) and then *issued* through the window's bound handler
+(:mod:`repro.rma.interceptors`).  The descriptor carries everything the
+handler needs so no concern has to reach back into the op-method
 arguments:
 
 * the **target footprint** (``base``/``span`` in target-window bytes),
@@ -13,7 +13,7 @@ arguments:
 * the **origin identity** (host address + bytes used), for
   origin-buffer-reuse detection;
 * the **policy switches** (``fault_site``, ``retryable``,
-  ``epoch_close``), which tell each interceptor whether it applies.
+  ``epoch_close``), which tell each handler step whether it applies.
 
 Describing is deliberately clock-free: validation raises the same
 ``WindowError``/``EpochError`` a pre-pipeline window raised, in the same
@@ -57,7 +57,7 @@ class OpDescriptor:
 
     Data ops (:data:`DATA_KINDS`) fill the footprint block; sync ops fill
     the completion block.  ``emit_attrs`` are the kind-specific attributes
-    of the telemetry event the obs interceptor publishes (data ops build
+    of the telemetry event the handler publishes (data ops build
     them lazily from the footprint instead).
     """
 
@@ -75,7 +75,7 @@ class OpDescriptor:
     obuf: np.ndarray | None = None     #: flat uint8 view of ``origin``
     acc_op: str | None = None          #: accumulate reduction op
     # -- sync-op completion -------------------------------------------
-    completes: bool = False            #: run the completion interceptor
+    completes: bool = False            #: complete pending ops (False: locks)
     targets: set[int] | None = None    #: ranks to complete (None = all)
     barrier: bool = False              #: collective barrier after completion
     finalize: Callable[[], None] | None = None  #: epoch-state mutation hook
@@ -125,7 +125,7 @@ def _footprint(
     ``(span, blocks)`` is a pure function of ``(dtype, count)``, so it is
     memoized per window — applications issue millions of gets over a
     handful of datatype/count shapes.  The shared block list is read-only
-    by contract (the move interceptor only iterates it).  The memo is
+    by contract (the data handler only iterates it).  The memo is
     bounded: cleared wholesale if an adversarial stream of shapes fills it.
     """
     memo = window._fp_memo

@@ -1,10 +1,29 @@
-"""The standard interceptors: one cross-cutting concern each.
+"""The two RMA op handlers: one straight-line closure per chain.
 
-Extracted from the pre-pipeline ``repro.mpi.window.Window`` monolith;
-every virtual-time charge, injector consultation and telemetry emission
-happens in the same order it did inline, so benchmark results and chaos
-runs are bit-identical across the refactor (asserted by the golden and
-chaos test suites).
+``build_data_pipeline`` (get/put/accumulate) and ``build_sync_pipeline``
+(flush/unlock/fence/complete and epoch-opening locks) each bind one
+``attempt(desc)`` closure to a window.  The statement order *is* the
+ordering contract (``docs/architecture.md`` §3.1):
+
+* **data**: move the payload bytes → consult the fault injector (a
+  transient failure still moved the bytes, so a retry moves the same ones)
+  → charge the issue overhead and price the transfer (jitter perturbs the
+  priced duration; a stall past the op timeout becomes a retryable
+  timeout) → ``net.transfer`` → the per-op event;
+* **sync**: consult the fault injector → complete the selected pending
+  ops → the per-op event → fire the epoch-close hooks, last.
+
+Fault blocks are guarded by the bind-time constant ``faults``
+(``window._faults`` is never reassigned after ``Window.__init__``), so a
+fault-free window pays one ``is not None`` test per block.  Windows that
+can see faults or crashes get the one shared resilience wrapper
+(:func:`_with_resilience`) bound around ``attempt``: dead-target fail-fast
+first and uncharged, then the retry/backoff loop, which replays the whole
+attempt (move + pricing).  Everything else gets ``attempt`` bare.
+
+The order of every virtual-time charge, injector draw and telemetry
+emission is pinned bit for bit by the golden, obs-parity (fault-free and
+faulted) and chaos suites.
 """
 
 from __future__ import annotations
@@ -21,35 +40,104 @@ from repro.mpi.errors import (
 )
 from repro.obs import FAULT_INJECTED, FAULT_RETRY, NET_TRANSFER, RMA_GET_BATCH
 from repro.rma.descriptor import OpDescriptor, _origin_bytes
-from repro.rma.pipeline import Handler, Interceptor, Pipeline
+from repro.rma.pipeline import BoundPipeline, Handler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.window import Window
 
 
-class Recovery(Interceptor):
-    """Crash-stop fail-fast: refuse operations towards dead ranks.
+# ----------------------------------------------------------------------
+# byte movement (zero time; bounds are checked against the target buffer
+# before any byte moves)
+# ----------------------------------------------------------------------
+def _check_bounds(desc: OpDescriptor, tbuf: np.ndarray) -> None:
+    if desc.kind == "accumulate":
+        if desc.base + desc.nbytes > tbuf.nbytes:
+            raise WindowError(
+                f"accumulate out of bounds: [{desc.base}, "
+                f"{desc.base + desc.nbytes}) > window size {tbuf.nbytes} "
+                f"at rank {desc.target}"
+            )
+    elif desc.base + desc.span > tbuf.nbytes:
+        raise WindowError(
+            f"{desc.kind} out of bounds: disp {desc.base} + span "
+            f"{desc.span} > window size {tbuf.nbytes} at rank {desc.target}"
+        )
 
-    Outermost interceptor of both chains on a world that *can* lose ranks
-    (a crash plan is active): data ops and epoch-opening locks towards a
+
+def _gather(desc: OpDescriptor, tbuf: np.ndarray) -> None:
+    blocks = desc.blocks
+    base = desc.base
+    if len(blocks) == 1:
+        off, size = blocks[0]
+        payload = tbuf[base + off : base + off + size]
+    else:
+        parts = [tbuf[base + o : base + o + s] for o, s in blocks]
+        payload = np.concatenate(parts) if parts else np.empty(0, np.uint8)
+    obuf = _origin_bytes(desc.origin)
+    nbytes = len(payload)
+    if obuf.nbytes < nbytes:
+        raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")
+    obuf[:nbytes] = payload
+    desc.obuf = obuf
+    desc.nbytes = nbytes
+
+
+def _scatter(desc: OpDescriptor, tbuf: np.ndarray) -> None:
+    payload = desc.obuf[: desc.nbytes]
+    cursor = 0
+    for off, size in desc.blocks:
+        tbuf[desc.base + off : desc.base + off + size] = payload[
+            cursor : cursor + size
+        ]
+        cursor += size
+
+
+def _apply_accumulate(desc: OpDescriptor, tbuf: np.ndarray) -> None:
+    np_dtype = desc.origin.dtype
+    src = desc.obuf.view(np_dtype)
+    dst = tbuf[desc.base : desc.base + desc.nbytes].view(np_dtype)
+    op = desc.acc_op
+    if op == "sum":
+        dst += src
+    elif op == "max":
+        np.maximum(dst, src, out=dst)
+    elif op == "min":
+        np.minimum(dst, src, out=dst)
+    elif op == "replace":
+        dst[:] = src
+    else:
+        raise WindowError(f"unknown accumulate op: {op}")
+
+
+# ----------------------------------------------------------------------
+# resilience wrapper (shared by both chains)
+# ----------------------------------------------------------------------
+def _with_resilience(window: "Window", attempt: Handler) -> BoundPipeline:
+    """Bind dead-target fail-fast + retry/backoff around ``attempt``.
+
+    Returned bare when the window has no injector and the world cannot
+    lose ranks.  Otherwise: data ops and epoch-opening locks towards a
     crashed target raise :class:`TargetFailedError` immediately — no time
     is charged and no retry fires, because a crash-stop failure never
-    heals.  Completion syncs (flush/unlock) towards dead targets pass
-    through and complete gracefully: completion is local in this
-    simulation, and survivors must be able to close epochs that still
-    have entries cached from the victim (``serve-stale`` recovery mode).
-    On a crash-free world the frame is elided at bind time, keeping
-    fault-free runs bit-identical.
+    heals; completion syncs towards dead targets pass through (completion
+    is local here, and survivors must be able to close epochs holding
+    entries cached from the victim).  Then the single owner of the retry
+    loop (policy: :class:`repro.faults.RetryPolicy`) re-issues
+    :class:`TransientNetworkError` / :class:`RMATimeoutError` up to the
+    attempt budget, charging each backoff from the injector's
+    deterministic ``backoff`` stream.
     """
+    proc = window._comm.proc
+    faults = window._faults
+    can_fail = proc.can_fail
+    if faults is None and not can_fail:
+        return BoundPipeline(attempt, True)
+    policy = window._retry
+    obs_bus = window._obs
 
-    name = "recovery"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        proc = window._comm.proc
-        if not proc.can_fail:
-            return call_next
-
-        def run(desc: OpDescriptor) -> OpDescriptor:
+    def guarded(desc: OpDescriptor) -> OpDescriptor:
+        if can_fail:
             target = desc.target
             if (
                 target is not None
@@ -57,413 +145,119 @@ class Recovery(Interceptor):
                 and target in proc.failed_ranks
             ):
                 raise TargetFailedError(target, desc.kind)
-            return call_next(desc)
+        if faults is None or not desc.retryable:
+            return attempt(desc)
+        n = 1
+        while True:
+            try:
+                return attempt(desc)
+            except (TransientNetworkError, RMATimeoutError) as exc:
+                if n >= policy.max_attempts:
+                    raise
+                delay = policy.delay(n, faults.draw("backoff"))
+                proc.advance(delay)
+                window.retries += 1
+                if obs_bus.wants(FAULT_RETRY):
+                    window._emit(
+                        FAULT_RETRY,
+                        op=desc.fault_site,
+                        target=desc.target,
+                        attempt=n,
+                        delay=delay,
+                        error=type(exc).__name__,
+                    )
+                n += 1
 
-        return run
-
-
-class Retry(Interceptor):
-    """Retry/backoff: re-issue transient failures, charging virtual time.
-
-    The single owner of the resilience loop (policy:
-    :class:`repro.faults.RetryPolicy`): retries
-    :class:`TransientNetworkError` / :class:`RMATimeoutError` up to the
-    attempt budget, charging each backoff delay to the rank's clock from
-    the injector's deterministic ``backoff`` stream.
-    """
-
-    name = "retry"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        if window._faults is None:
-            # Fault-free window: nothing can ever raise a retryable error,
-            # so skip the wrapper frame on the per-op hot path entirely.
-            return call_next
-
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            faults = window._faults
-            if faults is None or not desc.retryable:
-                return call_next(desc)
-            policy = window._retry
-            attempt = 1
-            while True:
-                try:
-                    return call_next(desc)
-                except (TransientNetworkError, RMATimeoutError) as exc:
-                    if attempt >= policy.max_attempts:
-                        raise
-                    delay = policy.delay(attempt, faults.draw("backoff"))
-                    window._comm.proc.advance(delay)
-                    window.retries += 1
-                    if window._obs.wants(FAULT_RETRY):
-                        window._emit(
-                            FAULT_RETRY,
-                            op=desc.fault_site,
-                            target=desc.target,
-                            attempt=attempt,
-                            delay=delay,
-                            error=type(exc).__name__,
-                        )
-                    attempt += 1
-
-        return run
+    return BoundPipeline(guarded, False)
 
 
-class Move(Interceptor):
-    """Simulated transport, data half: move payload bytes (zero time).
+# ----------------------------------------------------------------------
+# the two chains
+# ----------------------------------------------------------------------
+def build_data_pipeline(window: "Window") -> BoundPipeline:
+    """Bind the get/put/accumulate handler (order: module docstring)."""
+    from repro.mpi.window import _PendingOp
 
-    Payloads move at issue time (single address space — see the window
-    module docstring); only the pricing interceptor charges clocks.  Bounds
-    are checked here, against the target buffer, before any byte moves.
-    """
+    comm = window._comm
+    proc = comm.proc
+    perf = comm.perf
+    rank = comm.rank
+    group = window._group
+    obs_bus = window._obs
+    faults = window._faults
+    policy = window._retry
+    # Per-target price memo: distance, issue overhead and the transfer
+    # (alpha, bandwidth) are pure functions of the rank pair, so caching
+    # them per window cannot change any charged time.
+    links: dict[int, tuple] = {}
 
-    name = "move"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            tbuf = window._group.buffers[desc.target]
-            if desc.kind == "accumulate":
-                self._bounds_accumulate(desc, tbuf)
-                self._apply_accumulate(desc, tbuf)
-            else:
-                self._bounds(desc, tbuf)
-                if desc.kind == "get":
-                    self._gather(desc, tbuf)
-                else:
-                    self._scatter(desc, tbuf)
-            desc.result = desc.nbytes
-            return call_next(desc)
-
-        return run
-
-    @staticmethod
-    def _bounds(desc: OpDescriptor, tbuf: np.ndarray) -> None:
-        if desc.base + desc.span > tbuf.nbytes:
-            raise WindowError(
-                f"{desc.kind} out of bounds: disp {desc.base} + span "
-                f"{desc.span} > window size {tbuf.nbytes} at rank {desc.target}"
-            )
-
-    @staticmethod
-    def _bounds_accumulate(desc: OpDescriptor, tbuf: np.ndarray) -> None:
-        if desc.base + desc.nbytes > tbuf.nbytes:
-            raise WindowError(
-                f"accumulate out of bounds: [{desc.base}, "
-                f"{desc.base + desc.nbytes}) > window size {tbuf.nbytes} "
-                f"at rank {desc.target}"
-            )
-
-    @staticmethod
-    def _gather(desc: OpDescriptor, tbuf: np.ndarray) -> None:
-        blocks = desc.blocks
-        base = desc.base
-        if len(blocks) == 1:
-            off, size = blocks[0]
-            payload = tbuf[base + off : base + off + size]
+    def attempt(desc: OpDescriptor) -> OpDescriptor:
+        # -- move: bounds check + payload bytes (zero time) -------------
+        target = desc.target
+        kind = desc.kind
+        tbuf = group.buffers[target]
+        _check_bounds(desc, tbuf)
+        if kind == "accumulate":
+            _apply_accumulate(desc, tbuf)
+        elif kind == "get":
+            _gather(desc, tbuf)
         else:
-            parts = [tbuf[base + o : base + o + s] for o, s in blocks]
-            payload = np.concatenate(parts) if parts else np.empty(0, np.uint8)
-        obuf = _origin_bytes(desc.origin)
-        nbytes = len(payload)
-        if obuf.nbytes < nbytes:
-            raise WindowError(
-                f"origin buffer too small: {obuf.nbytes} < {nbytes}"
-            )
-        obuf[:nbytes] = payload
-        desc.obuf = obuf
-        desc.nbytes = nbytes
-
-    @staticmethod
-    def _scatter(desc: OpDescriptor, tbuf: np.ndarray) -> None:
-        payload = desc.obuf[: desc.nbytes]
-        cursor = 0
-        for off, size in desc.blocks:
-            tbuf[desc.base + off : desc.base + off + size] = payload[
-                cursor : cursor + size
-            ]
-            cursor += size
-
-    @staticmethod
-    def _apply_accumulate(desc: OpDescriptor, tbuf: np.ndarray) -> None:
-        np_dtype = desc.origin.dtype
-        src = desc.obuf.view(np_dtype)
-        dst = tbuf[desc.base : desc.base + desc.nbytes].view(np_dtype)
-        op = desc.acc_op
-        if op == "sum":
-            dst += src
-        elif op == "max":
-            np.maximum(dst, src, out=dst)
-        elif op == "min":
-            np.minimum(dst, src, out=dst)
-        elif op == "replace":
-            dst[:] = src
-        else:
-            raise WindowError(f"unknown accumulate op: {op}")
-
-
-class FaultInjection(Interceptor):
-    """Fault injection: consult the plan at the op's site; raise on fire.
-
-    Data sites sit *after* the byte move (a transient failure still moved
-    the bytes — re-issuing moves the same ones, keeping faulted runs
-    bit-identical) and charge the wasted round trip, capped at the per-op
-    timeout.  Sync sites fire before completion and waste the timeout.
-    """
-
-    name = "fault-injection"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        if window._faults is None:
-            return call_next  # no injector: elide the per-op frame
-        from repro.mpi.window import SYNC_OVERHEAD
-
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            inj = window._faults
+            _scatter(desc, tbuf)
+        nbytes = desc.result = desc.nbytes
+        # -- fault injection: the bytes moved, the round trip is wasted --
+        if faults is not None:
             site = desc.fault_site
-            if inj is None or site is None or inj.fire(site, desc.target) is None:
-                return call_next(desc)
-            if desc.is_data:
-                perf = window._comm.perf
-                rank = window._comm.rank
-                wasted = perf.issue_time(
-                    rank, desc.target, desc.nbytes
-                ) + perf.get_time(rank, desc.target, desc.nbytes)
-                timeout = window._retry.op_timeout
+            if site is not None and faults.fire(site, target) is not None:
+                wasted = perf.issue_time(rank, target, nbytes) + perf.get_time(
+                    rank, target, nbytes
+                )
+                timeout = policy.op_timeout
                 if timeout is not None:
                     wasted = min(wasted, timeout)
-                window._comm.proc.advance(wasted)
+                proc.advance(wasted)
                 window.faults_injected += 1
-                if window._obs.wants(FAULT_INJECTED):
+                if obs_bus.wants(FAULT_INJECTED):
                     window._emit(
                         FAULT_INJECTED,
                         op=site,
-                        target=desc.target,
-                        nbytes=desc.nbytes,
+                        target=target,
+                        nbytes=nbytes,
                         wasted=wasted,
                     )
                 raise TransientNetworkError(
                     f"injected transient {site} failure towards rank "
-                    f"{desc.target} ({desc.nbytes} B)"
+                    f"{target} ({nbytes} B)"
                 )
-            wasted = window._retry.op_timeout or 10 * SYNC_OVERHEAD
-            window._comm.proc.advance(wasted)
-            window.faults_injected += 1
-            if window._obs.wants(FAULT_INJECTED):
-                window._emit(
-                    FAULT_INJECTED, op=site, target=desc.target, wasted=wasted
-                )
-            where = (
-                "all ranks" if desc.target is None else f"rank {desc.target}"
-            )
-            raise RMATimeoutError(
-                f"injected synchronisation timeout towards {where}"
-            )
-
-        return run
-
-
-class Pricing(Interceptor):
-    """Simulated transport, time half: charge the network cost model.
-
-    Charges the issue overhead, prices the transfer duration, applies
-    congestion jitter (which lives here, not in the fault interceptor,
-    because it perturbs the priced duration — a stall past the op timeout
-    degenerates into a retryable timeout), posts the pending op and keeps
-    the byte-accounting diagnostics.
-    """
-
-    name = "pricing"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        from repro.mpi.window import _PendingOp
-
-        perf = window._comm.perf
-        rank = window._comm.rank
-        # Per-target price memo: distance, issue overhead and the transfer
-        # (alpha, bandwidth) are pure functions of the rank pair, so caching
-        # them per window cannot change any charged time.
-        links: dict[int, tuple] = {}
-
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            proc = window._comm.proc
-            target = desc.target
-            nbytes = desc.nbytes
-            link = links.get(target)
-            if link is None:
-                link = links[target] = perf.link(rank, target)
-            dist, issue, alpha, bw = link
-            proc.advance(issue)
-            duration = alpha + nbytes / bw
-            if window._faults is not None:
-                stall = window._faults.stall_for(target, duration)
-                if stall > 0.0:
-                    duration += stall
-                    if window._obs.wants(FAULT_INJECTED):
-                        window._emit(
-                            FAULT_INJECTED,
-                            op="jitter",
-                            target=target,
-                            stall=stall,
-                        )
-                    timeout = window._retry.op_timeout
-                    if timeout is not None and duration > timeout:
-                        proc.advance(timeout)
-                        window.faults_injected += 1
-                        if window._obs.wants(FAULT_INJECTED):
-                            window._emit(
-                                FAULT_INJECTED,
-                                op="timeout",
-                                target=target,
-                                wasted=timeout,
-                            )
-                        raise RMATimeoutError(
-                            f"transfer of {nbytes} B to rank {target} stalled "
-                            f"{stall:.3e}s past the {timeout:.3e}s op timeout"
-                        )
-            desc.pending_op = _PendingOp(target, proc.clock, duration)
-            window._pending.append(desc.pending_op)
-            window._bytes_transferred += nbytes
-            window._bytes_by_distance[dist] = (
-                window._bytes_by_distance.get(dist, 0) + nbytes
-            )
-            if window._obs.wants(NET_TRANSFER):
-                window._emit(
-                    NET_TRANSFER,
-                    duration=duration,
-                    target=target,
-                    nbytes=nbytes,
-                    distance=dist.name,
-                    issue=issue,
-                )
-            return call_next(desc)
-
-        return run
-
-
-class Completion(Interceptor):
-    """Simulated transport, sync half: complete selected pending ops.
-
-    Advances the clock past the completion of the descriptor's target set,
-    runs the optional epoch-state ``finalize`` hook (lock release, PSCW
-    access-group reset) and records the synchronisation's extent for the
-    obs interceptor.  Locks (``completes=False``) pass straight through.
-    """
-
-    name = "completion"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            if not desc.completes:
-                return call_next(desc)
-            proc = window._comm.proc
-            t0 = proc.clock
-            window._complete(desc.targets)
-            if desc.barrier:
-                window._comm.barrier()
-            if desc.finalize is not None:
-                desc.finalize()
-            desc.duration = proc.clock - t0
-            return call_next(desc)
-
-        return run
-
-
-class Obs(Interceptor):
-    """Telemetry emission: exactly one event per op, none when disabled.
-
-    Data ops carry the sanitizer footprint (``base``/``span`` at the
-    target, ``origin``/``onbytes`` identity); sync ops carry their
-    pre-built attrs plus the measured completion extent.  Batched ops
-    (``quiet=True``) skip their per-op event — the batch entry point emits
-    one accounting event for the whole batch instead.
-    """
-
-    name = "obs"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            if desc.quiet or not window._obs.wants(desc.emit_kind):
-                return call_next(desc)
-            if desc.is_data:
-                attrs = {
-                    "target": desc.target,
-                    "disp": desc.disp,
-                    "nbytes": desc.nbytes,
-                }
-                if desc.kind == "accumulate":
-                    attrs["op"] = desc.acc_op
-                attrs["base"] = desc.base
-                attrs["span"] = desc.span
-                attrs["origin"] = int(
-                    desc.obuf.__array_interface__["data"][0]
-                )
-                attrs["onbytes"] = desc.nbytes
-                window._emit(desc.emit_kind, **attrs)
-            else:
-                window._emit(
-                    desc.emit_kind, duration=desc.duration, **desc.emit_attrs
-                )
-            return call_next(desc)
-
-        return run
-
-
-class EpochClose(Interceptor):
-    """Epoch closure: fire the CLaMPI materialisation hooks, bump ``eph``."""
-
-    name = "epoch-close"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        def run(desc: OpDescriptor) -> OpDescriptor:
-            desc = call_next(desc)
-            if desc.epoch_close:
-                window._close_epoch(desc.close_targets)
-            return desc
-
-        return run
-
-
-def _compile_fault_free_data(window: "Window") -> Handler:
-    """Bind-time fusion of the fault-free data chain into one closure.
-
-    On a window with no injector and no crash plan, Recovery, Retry and
-    FaultInjection all elide themselves at bind time, leaving
-    Move -> Pricing -> Obs — three closure frames per op.  This compiles
-    the surviving stages into a single handler executing the exact same
-    statements in the exact same order (including the Pricing per-target
-    link memo and the NET_TRANSFER-before-per-op-event emission order), so
-    virtual time and telemetry are bit-identical to the unfused chain.
-    """
-    from repro.mpi.window import _PendingOp
-
-    perf = window._comm.perf
-    rank = window._comm.rank
-    obs_bus = window._obs
-    links: dict[int, tuple] = {}
-
-    def run(desc: OpDescriptor) -> OpDescriptor:
-        # -- Move: bounds check + payload bytes (zero time) -------------
-        tbuf = window._group.buffers[desc.target]
-        if desc.kind == "accumulate":
-            Move._bounds_accumulate(desc, tbuf)
-            Move._apply_accumulate(desc, tbuf)
-        else:
-            Move._bounds(desc, tbuf)
-            if desc.kind == "get":
-                Move._gather(desc, tbuf)
-            else:
-                Move._scatter(desc, tbuf)
-        desc.result = desc.nbytes
-        # -- Pricing: charge the network cost model ---------------------
-        proc = window._comm.proc
-        target = desc.target
-        nbytes = desc.nbytes
+        # -- pricing: charge the network cost model ---------------------
         link = links.get(target)
         if link is None:
             link = links[target] = perf.link(rank, target)
         dist, issue, alpha, bw = link
         proc.advance(issue)
         duration = alpha + nbytes / bw
+        if faults is not None:
+            stall = faults.stall_for(target, duration)
+            if stall > 0.0:
+                duration += stall
+                if obs_bus.wants(FAULT_INJECTED):
+                    window._emit(
+                        FAULT_INJECTED, op="jitter", target=target, stall=stall
+                    )
+                timeout = policy.op_timeout
+                if timeout is not None and duration > timeout:
+                    proc.advance(timeout)
+                    window.faults_injected += 1
+                    if obs_bus.wants(FAULT_INJECTED):
+                        window._emit(
+                            FAULT_INJECTED,
+                            op="timeout",
+                            target=target,
+                            wasted=timeout,
+                        )
+                    raise RMATimeoutError(
+                        f"transfer of {nbytes} B to rank {target} stalled "
+                        f"{stall:.3e}s past the {timeout:.3e}s op timeout"
+                    )
         desc.pending_op = _PendingOp(target, proc.clock, duration)
         window._pending.append(desc.pending_op)
         window._bytes_transferred += nbytes
@@ -478,14 +272,11 @@ def _compile_fault_free_data(window: "Window") -> Handler:
                 distance=dist.name,
                 issue=issue,
             )
-        # -- Obs: one per-op event, none when gated off -----------------
+        # -- obs: one per-op event carrying the sanitizer footprint; batch
+        # elements (quiet) are covered by their batch's single event -----
         if not desc.quiet and obs_bus.wants(desc.emit_kind):
-            attrs = {
-                "target": target,
-                "disp": desc.disp,
-                "nbytes": nbytes,
-            }
-            if desc.kind == "accumulate":
+            attrs = {"target": target, "disp": desc.disp, "nbytes": nbytes}
+            if kind == "accumulate":
                 attrs["op"] = desc.acc_op
             attrs["base"] = desc.base
             attrs["span"] = desc.span
@@ -494,60 +285,59 @@ def _compile_fault_free_data(window: "Window") -> Handler:
             window._emit(desc.emit_kind, **attrs)
         return desc
 
-    return run
+    return _with_resilience(window, attempt)
 
 
-def _compile_fault_free_sync(window: "Window") -> Handler:
-    """Bind-time fusion of the fault-free sync chain into one closure.
+def build_sync_pipeline(window: "Window") -> BoundPipeline:
+    """Bind the flush/unlock/fence/complete/lock handler."""
+    from repro.mpi.window import SYNC_OVERHEAD
 
-    Fuses Completion -> Obs -> EpochClose (the stages surviving bind-time
-    elision on a fault-free window) with statement order preserved.
-    """
+    comm = window._comm
+    proc = comm.proc
     obs_bus = window._obs
+    faults = window._faults
+    policy = window._retry
 
-    def run(desc: OpDescriptor) -> OpDescriptor:
-        # -- Completion: advance past the selected pending ops ----------
+    def attempt(desc: OpDescriptor) -> OpDescriptor:
+        # -- fault injection: fires before completion, wastes the timeout
+        if faults is not None:
+            site = desc.fault_site
+            if site is not None and faults.fire(site, desc.target) is not None:
+                wasted = policy.op_timeout or 10 * SYNC_OVERHEAD
+                proc.advance(wasted)
+                window.faults_injected += 1
+                if obs_bus.wants(FAULT_INJECTED):
+                    window._emit(
+                        FAULT_INJECTED, op=site, target=desc.target, wasted=wasted
+                    )
+                where = (
+                    "all ranks" if desc.target is None else f"rank {desc.target}"
+                )
+                raise RMATimeoutError(
+                    f"injected synchronisation timeout towards {where}"
+                )
+        # -- completion: advance past the selected pending ops, then the
+        # epoch-state finalize hook (lock release, PSCW group reset);
+        # locks (completes=False) complete nothing ----------------------
         if desc.completes:
-            proc = window._comm.proc
             t0 = proc.clock
             window._complete(desc.targets)
             if desc.barrier:
-                window._comm.barrier()
+                comm.barrier()
             if desc.finalize is not None:
                 desc.finalize()
             desc.duration = proc.clock - t0
-        # -- Obs: the sync op's pre-built attrs + measured extent -------
+        # -- obs: the op's pre-built attrs + measured completion extent --
         if not desc.quiet and obs_bus.wants(desc.emit_kind):
             window._emit(
                 desc.emit_kind, duration=desc.duration, **desc.emit_attrs
             )
-        # -- EpochClose: CLaMPI materialisation hooks, bump eph ---------
+        # -- epoch close, last: CLaMPI materialisation hooks, bump eph ---
         if desc.epoch_close:
             window._close_epoch(desc.close_targets)
         return desc
 
-    return run
-
-
-def _fault_free(window: "Window") -> bool:
-    """No injector and no crash plan: every resilience frame is elidable."""
-    return window._faults is None and not window._comm.proc.can_fail
-
-
-def build_data_pipeline(window: "Window") -> Pipeline:
-    """The standard data-op chain (see module docstring for ordering)."""
-    icpts = [Recovery(), Retry(), Move(), FaultInjection(), Pricing(), Obs()]
-    if _fault_free(window):
-        return Pipeline(window, icpts, handler=_compile_fault_free_data(window))
-    return Pipeline(window, icpts)
-
-
-def build_sync_pipeline(window: "Window") -> Pipeline:
-    """The standard sync-op chain."""
-    icpts = [Recovery(), Retry(), FaultInjection(), Completion(), Obs(), EpochClose()]
-    if _fault_free(window):
-        return Pipeline(window, icpts, handler=_compile_fault_free_sync(window))
-    return Pipeline(window, icpts)
+    return _with_resilience(window, attempt)
 
 
 def emit_get_batch(window: "Window", descs: list[OpDescriptor]) -> None:

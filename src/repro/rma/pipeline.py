@@ -1,83 +1,18 @@
-"""Composable interceptor pipelines for RMA operations.
-
-A :class:`Pipeline` is an ordered chain of :class:`Interceptor`\\ s bound
-once per window; issuing an :class:`~repro.rma.descriptor.OpDescriptor`
-runs it through every stage.  Each cross-cutting concern — retry/backoff,
-fault injection, the simulated transport and its cost charging, telemetry
-emission, epoch closure — lives in exactly one interceptor class
-(:mod:`repro.rma.interceptors`); the two standard chains compose them in
-the order the concern semantics require (see ``docs/architecture.md``):
-
-* **data chain** (get/put/accumulate)::
-
-      Retry -> Move -> FaultInjection -> Pricing -> Obs
-
-* **sync chain** (flush/unlock/fence/complete, and epoch-opening locks)::
-
-      Retry -> FaultInjection -> Completion -> Obs -> EpochClose
-
-Binding happens ahead of time (``bind`` returns a closure over the next
-stage), so issuing an op costs one call per interceptor and zero
-per-issue allocation beyond the descriptor itself.
-"""
+"""The bound op handler a window issues its descriptors through."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, NamedTuple
 
 from repro.rma.descriptor import OpDescriptor
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.mpi.window import Window
-
-#: A bound pipeline stage: runs its concern, then calls the next stage.
+#: runs one descriptor through a chain; returns the same descriptor
 Handler = Callable[[OpDescriptor], OpDescriptor]
 
 
-class Interceptor:
-    """One cross-cutting concern of the RMA op path."""
+class BoundPipeline(NamedTuple):
+    """One chain (data or sync) bound to one window at construction time."""
 
-    #: stable identifier, used by introspection and the docs
-    name = "interceptor"
-
-    def bind(self, window: "Window", call_next: Handler) -> Handler:
-        """Return the stage closure for ``window`` chaining to ``call_next``."""
-        raise NotImplementedError
-
-
-def _terminal(desc: OpDescriptor) -> OpDescriptor:
-    return desc
-
-
-class Pipeline:
-    """An interceptor chain bound to one window.
-
-    ``handler`` overrides per-stage binding with a pre-compiled (fused)
-    closure semantically equivalent to the declared chain — bind-time
-    chain compilation for hot-path windows (fault-free data/sync ops).
-    The ``interceptors``/``stages`` introspection still reports the
-    declared chain either way.
-    """
-
-    def __init__(
-        self,
-        window: "Window",
-        interceptors: list[Interceptor],
-        handler: Handler | None = None,
-    ):
-        self.interceptors = tuple(interceptors)
-        self.fused = handler is not None
-        if handler is None:
-            handler = _terminal
-            for icpt in reversed(self.interceptors):
-                handler = icpt.bind(window, handler)
-        self._handler = handler
-
-    @property
-    def stages(self) -> tuple[str, ...]:
-        """Interceptor names in issue order (for tests / introspection)."""
-        return tuple(i.name for i in self.interceptors)
-
-    def issue(self, desc: OpDescriptor) -> OpDescriptor:
-        """Run ``desc`` through the chain; returns the same descriptor."""
-        return self._handler(desc)
+    issue: Handler
+    #: no resilience wrapper was bound: ``issue`` is the bare attempt
+    fused: bool

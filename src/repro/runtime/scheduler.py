@@ -5,14 +5,11 @@ Design
 * A :class:`SimWorld` owns ``nprocs`` :class:`SimProcess` handles and one
   thread per rank.  One shared lock serialises execution: the thread whose
   rank equals ``world._current`` runs, everyone else waits.
-* Waiting is *targeted* by default: every rank thread sleeps on its own
-  condition variable (all sharing the one lock), and the dispatcher wakes
-  exactly the chosen rank — O(1) wakeups per switch instead of the O(P)
-  broadcast storm of a single shared condition, where every switch woke
-  all P threads just for P-1 of them to re-check a predicate and sleep
-  again.  ``wakeup="broadcast"`` keeps the legacy single-condition mode;
-  both produce byte-identical ``sched.switch`` traces because the
-  *selection* rule below is untouched.
+* Waiting is *targeted*: every rank thread sleeps on its own condition
+  variable (all sharing the one lock), and the dispatcher wakes exactly
+  the chosen rank — O(1) wakeups per switch, where a single shared
+  condition would wake all P threads just for P-1 of them to re-check a
+  predicate and sleep again.
 * Threads voluntarily release control only inside :meth:`SimProcess.sync`
   (the generic payload-carrying barrier) or when they finish.  Everything
   else — including remote-memory reads, which need no target-side CPU — runs
@@ -136,6 +133,11 @@ class SimProcess:
         return self._world.can_fail
 
     @property
+    def crashing(self) -> bool:
+        """True while this rank's stack unwinds after it hit its crash time."""
+        return self._crashing
+
+    @property
     def failed_ranks(self) -> frozenset[int]:
         """Ranks this process observes as crashed: crash time <= own clock.
 
@@ -234,7 +236,6 @@ class SimWorld:
         schedule: str = "deterministic",
         seed: int = 0,
         join_timeout: float = 30.0,
-        wakeup: str = "targeted",
         crashes: Mapping[int, float] | None = None,
         record_trace: bool = False,
         trace: Sequence[int] | None = None,
@@ -245,8 +246,6 @@ class SimWorld:
             raise ValueError(f"unknown schedule: {schedule}")
         if schedule == "trace" and trace is None:
             raise ValueError('schedule="trace" requires a recorded trace')
-        if wakeup not in ("targeted", "broadcast"):
-            raise ValueError(f"unknown wakeup mode: {wakeup}")
         if join_timeout <= 0:
             raise ValueError("join_timeout must be > 0")
         crashes = dict(crashes) if crashes else {}
@@ -259,7 +258,6 @@ class SimWorld:
         #: settles; a rank still alive past it is reported, never ignored
         self.join_timeout = join_timeout
         self._schedule = schedule
-        self._wakeup = wakeup
         self._rng = random.Random(seed)
         #: dispatch order of this run (appended only when record_trace)
         self.schedule_trace: list[int] = []
@@ -282,16 +280,12 @@ class SimWorld:
         self._last_events: dict[int, Event] = {}
         # One lock, many conditions: rank threads sleep on their own
         # condition so a dispatch wakes exactly one thread; the driver
-        # (run()) sleeps on self._cond.  Broadcast mode aliases every
-        # per-rank condition to self._cond, restoring the legacy storm.
+        # (run()) sleeps on self._cond.
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        if wakeup == "targeted":
-            self._rank_conds = [
-                threading.Condition(self._lock) for _ in range(nprocs)
-            ]
-        else:
-            self._rank_conds = [self._cond] * nprocs
+        self._rank_conds = [
+            threading.Condition(self._lock) for _ in range(nprocs)
+        ]
         self._current: int | None = None
         self._failure: tuple[int, BaseException] | None = None
         self._deadlock: str | None = None
@@ -521,18 +515,10 @@ class SimWorld:
     # ------------------------------------------------------------------
     # scheduling internals (all called with self._cond held)
     # ------------------------------------------------------------------
-    def _notify_rank_locked(self, rank: int) -> None:
-        """Wake exactly one rank thread (all of them in broadcast mode)."""
-        if self._wakeup == "targeted":
-            self._rank_conds[rank].notify()
-        else:
-            self._cond.notify_all()
-
     def _notify_everyone_locked(self) -> None:
         """Failure/deadlock/termination: wake every rank and the driver."""
-        if self._wakeup == "targeted":
-            for c in self._rank_conds:
-                c.notify()
+        for c in self._rank_conds:
+            c.notify()
         self._cond.notify_all()
 
     def _record_crash_locked(self, proc: SimProcess) -> None:
@@ -590,7 +576,7 @@ class SimWorld:
         if nxt.rank != self._last_dispatched:
             self._emit_switch(nxt, len(ready))
         self._last_dispatched = nxt.rank
-        self._notify_rank_locked(nxt.rank)
+        self._rank_conds[nxt.rank].notify()
 
     def _trace_pick(self, ready: list[SimProcess]) -> SimProcess:
         """Next recorded rank if READY; deterministic rule otherwise.
@@ -648,12 +634,11 @@ class SimWorld:
                     p.clock = tmax
                     p._state = _State.READY
                 results = self._sync_results
-                if self._wakeup == "targeted":
-                    # Release every participant (they re-check the
-                    # generation counter, then queue for their turn).
-                    for p in blocked:
-                        if p is not proc:
-                            self._rank_conds[p.rank].notify()
+                # Release every participant (they re-check the
+                # generation counter, then queue for their turn).
+                for p in blocked:
+                    if p is not proc:
+                        self._rank_conds[p.rank].notify()
                 self._dispatch_next_locked()
             else:
                 self._dispatch_next_locked()

@@ -72,8 +72,6 @@ class TracingWindow:
         self.obs = EventBus(parent=get_bus())
         self.obs.attach(recorder)
         comm = getattr(window, "comm", None)
-        if comm is None:  # e.g. BlockCachedWindow exposes only .raw
-            comm = getattr(getattr(window, "raw", None), "comm", None)
         self._rank = comm.rank if comm is not None else -1
         self._proc = comm.proc if comm is not None else None
 

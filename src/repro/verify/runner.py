@@ -326,8 +326,7 @@ def _run_phase(
                 if not recovery.completed(win.unlock_all):
                     mark("unlockall-revoked")
         elif epoch == "fence":
-            fence_owner = win if hasattr(win, "fence_epoch") else raw
-            with fence_owner.fence_epoch():
+            with win.fence_epoch():
                 run_ops()
             closed = True
         else:  # pscw: post/start ... complete/wait (MPI-3 generalised AT)

@@ -163,13 +163,9 @@ class TestPolicyResolution:
             clampi.resolve_config()
 
     def test_legacy_alias_through_info(self):
-        cfg = clampi.resolve_config(info={clampi.INFO_POLICY_KEY: "full"})
-        assert cfg.policy == "clampi-full"
-
-    def test_enum_kwarg_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = clampi.resolve_config(policy=clampi.EvictionPolicy.TEMPORAL)
-        assert cfg.policy == "clampi-temporal"
+        # registry names only: the bare pre-registry score names are gone
+        with pytest.raises(ValueError, match="registered"):
+            clampi.resolve_config(info={clampi.INFO_POLICY_KEY: "full"})
 
     def test_bad_policy_raises(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.config import EvictionPolicy
 from repro.core.cuckoo import CuckooIndex
 from repro.core.entry import CacheEntry
 from repro.core.eviction import EvictionEngine
@@ -23,7 +22,7 @@ def cached_entry(idx, storage, trg, dsp, size, last=1):
     return e
 
 
-def make_engine(capacity=64, storage_bytes=8192, policy=EvictionPolicy.FULL, M=4):
+def make_engine(capacity=64, storage_bytes=8192, policy="clampi-full", M=4):
     idx = CuckooIndex(capacity, seed=2)
     st = Storage(storage_bytes)
     return idx, st, EvictionEngine(idx, st, policy, sample_size=M, seed=3)
@@ -79,22 +78,22 @@ class TestSampling:
 
 class TestPolicies:
     def test_temporal_ignores_position(self):
-        idx, st, ev = make_engine(policy=EvictionPolicy.TEMPORAL)
+        idx, st, ev = make_engine(policy="clampi-temporal")
         e = cached_entry(idx, st, 0, 0, 64, last=50)
         assert ev.score(e, 100, 1e9) == pytest.approx(0.5)
 
     def test_positional_ignores_time(self):
-        idx, st, ev = make_engine(policy=EvictionPolicy.POSITIONAL)
+        idx, st, ev = make_engine(policy="clampi-positional")
         e = cached_entry(idx, st, 0, 0, 64, last=1)
         s1 = ev.score(e, 10, 100.0)
         e.last = 9
         assert ev.score(e, 10, 100.0) == s1
 
     def test_full_is_product(self):
-        idx, st, ev_full = make_engine(policy=EvictionPolicy.FULL)
+        idx, st, ev_full = make_engine(policy="clampi-full")
         e = cached_entry(idx, st, 0, 0, 64, last=5)
-        ev_t = EvictionEngine(idx, st, EvictionPolicy.TEMPORAL, 4)
-        ev_p = EvictionEngine(idx, st, EvictionPolicy.POSITIONAL, 4)
+        ev_t = EvictionEngine(idx, st, "clampi-temporal", 4)
+        ev_p = EvictionEngine(idx, st, "clampi-positional", 4)
         assert ev_full.score(e, 10, 100.0) == pytest.approx(
             ev_t.score(e, 10, 100.0) * ev_p.score(e, 10, 100.0)
         )

@@ -1,6 +1,6 @@
 """Tests for the pluggable eviction/admission policy subsystem.
 
-Covers the registry (names, aliases, deprecation), the behaviour of each
+Covers the registry (names, validation), the behaviour of each
 built-in policy in isolation, the property-style invariant check — every
 registered policy must preserve storage/index invariants and data
 correctness under a randomized get/invalidate workload — and the
@@ -13,7 +13,6 @@ import pytest
 
 from repro import clampi, obs
 from repro.core import policy as pol
-from repro.core.config import EvictionPolicy
 from repro.core.entry import CacheEntry
 from repro.mpi.datatypes import BYTE
 from repro.mpi import SimMPI
@@ -66,10 +65,6 @@ class TestRegistry:
         finally:
             pol._REGISTRY.pop("test-replace-me", None)
 
-    def test_register_rejects_legacy_alias_names(self):
-        with pytest.raises(ValueError, match="reserved legacy alias"):
-            pol.register("full", pol.LRUPolicy)
-
     def test_register_rejects_empty_name(self):
         with pytest.raises(ValueError):
             pol.register("", pol.LRUPolicy)
@@ -78,15 +73,10 @@ class TestRegistry:
         assert pol.canonical_policy_name("gdsf") == "gdsf"
 
     def test_canonical_bare_score_aliases(self):
-        assert pol.canonical_policy_name("full") == "clampi-full"
-        assert pol.canonical_policy_name("temporal") == "clampi-temporal"
-        assert pol.canonical_policy_name("positional") == "clampi-positional"
-
-    def test_canonical_enum_warns_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="EvictionPolicy.FULL"):
-            assert (
-                pol.canonical_policy_name(EvictionPolicy.FULL) == "clampi-full"
-            )
+        # registry names only: the bare score names are no longer aliases
+        for bare in ("full", "temporal", "positional"):
+            with pytest.raises(ValueError, match="registered"):
+                pol.canonical_policy_name(bare)
 
     def test_canonical_unknown_raises_with_listing(self):
         with pytest.raises(ValueError, match="registered"):
@@ -417,14 +407,15 @@ def test_rejected_misses_still_return_correct_data():
 def test_default_policy_virtual_time_unchanged_by_subsystem():
     """clampi-full through the policy engine == the historical engine.
 
-    The legacy enum spelling and the registry name must produce identical
-    virtual times and stats (bit-identical figures guarantee).
+    Leaving ``Config.policy`` at its default and naming ``clampi-full``
+    must produce identical virtual times and stats (bit-identical figures
+    guarantee).
     """
 
-    def run_once(policy_spec):
+    def run_once(**policy_kw):
         def program(m):
             cfg = clampi.Config(
-                index_entries=64, storage_bytes=2 * KiB, policy=policy_spec
+                index_entries=64, storage_bytes=2 * KiB, **policy_kw
             )
             win = clampi.window_allocate(
                 m.comm_world, 8 * KiB, mode=clampi.Mode.ALWAYS_CACHE, config=cfg
@@ -443,8 +434,7 @@ def test_default_policy_virtual_time_unchanged_by_subsystem():
 
         return SimMPI(nprocs=2).run(program)[0]
 
-    t_name, snap_name = run_once("clampi-full")
-    with pytest.warns(DeprecationWarning):
-        t_enum, snap_enum = run_once(EvictionPolicy.FULL)
-    assert t_name == t_enum
-    assert snap_name == snap_enum
+    t_name, snap_name = run_once(policy="clampi-full")
+    t_default, snap_default = run_once()
+    assert t_name == t_default
+    assert snap_name == snap_default

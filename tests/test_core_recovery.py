@@ -1,7 +1,7 @@
 """Epoch-consistent cache recovery after crash-stop failures.
 
-The ``CacheRecovery`` stage (docs/resilience.md) reacts to an observed
-rank death under one of two modes: ``invalidate`` drops the dead rank's
+The crash check of ``serve_cached_get`` (docs/resilience.md) reacts to an
+observed rank death under one of two modes: ``invalidate`` drops the dead rank's
 entries (gets then fail with ``TargetFailedError``), ``serve-stale`` pins
 epoch-consistent entries read-only so the data stays servable from cache.
 Pinned entries are never eviction victims and survive TRANSPARENT
@@ -292,3 +292,54 @@ class TestConfigChannels:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="recovery"):
             clampi.Config(index_entries=8, storage_bytes=512, recovery="undo")
+
+
+class TestDyingRank:
+    """The victim's own cache while its stack unwinds (PR 11 finding 1)."""
+
+    def test_unwinding_unlock_leaves_the_victims_cache_alone(self):
+        """``finally: unlock_all()`` on the dying rank must not run the
+        cache's epoch-close work: the crash may have interrupted a
+        mutation half-way, and nobody reads a dead rank's cache."""
+        victims_window = []
+
+        def program(mpi):
+            cfg = clampi.Config(
+                index_entries=32, storage_bytes=4096, mode=clampi.Mode.ALWAYS_CACHE
+            )
+            win = clampi.window_allocate(mpi.comm_world, 64, config=cfg)
+            recovery.barrier(mpi.comm_world)
+            if mpi.rank != VICTIM:
+                return None
+            victims_window.append(win)
+            win.lock_all()
+            try:
+                win.get(np.zeros(4), 0, 0)  # leaves a PENDING entry
+                mpi.compute(1.0)  # dies at t=DEATH on the way
+            finally:
+                win.unlock_all()
+
+        results = _run(program)
+        assert results[VICTIM] is None  # died, did not fail
+        (win,) = victims_window
+        assert len(win._pending) == 1  # not materialised by the dead rank
+        assert clampi.stats(win).snapshot()["rank_failures"] == 0
+
+    def test_crash_while_releasing_storage_is_not_a_double_free(self):
+        """Fuzz seed 17: the victim died inside ``_release_tracked`` (after
+        the storage release, before the descriptor was detached) and its
+        unwinding ``unlock_all`` released the same descriptor again,
+        masking the crash as a ``RankFailedError``."""
+        from repro.verify import generate, run_matrix
+        from repro.verify.oracle import MatrixConfig
+
+        spec = generate(17, nprocs=4, n_phases=3, ops_per_rank=(6, 6))
+        config = MatrixConfig(
+            policies=("tinylfu",),
+            include_plain=False,
+            include_block=False,
+            fault_kinds=("crash",),
+            random_seeds=(),
+        )
+        report = run_matrix(spec, config)
+        assert report.ok, report.describe()

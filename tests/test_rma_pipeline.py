@@ -1,4 +1,4 @@
-"""The descriptor + interceptor pipeline and batched gets.
+"""Descriptors, the bound op handlers and batched gets.
 
 Pins the tentpole contracts of the ``repro.rma`` refactor:
 
@@ -11,14 +11,18 @@ Pins the tentpole contracts of the ``repro.rma`` refactor:
   ``cache.access`` telemetry into one ``cache.access_batch``;
 * epoch/liveness checking still applies to batches (one pass);
 * ``Window.issue`` is a real extension point: a hand-built descriptor
-  behaves exactly like the scalar op method that would have built it.
+  behaves exactly like the scalar op method that would have built it;
+* a window binds the bare straight-line attempt unless it can see faults
+  or crashes, in which case exactly one resilience wrapper goes around it.
 """
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro import rma
 from repro.apps.cachespec import CacheSpec
+from repro.faults import FaultPlan, FaultRule
 from repro.mpi import EpochError, SimMPI, Window
 from repro.rma.descriptor import describe_get
 from repro.obs import CACHE_ACCESS, CACHE_ACCESS_BATCH, RMA_GET, RMA_GET_BATCH
@@ -254,3 +258,44 @@ class TestIssueExtensionPoint:
         assert fp["target"] == 1
         assert fp["base"] == 0
         assert fp["nbytes"] == SLICE * 8
+
+
+class TestBindShape:
+    """What ``build_*_pipeline`` binds (``benchmarks/perf`` reads ``.fused``)."""
+
+    @staticmethod
+    def _shapes(**world):
+        def prog(m):
+            win = Window.allocate(m.comm_world, 64)
+            out = []
+            for pipe in (
+                win._data_pipe,
+                win._sync_pipe,
+                rma.build_data_pipeline(win),
+                rma.build_sync_pipeline(win),
+            ):
+                out.append((pipe.fused, pipe.issue.__name__))
+            return out
+
+        return SimMPI(nprocs=2, **world).run(prog)[0]
+
+    def test_fault_free_window_binds_the_bare_attempt(self):
+        assert self._shapes() == [(True, "attempt")] * 4
+
+    def test_empty_fault_plan_still_binds_the_wrapper(self):
+        # An injector exists (its streams may be drawn), so the retry loop
+        # must be in place even though no rule can ever fire.
+        assert self._shapes(faults=FaultPlan()) == [(False, "guarded")] * 4
+
+    def test_crash_plan_binds_the_wrapper(self):
+        plan = FaultPlan.of(FaultRule("crash", ranks=(1,), t_start=1.0))
+        assert self._shapes(faults=plan) == [(False, "guarded")] * 4
+
+    def test_fused_is_read_only(self):
+        def prog(m):
+            win = Window.allocate(m.comm_world, 64)
+            with pytest.raises(AttributeError):
+                win._data_pipe.fused = False
+            return True
+
+        assert SimMPI(nprocs=2).run(prog)[0]

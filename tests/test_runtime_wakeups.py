@@ -1,12 +1,11 @@
-"""Targeted scheduler wakeups vs the legacy broadcast mode.
+"""Targeted scheduler wakeups.
 
-The dispatcher's *selection* rule (smallest ``(clock, rank)`` READY
-process) is shared by both wakeup modes; only who gets woken differs.
-These tests pin the invariant that makes the optimisation safe: the
-``sched.switch`` trace — the exact ``(clock, rank)`` dispatch order — is
-identical under ``wakeup="targeted"`` and ``wakeup="broadcast"``, and so
-are the final virtual clocks.  Failure and deadlock propagation must also
-survive the switch from notify_all() storms to single notifies.
+Every rank thread sleeps on its own condition variable and the dispatcher
+wakes exactly the rank it selected (smallest ``(clock, rank)`` READY
+process).  These tests pin what single notifies must not break: the
+``sched.switch`` trace — the exact ``(clock, rank)`` dispatch order — and
+the final virtual clocks are reproducible run to run, and failure and
+deadlock propagation still reach every sleeping thread.
 """
 
 import pytest
@@ -23,8 +22,8 @@ def chatty_program(proc, rounds=6):
     return proc.clock
 
 
-def switch_trace(wakeup, nprocs=4, schedule="deterministic", seed=0):
-    world = SimWorld(nprocs, schedule=schedule, seed=seed, wakeup=wakeup)
+def switch_trace(nprocs=4, schedule="deterministic", seed=0):
+    world = SimWorld(nprocs, schedule=schedule, seed=seed)
     with obs.capture() as sink:
         world.run(chatty_program)
     trace = [
@@ -36,31 +35,23 @@ def switch_trace(wakeup, nprocs=4, schedule="deterministic", seed=0):
 
 class TestTraceIdentity:
     def test_deterministic_schedule_identical_switch_order(self):
-        targeted, clocks_t = switch_trace("targeted")
-        broadcast, clocks_b = switch_trace("broadcast")
-        assert len(targeted) > 4  # the workload really does switch
-        assert targeted == broadcast
-        assert clocks_t == clocks_b
+        first, clocks_1 = switch_trace()
+        second, clocks_2 = switch_trace()
+        assert len(first) > 4  # the workload really does switch
+        assert first == second
+        assert clocks_1 == clocks_2
 
     def test_random_schedule_identical_switch_order(self):
-        # Same seed -> same RNG draws; wakeup mode must not perturb them.
-        targeted, clocks_t = switch_trace("targeted", schedule="random", seed=7)
-        broadcast, clocks_b = switch_trace("broadcast", schedule="random", seed=7)
-        assert targeted == broadcast
-        assert clocks_t == clocks_b
+        # Same seed -> same RNG draws -> same dispatch order.
+        first, clocks_1 = switch_trace(schedule="random", seed=7)
+        second, clocks_2 = switch_trace(schedule="random", seed=7)
+        assert first == second
+        assert clocks_1 == clocks_2
 
     def test_default_mode_is_targeted(self):
         world = SimWorld(2)
-        assert world._wakeup == "targeted"
         assert world._rank_conds[0] is not world._rank_conds[1]
-
-    def test_broadcast_mode_shares_one_condition(self):
-        world = SimWorld(3, wakeup="broadcast")
-        assert all(c is world._cond for c in world._rank_conds)
-
-    def test_unknown_wakeup_mode_rejected(self):
-        with pytest.raises(ValueError, match="wakeup"):
-            SimWorld(2, wakeup="telepathy")
+        assert world._cond not in world._rank_conds
 
 
 class TestFailurePropagation:
@@ -71,7 +62,7 @@ class TestFailurePropagation:
                 raise RuntimeError("boom")
             proc.sync()
 
-        world = SimWorld(3, wakeup="targeted", join_timeout=10.0)
+        world = SimWorld(3, join_timeout=10.0)
         with pytest.raises(RankFailedError) as exc_info:
             world.run(faulty)
         assert exc_info.value.rank == 1
@@ -82,6 +73,6 @@ class TestFailurePropagation:
                 return None  # finishes; rank 1's sync can never complete
             proc.sync()
 
-        world = SimWorld(2, wakeup="targeted", join_timeout=10.0)
+        world = SimWorld(2, join_timeout=10.0)
         with pytest.raises(DeadlockError):
             world.run(uneven)

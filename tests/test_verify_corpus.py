@@ -2,8 +2,9 @@
 
 Every JSON file under ``tests/fixtures/verify_corpus/`` is a minimal
 workload that once witnessed (or pins against) a historical bug class —
-stale cache hits across epoch closure, flush-segment leaks, and the
-crash/barrier-atomicity scheduler deadlock.  Each must keep replaying
+stale cache hits across epoch closure, flush-segment leaks, the
+crash/barrier-atomicity scheduler deadlock, and the dying rank that
+re-entered its own half-mutated cache.  Each must keep replaying
 with its recorded expectation; ``python -m repro.verify replay <file>``
 runs the same check interactively (see docs/testing.md).
 """
@@ -23,7 +24,7 @@ CASES = sorted(CORPUS.glob("*.json"))
 def test_corpus_is_populated():
     assert len(CASES) >= 8, "the committed verify corpus shrank"
     classes = {f.name.rsplit("_", 1)[0] for f in CASES}
-    assert {"stale_hit", "epoch_leak", "crash_pin"} <= classes
+    assert {"stale_hit", "epoch_leak", "crash_pin", "crash_self"} <= classes
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
