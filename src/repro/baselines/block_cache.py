@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.costmodel import CostModel
 from repro.mpi.datatypes import Datatype
 from repro.mpi.window import Window, WindowProxy
+from repro.rma.descriptor import _origin_bytes
 
 
 @dataclass
@@ -102,7 +103,7 @@ class BlockCachedWindow(WindowProxy):
         self.stats.gets += 1
         if nbytes == 0:
             return 0
-        obuf = Window._origin_bytes(origin)
+        obuf = _origin_bytes(origin)
         du = self._win._group.disp_units[target_rank]
         start = target_disp * du
         end = start + nbytes

@@ -14,8 +14,10 @@ info key ``clampi_mode``     :data:`INFO_MODE_KEY`
 
 Configuration resolution
 ------------------------
-Three channels can name the operational mode; :func:`resolve_config` is
-the single place that arbitrates them.  Highest priority first:
+Three channels can name the operational mode;
+:func:`resolve_config` (it lives next to :class:`Config` in
+:mod:`repro.core.config`) is the single place that arbitrates them.
+Highest priority first:
 
 1. ``info["clampi_mode"]`` — the MPI-standard-compatible channel of paper
    Sec. III-A (an installation can flip modes without touching code);
@@ -23,17 +25,13 @@ the single place that arbitrates them.  Highest priority first:
 3. ``config.mode`` — whatever the explicit :class:`Config` carries;
 4. the :class:`Config` default (``TRANSPARENT``).
 
-The eviction/admission **policy** resolves through the same funnel, by
-:mod:`repro.core.policy` registry name.  Highest priority first:
-
-1. ``info["clampi_policy"]`` — per-window info key (:data:`INFO_POLICY_KEY`);
-2. the ``policy=`` keyword on :func:`window_allocate` / :func:`window_create`
-   / :func:`wrap`;
-3. ``config.policy`` — an explicit, non-default :class:`Config` value;
-4. the ``CLAMPI_POLICY`` environment variable (:data:`ENV_POLICY_VAR`) —
-   the channel of last resort, consulted **only** when every channel above
-   left the policy at the default;
-5. the registry default (``"clampi-full"``, the paper's score policy).
+The eviction/admission **policy** (by :mod:`repro.core.policy` registry
+name; default ``"clampi-full"``, the paper's score policy) and the
+crash-recovery mode resolve through the same funnel:
+``info["clampi_policy"]`` (:data:`INFO_POLICY_KEY`) > the ``policy=``
+keyword on :func:`window_allocate` / :func:`window_create` / :func:`wrap`
+> ``config.policy``, and likewise ``info["clampi_recovery"]`` >
+``recovery=`` > ``config.recovery``.
 
 Any channel accepts a registry name (``"lru"``, ``"gdsf"``, ...) or a name
 registered at runtime via :func:`register`.
@@ -56,14 +54,11 @@ through the :mod:`repro.obs` subsystem.
 
 from __future__ import annotations
 
-import os
-from dataclasses import replace
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.core.config import (
-    ENV_POLICY_VAR,
     INFO_MODE_KEY,
     INFO_POLICY_KEY,
     INFO_RECOVERY_KEY,
@@ -71,6 +66,7 @@ from repro.core.config import (
     AdaptiveParams,
     Config,
     Mode,
+    resolve_config,
 )
 from repro.core.policy import (
     DEFAULT_POLICY,
@@ -94,7 +90,6 @@ __all__ = [
     "CachedWindow",
     "Config",
     "DEFAULT_POLICY",
-    "ENV_POLICY_VAR",
     "INFO_MODE_KEY",
     "INFO_POLICY_KEY",
     "INFO_RECOVERY_KEY",
@@ -115,62 +110,6 @@ __all__ = [
     "window_create",
     "wrap",
 ]
-
-
-def resolve_config(
-    config: Config | None = None,
-    mode: Mode | None = None,
-    info: Mapping[str, Any] | None = None,
-    policy: str | None = None,
-    recovery: str | None = None,
-) -> Config:
-    """Resolve the effective :class:`Config` from every facade channel.
-
-    Mode precedence (highest wins): ``info["clampi_mode"]`` > ``mode=`` >
-    ``config.mode`` > the :class:`Config` default.
-
-    Policy precedence (highest wins): ``info["clampi_policy"]`` >
-    ``policy=`` > a non-default ``config.policy`` > the ``CLAMPI_POLICY``
-    environment variable > the registry default (``"clampi-full"``).  The
-    environment variable is a channel of *last resort*: it is consulted
-    only when neither the info key, the keyword nor the config named a
-    non-default policy, so a program that pins a specific policy can
-    never be perturbed by the environment.
-
-    The crash-recovery mode (see :data:`RECOVERY_MODES` and
-    ``docs/resilience.md``) resolves like the mode:
-    ``info["clampi_recovery"]`` > ``recovery=`` > ``config.recovery`` >
-    the default (``"invalidate"``).
-
-    This is the one place the precedence lives; every facade entry point
-    delegates here.
-    """
-    cfg = config or Config()
-    if mode is not None:
-        cfg = replace(cfg, mode=mode)
-    if policy is not None:
-        cfg = replace(cfg, policy=policy)
-    if recovery is not None:
-        cfg = replace(cfg, recovery=recovery)
-    if info is not None:
-        info_mode = info.get(INFO_MODE_KEY)
-        if info_mode is not None:
-            cfg = replace(cfg, mode=Mode(info_mode))
-        info_policy = info.get(INFO_POLICY_KEY)
-        if info_policy is not None:
-            cfg = replace(cfg, policy=info_policy)
-        info_recovery = info.get(INFO_RECOVERY_KEY)
-        if info_recovery is not None:
-            cfg = replace(cfg, recovery=info_recovery)
-    if (
-        cfg.policy == DEFAULT_POLICY
-        and policy is None
-        and (info is None or info.get(INFO_POLICY_KEY) is None)
-    ):
-        env_policy = os.environ.get(ENV_POLICY_VAR)
-        if env_policy:
-            cfg = replace(cfg, policy=env_policy)
-    return cfg
 
 
 def configure(**kwargs: Any) -> Config:
@@ -197,10 +136,9 @@ def window_allocate(
     """Collectively allocate a caching-enabled window.
 
     Mode, policy and recovery precedence follow :func:`resolve_config`:
-    ``info["clampi_mode"]`` > ``mode=`` > ``config.mode``,
-    ``info["clampi_policy"]`` > ``policy=`` > ``config.policy`` >
-    ``CLAMPI_POLICY``, and ``info["clampi_recovery"]`` > ``recovery=`` >
-    ``config.recovery``.
+    ``info["clampi_mode"]`` > ``mode=`` > ``config.mode``, and likewise
+    for ``clampi_policy`` / ``policy=`` and ``clampi_recovery`` /
+    ``recovery=``.
     """
     win = Window.allocate(comm, nbytes, disp_unit=disp_unit, info=info)
     return CachedWindow(

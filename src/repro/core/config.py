@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Any, Mapping
 
 from repro.core.policy import canonical_policy_name
 from repro.util import KiB, MiB
@@ -32,10 +33,6 @@ INFO_MODE_KEY = "clampi_mode"
 
 #: MPI_Info key selecting the eviction/admission policy by registry name.
 INFO_POLICY_KEY = "clampi_policy"
-
-#: Environment variable selecting the default policy (facade channel of
-#: last resort; see ``clampi.resolve_config`` for the full precedence).
-ENV_POLICY_VAR = "CLAMPI_POLICY"
 
 #: MPI_Info key selecting the crash-recovery mode ("invalidate" or
 #: "serve-stale"); see ``Config.recovery`` and docs/resilience.md.
@@ -155,3 +152,36 @@ class Config:
         return replace(
             self, index_entries=index_entries, storage_bytes=storage_bytes
         )
+
+
+def resolve_config(
+    config: Config | None = None,
+    mode: Mode | None = None,
+    info: Mapping[str, Any] | None = None,
+    policy: str | None = None,
+    recovery: str | None = None,
+) -> Config:
+    """Resolve the effective :class:`Config` from every channel.
+
+    Mode, policy and crash-recovery mode (see :data:`RECOVERY_MODES` and
+    ``docs/resilience.md``) each resolve the same way, highest wins: the
+    window's info key (``clampi_mode`` / ``clampi_policy`` /
+    ``clampi_recovery`` — the MPI-standard-compatible channel of paper
+    Sec. III-A) > the keyword > the ``config`` field > the
+    :class:`Config` default.
+
+    This is the one place the precedence lives: every facade entry point
+    and :class:`~repro.core.window.CachedWindow` itself delegate here.
+    """
+    info = info or {}
+    if info.get(INFO_MODE_KEY) is not None:
+        mode = Mode(info[INFO_MODE_KEY])
+    if info.get(INFO_POLICY_KEY) is not None:
+        policy = info[INFO_POLICY_KEY]
+    if info.get(INFO_RECOVERY_KEY) is not None:
+        recovery = info[INFO_RECOVERY_KEY]
+    chosen = {"mode": mode, "policy": policy, "recovery": recovery}
+    return replace(
+        config or Config(),
+        **{k: v for k, v in chosen.items() if v is not None},
+    )

@@ -39,18 +39,13 @@ for the miss traffic.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
 from repro.core.adaptive import AdaptiveController, Adjustment
-from repro.core.config import (
-    INFO_MODE_KEY,
-    INFO_POLICY_KEY,
-    INFO_RECOVERY_KEY,
-    Config,
-    Mode,
-)
+from repro.core.config import Config, Mode, resolve_config
 from repro.core.costmodel import CostModel
 from repro.core.cuckoo import CuckooIndex, InsertResult
 from repro.core.entry import CacheEntry
@@ -83,7 +78,7 @@ from repro.rma.cache import (
     serve_cached_get,
     serve_write,
 )
-from repro.rma.descriptor import describe_get
+from repro.rma.descriptor import _origin_bytes, describe_get
 from repro.rma.interceptors import emit_get_batch
 
 
@@ -92,16 +87,8 @@ class CachedWindow(WindowProxy):
 
     def __init__(self, window: Window, config: Config | None = None):
         self._win = window
-        cfg = config or Config()
-        info_mode = window.info.get(INFO_MODE_KEY)
-        if info_mode is not None:
-            cfg = _replace_mode(cfg, Mode(info_mode))
-        info_policy = window.info.get(INFO_POLICY_KEY)
-        if info_policy is not None:
-            cfg = _replace_policy(cfg, info_policy)
-        info_recovery = window.info.get(INFO_RECOVERY_KEY)
-        if info_recovery is not None:
-            cfg = _replace_recovery(cfg, info_recovery)
+        # The window's creation-time info keys outrank ``config``.
+        cfg = resolve_config(config, info=window.info)
         self.config = cfg
         self.mode = cfg.mode
         #: crash-recovery mode ("invalidate" | "serve-stale")
@@ -261,23 +248,7 @@ class CachedWindow(WindowProxy):
 
     def _invalidate_overlapping(self, trg: int, lo: int, hi: int) -> None:
         """Drop cached/pending entries of ``trg`` overlapping [lo, hi)."""
-        du = self._win._group.disp_units[trg]
-        victims = [
-            e
-            for e in list(self._index.entries())
-            if isinstance(e, CacheEntry)
-            and e.trg == trg
-            and e.dsp * du < hi
-            and e.dsp * du + e.dtype.extent * e.count > lo
-        ]
-        victims.extend(
-            e
-            for e in list(self._pending)
-            if e.slot < 0
-            and e.trg == trg
-            and e.dsp * du < hi
-            and e.dsp * du + e.dtype.extent * e.count > lo
-        )
+        victims = self._live_entries({trg}, (lo, hi))
         for e in victims:
             self._drop_entry(e)
         if victims:
@@ -400,7 +371,7 @@ class CachedWindow(WindowProxy):
     ) -> int:
         entry.last = self._seq
         self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
-        obuf = Window._origin_bytes(origin)
+        obuf = _origin_bytes(origin)
         if entry.state is EntryState.CACHED:
             obuf[:size] = self._storage.read(entry.desc, size)
             self.cost.copy(size)
@@ -432,7 +403,7 @@ class CachedWindow(WindowProxy):
         entry.desc = new_desc
         new_desc.entry = entry
         entry.relayout(dtype, count)
-        entry.pending_source = Window._origin_bytes(origin)[:size]
+        entry.pending_source = _origin_bytes(origin)[:size]
         if not was_pending:
             entry.transition(EntryState.PENDING)
             self._pending.append(entry)
@@ -490,7 +461,7 @@ class CachedWindow(WindowProxy):
         entry.desc = desc
         desc.entry = entry
         entry.transition(EntryState.PENDING)
-        entry.pending_source = Window._origin_bytes(origin)[:size]
+        entry.pending_source = _origin_bytes(origin)[:size]
         self._pending.append(entry)
         self.cost.descriptor_updates(1)
         self._evictor.notify_insert(entry, self._seq, self.avg_get_size)
@@ -563,26 +534,34 @@ class CachedWindow(WindowProxy):
     def _evict(self, entry: CacheEntry) -> None:
         """Evict a CACHED entry that is stored in the index."""
         assert entry.state is EntryState.CACHED
-        self._index.remove(entry)
-        self._release_tracked(entry)
-        entry.transition(EntryState.MISSING)
-        self._evictor.notify_free(entry, "evicted")
+        self._release(entry, "evicted")
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         """Remove an entry wherever it is (index, storage, pending list)."""
-        self._evictor.notify_free(entry, "dropped")
-        if entry.slot >= 0:
-            self._index.remove(entry)
         if entry.state is EntryState.PENDING:
             self._orphan_waiter_bytes.extend(entry.pending_waiter_bytes)
             entry.pending_waiter_bytes = []
             entry.pending_source = None
             if entry in self._pending:
                 self._pending.remove(entry)
+        self._release(entry, "dropped")
+
+    def _release(self, entry: CacheEntry, reason: str) -> None:
+        """The one way out of the cache: give back slot and storage.
+
+        Every departure — eviction, drop, TRANSPARENT epoch close — ends
+        here, so index, storage, state and policy cannot disagree about
+        whether an entry is still held.  PENDING bookkeeping (waiters,
+        source, the pending list) is the caller's: only it knows whether
+        the waiters were already charged.
+        """
+        if entry.slot >= 0:
+            self._index.remove(entry)
         if entry.desc is not None:
             self._release_tracked(entry)
         if entry.state is not EntryState.MISSING:
             entry.transition(EntryState.MISSING)
+        self._evictor.notify_free(entry, reason)
 
     def _resolve_conflict(self, res: InsertResult, entry: CacheEntry) -> bool:
         """Handle a cuckoo insertion failure (conflicting access).
@@ -642,11 +621,7 @@ class CachedWindow(WindowProxy):
 
     def _enter_quarantine(self) -> None:
         """Self-disable: drop all content, serve direct until the probe."""
-        live = self._invalidate_entries(None)
-        for n in self._orphan_waiter_bytes:
-            self.cost.copy(n)
-        self._orphan_waiter_bytes = []
-        self.cost.invalidate(live)
+        live = self._purge()
         self._quarantined = True
         self._fault_streak = 0
         self._probe_countdown = self.config.quarantine_probe_interval
@@ -717,25 +692,13 @@ class CachedWindow(WindowProxy):
         for rank in sorted(new):
             self._observed_failures.add(rank)
             pinned = dropped = 0
-            indexed = [
-                e
-                for e in list(self._index.entries())
-                if isinstance(e, CacheEntry) and e.trg == rank
-            ]
-            orphans = [
-                e for e in list(self._pending) if e.slot < 0 and e.trg == rank
-            ]
-            if self.recovery_mode == "serve-stale":
-                for e in indexed:
+            for e in self._live_entries({rank}):
+                if e.slot >= 0 and self.recovery_mode == "serve-stale":
                     e.pinned = True
                     pinned += 1
-            else:
-                for e in indexed:
+                else:
                     self._drop_entry(e)
                     dropped += 1
-            for e in orphans:
-                self._drop_entry(e)
-                dropped += 1
             self.stats.record_rank_failure(pinned=pinned, dropped=dropped)
             if self.obs.wants(CACHE_RECOVERED):
                 self._emit(
@@ -788,12 +751,9 @@ class CachedWindow(WindowProxy):
             # invalidation.
             self._observe_failures()
 
-        def closes(e: CacheEntry) -> bool:
-            return targets is None or e.trg in targets
-
         still_pending: list[CacheEntry] = []
         for e in self._pending:
-            if not closes(e):
+            if targets is not None and e.trg not in targets:
                 still_pending.append(e)
                 continue
             for n in e.pending_waiter_bytes:
@@ -801,14 +761,14 @@ class CachedWindow(WindowProxy):
             e.pending_waiter_bytes = []
             if self.mode is Mode.TRANSPARENT and not e.pinned:
                 # The entry dies at closure anyway: skip the materialisation
-                # copy, release its resources.
+                # copy, release its resources.  This is the whole of
+                # TRANSPARENT invalidation: in that mode only pinned
+                # entries (serve-stale crash survivors — the only remaining
+                # copy of a dead rank's data, which can never be refreshed
+                # or go stale) are ever materialised, so every other live
+                # entry is PENDING and dies right here.
                 e.pending_source = None
-                if e.slot >= 0:
-                    self._index.remove(e)
-                if e.desc is not None:
-                    self._release_tracked(e)
-                e.transition(EntryState.MISSING)
-                self._evictor.notify_free(e, "dropped")
+                self._release(e, "dropped")
             else:
                 assert e.pending_source is not None and e.desc is not None
                 self._storage.write(e.desc, e.pending_source[: e.size])
@@ -817,16 +777,7 @@ class CachedWindow(WindowProxy):
                 e.transition(EntryState.CACHED)
         self._pending = still_pending
 
-        for n in self._orphan_waiter_bytes:
-            self.cost.copy(n)
-        self._orphan_waiter_bytes = []
-
-        if self.mode is Mode.TRANSPARENT:
-            # Pinned entries (serve-stale crash survivors) outlive epoch
-            # closure: they are the only remaining copy of the dead
-            # rank's data and can never be refreshed or go stale.
-            self._invalidate_entries(targets, include_pinned=False)
-
+        self._charge_orphan_waiters()
         self._sync_fault_counters()
         if self.obs.wants(CACHE_EPOCH):
             # The hook runs before ``eph`` is bumped: the stamp names the
@@ -836,30 +787,57 @@ class CachedWindow(WindowProxy):
                 CACHE_EPOCH, eph=self._win.eph, gets=t.gets, hits=t.hits
             )
 
-    def _invalidate_entries(
-        self, targets: set[int] | None, *, include_pinned: bool = True
-    ) -> int:
-        """Drop all (or per-target) entries; returns how many were live.
+    def _live_entries(
+        self,
+        targets: set[int] | None = None,
+        span: tuple[int, int] | None = None,
+    ) -> list[CacheEntry]:
+        """The one enumeration of live entries, in the order they die.
 
-        ``include_pinned=False`` (epoch closure) spares the serve-stale
-        crash survivors; explicit invalidation, quarantine and adaptive
-        rebuilds drop them too.
+        Indexed entries in slot order, then the PENDING orphans outside
+        the index (homeless tails of an unresolved cuckoo conflict) in
+        arrival order — optionally only those of ``targets`` and, for a
+        write, only those whose target bytes overlap ``span = (lo, hi)``.
+        Returns a snapshot, so callers may drop entries while walking it.
         """
-        victims = [
+        orphans = [e for e in self._pending if e.slot < 0]
+        live = [
             e
-            for e in list(self._index.entries())
+            for e in chain(self._index.entries(), orphans)
             if isinstance(e, CacheEntry)
             and (targets is None or e.trg in targets)
-            and (include_pinned or not e.pinned)
         ]
-        for e in victims:
+        if span is not None:
+            lo, hi = span
+            du = self._win._group.disp_units
+            live = [
+                e
+                for e in live
+                if e.dsp * du[e.trg] < hi
+                and e.dsp * du[e.trg] + e.dtype.extent * e.count > lo
+            ]
+        return live
+
+    def _charge_orphan_waiters(self) -> None:
+        """Charge the copies of waiters whose PENDING entry was dropped."""
+        for n in self._orphan_waiter_bytes:
+            self.cost.copy(n)
+        self._orphan_waiter_bytes = []
+
+    def _purge(self) -> int:
+        """Drop the whole content; returns how many entries were indexed.
+
+        The common half of explicit invalidation, quarantine and adaptive
+        rebuilds: pinned crash survivors and mid-conflict orphans die too,
+        any same-epoch pending waiters are charged immediately, and the
+        invalidation itself is charged per indexed entry.
+        """
+        live = len(self._index)
+        for e in self._live_entries():
             self._drop_entry(e)
-        if targets is None:
-            # Pending entries outside the index (mid-conflict orphans) die too.
-            for e in list(self._pending):
-                if include_pinned or not e.pinned:
-                    self._drop_entry(e)
-        return len(victims)
+        self._charge_orphan_waiters()
+        self.cost.invalidate(live)
+        return live
 
     def invalidate(self) -> None:
         """CLAMPI_Invalidate: explicitly drop the whole cache content.
@@ -867,11 +845,7 @@ class CachedWindow(WindowProxy):
         This is the USER_DEFINED-mode call from the paper's Listing 1; any
         same-epoch pending waiters are charged immediately.
         """
-        live = self._invalidate_entries(None)
-        for n in self._orphan_waiter_bytes:
-            self.cost.copy(n)
-        self._orphan_waiter_bytes = []
-        self.cost.invalidate(live)
+        live = self._purge()
         self.stats.record_invalidation()
         self._sync_fault_counters()
         if self.obs.wants(CACHE_INVALIDATE):
@@ -892,10 +866,11 @@ class CachedWindow(WindowProxy):
         * storage bookkeeping (descriptor list, free tree, used bytes) is
           internally consistent.
         """
-        indexed = [e for e in self._index.entries() if isinstance(e, CacheEntry)]
+        live = self._live_entries()
+        indexed = [e for e in live if e.slot >= 0]
+        assert len(indexed) == len(self._index), "indexed entry lost its slot"
         for e in indexed:
             assert e.state in (EntryState.CACHED, EntryState.PENDING), e
-            assert e.slot >= 0, e
             assert self._index.entry_at(e.slot) is e, e
             assert e.key == (e.trg, e.dsp), e
             assert e.desc is not None and not e.desc.free, e
@@ -907,9 +882,7 @@ class CachedWindow(WindowProxy):
         for e in self._pending:
             assert e.state is EntryState.PENDING, e
             assert e.pending_source is not None, e
-        used = sum(e.desc.size for e in indexed)
-        orphan_pending = [e for e in self._pending if e.slot < 0 and e.desc]
-        used += sum(e.desc.size for e in orphan_pending)
+        used = sum(e.desc.size for e in live if e.desc is not None)
         assert used == self._storage.used_bytes, (
             f"storage accounting: entries hold {used}, "
             f"storage says {self._storage.used_bytes}"
@@ -939,11 +912,7 @@ class CachedWindow(WindowProxy):
 
     def _apply_adjustment(self, adj: Adjustment) -> None:
         """Resize |I_w|/|S_w|: invalidate, rebuild, charge the rebuild."""
-        live = self._invalidate_entries(None)
-        for n in self._orphan_waiter_bytes:
-            self.cost.copy(n)
-        self._orphan_waiter_bytes = []
-        self.cost.invalidate(live)
+        self._purge()
         self.stats.record_invalidation()
         self.index_entries = adj.index_entries
         self.storage_bytes = adj.storage_bytes
@@ -957,21 +926,3 @@ class CachedWindow(WindowProxy):
                 index_entries=adj.index_entries,
                 storage_bytes=adj.storage_bytes,
             )
-
-
-def _replace_mode(cfg: Config, mode: Mode) -> Config:
-    from dataclasses import replace
-
-    return replace(cfg, mode=mode)
-
-
-def _replace_policy(cfg: Config, policy: str) -> Config:
-    from dataclasses import replace
-
-    return replace(cfg, policy=policy)
-
-
-def _replace_recovery(cfg: Config, recovery: str) -> Config:
-    from dataclasses import replace
-
-    return replace(cfg, recovery=recovery)

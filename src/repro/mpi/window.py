@@ -760,12 +760,6 @@ class Window:
             raise WindowError(f"negative count: {count}")
         return datatype, count
 
-    @staticmethod
-    def _origin_bytes(origin: np.ndarray) -> np.ndarray:
-        if not origin.flags["C_CONTIGUOUS"]:
-            raise WindowError("origin buffer must be C-contiguous")
-        return origin.view(np.uint8).reshape(-1)
-
     def _emit(self, kind: str, duration: float = 0.0, **attrs: Any) -> None:
         """Publish one telemetry event stamped (rank, virtual time, epoch)."""
         comm = self._comm

@@ -5,11 +5,14 @@ Design
 * A :class:`SimWorld` owns ``nprocs`` :class:`SimProcess` handles and one
   thread per rank.  One shared lock serialises execution: the thread whose
   rank equals ``world._current`` runs, everyone else waits.
-* Waiting is *targeted*: every rank thread sleeps on its own condition
+* Waiting is *targeted*: every rank thread parks on its own condition
   variable (all sharing the one lock), and the dispatcher wakes exactly
   the chosen rank — O(1) wakeups per switch, where a single shared
   condition would wake all P threads just for P-1 of them to re-check a
-  predicate and sleep again.
+  predicate and sleep again.  A rank is woken for one reason only — it
+  was dispatched (or the world aborted) — and decides *after* waking what
+  that means: a committing sync merely flips its participants to READY,
+  so a P-rank sync costs P wakeups, one per dispatch.
 * Threads voluntarily release control only inside :meth:`SimProcess.sync`
   (the generic payload-carrying barrier) or when they finish.  Everything
   else — including remote-memory reads, which need no target-side CPU — runs
@@ -473,7 +476,8 @@ class SimWorld:
         results: list[Any],
     ) -> None:
         try:
-            self._wait_for_turn(proc)
+            with self._cond:
+                self._park_locked(proc)
         except _Abort:
             return
         try:
@@ -496,21 +500,6 @@ class SimWorld:
         with self._cond:
             proc._state = _State.DONE
             self._dispatch_next_locked()
-            # The driver checks for all-DONE; dispatch only wakes ranks.
-            self._cond.notify_all()
-
-    def _wait_for_turn(self, proc: SimProcess) -> None:
-        with self._cond:
-            self._rank_conds[proc.rank].wait_for(
-                lambda: self._current == proc.rank
-                or self._failure is not None
-                or self._deadlock is not None
-            )
-            if self._failure is not None or self._deadlock is not None:
-                proc._state = _State.DONE
-                self._notify_everyone_locked()
-                raise _Abort()
-            proc._state = _State.RUNNING
 
     # ------------------------------------------------------------------
     # scheduling internals (all called with self._cond held)
@@ -521,12 +510,34 @@ class SimWorld:
             c.notify()
         self._cond.notify_all()
 
+    def _park_locked(self, proc: SimProcess) -> None:
+        """Sleep until the dispatcher picks ``proc`` or the world aborts.
+
+        The one place a rank thread blocks.  Only
+        :meth:`_dispatch_next_locked` (by making ``proc`` current) and
+        :meth:`_notify_everyone_locked` (failure / deadlock) ever wake it,
+        so whoever changes a rank's state only has to dispatch.  On abort
+        the rank becomes DONE and passes the wake-up on; otherwise it
+        leaves RUNNING.
+        """
+        self._rank_conds[proc.rank].wait_for(
+            lambda: self._current == proc.rank
+            or self._failure is not None
+            or self._deadlock is not None
+        )
+        if self._failure is not None or self._deadlock is not None:
+            proc._state = _State.DONE
+            self._notify_everyone_locked()
+            raise _Abort()
+        proc._state = _State.RUNNING
+
     def _record_crash_locked(self, proc: SimProcess) -> None:
         """Mark ``proc`` dead and revoke any sync point in flight.
 
         The failure detector of the simulated world: the victim becomes
-        DONE (its result stays ``None``), every rank currently blocked in
-        a sync is released to observe :class:`RankRevokedError`, and all
+        DONE (its result stays ``None``), every rank blocked in the
+        still-forming sync becomes READY again and observes
+        :class:`RankRevokedError` when it is next dispatched, and all
         other live ranks observe it at their next sync.  Survivor syncs
         thereafter require only ``nprocs - len(crashed)`` participants.
         """
@@ -545,7 +556,6 @@ class SimWorld:
         for p in self._procs:
             if p._state is _State.BLOCKED:
                 p._state = _State.READY
-        self._notify_everyone_locked()
         self._dispatch_next_locked()
 
     def _dispatch_next_locked(self) -> None:
@@ -563,6 +573,8 @@ class SimWorld:
                 )
                 self._notify_everyone_locked()
             self._current = None
+            # Nothing left to run: the driver's all-DONE check may now hold.
+            self._cond.notify_all()
             return
         if self._schedule == "random":
             nxt = ready[self._rng.randrange(len(ready))]
@@ -621,10 +633,11 @@ class SimWorld:
             # as a deadlock — while crashed ranks are excused, ULFM-style.
             blocked = [p for p in self._procs if p._state is _State.BLOCKED]
             if len(blocked) == self.nprocs - len(self.crashed):
-                # Last arriver: release everyone (including self).
-                extra = self._pending_extra
+                # Last arriver: commit.  Every participant (including self)
+                # becomes READY at the common clock; the dispatcher wakes
+                # them one at a time, nobody is woken from here.
+                tmax = max(p.clock for p in blocked) + self._pending_extra
                 self._pending_extra = 0.0
-                tmax = max(p.clock for p in blocked) + extra
                 self._sync_results = [
                     self._sync_payloads.get(r) for r in range(self.nprocs)
                 ]
@@ -633,59 +646,20 @@ class SimWorld:
                 for p in blocked:
                     p.clock = tmax
                     p._state = _State.READY
-                results = self._sync_results
-                # Release every participant (they re-check the
-                # generation counter, then queue for their turn).
-                for p in blocked:
-                    if p is not proc:
-                        self._rank_conds[p.rank].notify()
-                self._dispatch_next_locked()
-            else:
-                self._dispatch_next_locked()
-                self._rank_conds[proc.rank].wait_for(
-                    lambda: self._sync_gen > gen
-                    or self._failure is not None
-                    or self._deadlock is not None
-                    or proc.rank in self._revoke_unobserved
-                )
-                if self._failure is not None or self._deadlock is not None:
-                    proc._state = _State.DONE
-                    self._notify_everyone_locked()
-                    raise _Abort()
-                if proc.rank in self._revoke_unobserved and self._sync_gen == gen:
-                    # A participant died while we were blocked in a sync
-                    # that had NOT yet committed: the detector flipped us
-                    # back to READY — queue for our turn, then surface the
-                    # revocation to the program.  If the sync generation
-                    # already advanced, the barrier committed before the
-                    # crash: it must complete for *every* participant
-                    # (ranks that resumed earlier already treated it as
-                    # successful), so we return normally and the entry
-                    # check surfaces the revocation at our next sync.
-                    self._rank_conds[proc.rank].wait_for(
-                        lambda: self._current == proc.rank
-                        or self._failure is not None
-                        or self._deadlock is not None
-                    )
-                    if self._failure is not None or self._deadlock is not None:
-                        proc._state = _State.DONE
-                        self._notify_everyone_locked()
-                        raise _Abort()
-                    proc._state = _State.RUNNING
-                    self._revoke_unobserved.discard(proc.rank)
-                    raise RankRevokedError(self.crashed)
-                results = self._sync_results
-
-            # Wait until the scheduler actually hands control back to us.
-            self._rank_conds[proc.rank].wait_for(
-                lambda: self._current == proc.rank
-                or self._failure is not None
-                or self._deadlock is not None
-            )
-            if self._failure is not None or self._deadlock is not None:
-                proc._state = _State.DONE
-                self._notify_everyone_locked()
-                raise _Abort()
-            proc._state = _State.RUNNING
-            assert results is not None
-            return list(results)
+            self._dispatch_next_locked()
+            self._park_locked(proc)
+            if self._sync_gen == gen:
+                # Dispatched without a commit: a participant died while
+                # this sync was still forming and the detector flipped us
+                # back to READY — surface the revocation to the program.
+                # If the generation advanced instead, the barrier committed
+                # before any crash: it must complete for *every*
+                # participant (ranks that resumed earlier already treated
+                # it as successful), so we return its payloads — which no
+                # later sync can have replaced, as that would need us
+                # BLOCKED again — and the entry check above surfaces the
+                # revocation at our next sync.
+                self._revoke_unobserved.discard(proc.rank)
+                raise RankRevokedError(self.crashed)
+            assert self._sync_results is not None
+            return list(self._sync_results)

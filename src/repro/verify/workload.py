@@ -54,10 +54,17 @@ OP_KINDS = ("get", "put", "accumulate", "get_batch", "flush")
 EPOCH_KINDS = ("lock", "lock_all", "fence", "pscw")
 #: element dtypes ops may use (numpy codes; all contiguous basics)
 DTYPES = ("u1", "i4", "f8")
+#: element dtypes *generated* accumulates use: integers only, so that a
+#: ``sum`` wraps modulo 2^n and every non-zero addend changes the target
+#: bytes.  Window bytes decode to huge or non-finite doubles about half
+#: of the time, where ``x + 5.0`` is bit-identical to ``x`` (absorbed,
+#: inf, NaN) and a dropped or doubled accumulate would be invisible to
+#: the oracle.  Hand-written specs may still accumulate in any of DTYPES.
+ACC_DTYPES = ("i4", "i8")
 #: accumulate reductions (matches Window.accumulate)
 ACC_OPS = ("sum", "max", "min", "replace")
 
-_DTYPE_SIZE = {d: np.dtype(d).itemsize for d in DTYPES}
+_DTYPE_SIZE = {d: np.dtype(d).itemsize for d in DTYPES + ACC_DTYPES}
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +615,7 @@ def _propose(
     if kind == "put":
         dt = rng.choice(DTYPES)
         return Op("put", target=t, slot=s, nbytes=rand_nbytes(dt), dtype=dt)
-    dt = rng.choice(("i4", "f8"))
+    dt = rng.choice(ACC_DTYPES)
     return Op(
         "accumulate",
         target=t,

@@ -117,7 +117,7 @@ class TestStatsSchema:
 
 
 class TestPolicyResolution:
-    """The unified policy-selection funnel (info > kwarg > config > env)."""
+    """The unified policy-selection funnel (info > kwarg > config)."""
 
     def test_default_policy(self):
         assert clampi.resolve_config().policy == clampi.DEFAULT_POLICY
@@ -140,28 +140,6 @@ class TestPolicyResolution:
         )
         assert cfg.policy == "slru"
 
-    def test_env_var_is_last_resort(self, monkeypatch):
-        monkeypatch.setenv(clampi.ENV_POLICY_VAR, "tinylfu")
-        assert clampi.resolve_config().policy == "tinylfu"
-
-    def test_explicit_channels_beat_env(self, monkeypatch):
-        monkeypatch.setenv(clampi.ENV_POLICY_VAR, "tinylfu")
-        assert clampi.resolve_config(policy="lru").policy == "lru"
-        assert (
-            clampi.resolve_config(clampi.Config(policy="gdsf")).policy == "gdsf"
-        )
-        assert (
-            clampi.resolve_config(
-                info={clampi.INFO_POLICY_KEY: "slru"}
-            ).policy
-            == "slru"
-        )
-
-    def test_bad_env_policy_raises(self, monkeypatch):
-        monkeypatch.setenv(clampi.ENV_POLICY_VAR, "bogus")
-        with pytest.raises(ValueError):
-            clampi.resolve_config()
-
     def test_legacy_alias_through_info(self):
         # registry names only: the bare pre-registry score names are gone
         with pytest.raises(ValueError, match="registered"):
@@ -180,7 +158,6 @@ class TestPolicyResolution:
             "available_policies",
             "canonical_policy_name",
             "INFO_POLICY_KEY",
-            "ENV_POLICY_VAR",
             "DEFAULT_POLICY",
         ):
             assert name in clampi.__all__

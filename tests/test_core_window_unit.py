@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro import clampi
+from repro import clampi, obs, recovery
 from repro.core.states import EntryState
+from repro.faults import FaultPlan, FaultRule
 from repro.mpi import SimMPI
+from repro.mpi.errors import TargetFailedError
 from repro.util import KiB
 
 
@@ -118,3 +120,153 @@ class TestIntrospection:
 
         results, _ = run(2, program)
         assert results == [(9, True), (9, True)]
+
+
+class TestEpochCloseScan:
+    def test_transparent_flush_never_walks_the_index(self):
+        """TRANSPARENT invalidation is the pending loop, not an index scan."""
+
+        def program(m):
+            win = clampi.window_allocate(m.comm_world, 4 * KiB)
+            assert win.mode is clampi.Mode.TRANSPARENT
+            m.comm_world.barrier()
+            if m.rank != 0:
+                return None
+            scans = []
+            entries = win.index.entries
+            win.index.entries = lambda: scans.append(1) or entries()
+            buf = np.empty(64, np.uint8)
+            win.lock_all()
+            for disp in (0, 256, 512):
+                win.get(buf, 1, disp)
+                win.get(buf, 2, disp)
+            win.flush(1)  # per-target close: rank 2's entries stay PENDING
+            after_one = (len(win.index), len(win._pending))
+            win.flush_all()
+            win.unlock_all()
+            scanned = len(scans)  # the audit below is allowed to scan
+            win.check_invariants()
+            return after_one, len(win.index), scanned
+
+        results, _ = run(3, program)
+        assert results[0] == ((3, 3), 0, 0)
+
+
+VICTIM, DEATH = 1, 1e-2
+
+
+def lifecycle_log(recovery_mode):
+    """Which entries leave the cache, in which order, on a fixed seed.
+
+    Rank 0 churns a 20-slot index through conflict and capacity
+    evictions, then drives every bulk departure: put invalidation, the
+    crash disposition of ``recovery_mode`` and ``invalidate()``.  The log
+    is the policy's ``on_free`` stream, with a marker before each step.
+    """
+    plan = FaultPlan.of(
+        FaultRule("crash", probability=1.0, ranks=(VICTIM,), t_start=DEATH),
+        seed=3,
+    )
+
+    def program(mpi):
+        cfg = clampi.Config(
+            index_entries=20,
+            storage_bytes=1152,
+            mode=clampi.Mode.ALWAYS_CACHE,
+            recovery=recovery_mode,
+        )
+        win = clampi.window_allocate(mpi.comm_world, 1024, config=cfg)
+        win.local_view(np.uint8)[:] = mpi.rank + 1
+        recovery.barrier(mpi.comm_world)
+        if mpi.rank == VICTIM:
+            mpi.compute(1.0)  # dies at t=DEATH on the way
+        if mpi.rank != 0:
+            return None
+        log = []
+        policy = win._evictor.policy
+        on_free = policy.on_free
+
+        def spy(entry, reason):
+            log.append((entry.trg, entry.dsp, reason))
+            on_free(entry, reason)
+
+        policy.on_free = spy
+        buf = np.empty(24, np.uint8)
+        win.lock_all()
+        for i in range(40):
+            win.get(buf, (1, 2)[i % 2], (i * 40) % 960)
+            if i % 6 == 5:
+                win.flush_all()
+        log.append("put")
+        win.put(np.zeros(300, np.uint8), 2, 100)
+        win.flush_all()
+        for i in range(6):  # left PENDING: both states take the bulk paths
+            win.get(buf, (1, 2)[i % 2], 8 + (i * 56) % 900)
+        log.append("crash")
+        mpi.compute(2e-2)  # move causally past the death
+        try:
+            win.get(buf, VICTIM, 0)  # first observation: disposition runs
+        except TargetFailedError:
+            pass
+        log.append("invalidate")
+        win.invalidate()
+        win.unlock_all()
+        win.check_invariants()
+        snap = clampi.stats(win).snapshot()
+        return log, (snap["recovery_pinned"], snap["recovery_dropped"])
+
+    with obs.capture() as sink:
+        log, disposition = SimMPI(nprocs=3, faults=plan).run(program)[0]
+    evicts = [
+        (e.attrs["reason"], e.attrs["visited"])
+        for e in sink.events(kind=obs.CACHE_EVICT)
+        if e.rank == 0
+    ]
+    return log, evicts, disposition
+
+
+#: pinned at the commit before the one-enumeration refactor (PR 13)
+CHURN_AND_PUT = [
+    (1, 0, "evicted"), (1, 80, "evicted"), (2, 40, "evicted"),
+    (2, 120, "evicted"), (1, 160, "evicted"), (2, 200, "evicted"),
+    (1, 240, "evicted"), (2, 280, "evicted"), (1, 320, "evicted"),
+    (2, 360, "evicted"), (1, 400, "evicted"), (1, 480, "evicted"),
+    (2, 440, "evicted"), (1, 560, "evicted"), (2, 520, "evicted"),
+    (2, 600, "evicted"), (1, 640, "evicted"), (2, 680, "evicted"),
+    (1, 720, "evicted"), (1, 800, "evicted"), (2, 760, "evicted"),
+    (1, 880, "evicted"), "put", (2, 120, "dropped"), (2, 280, "dropped"),
+    (2, 360, "dropped"), (2, 200, "dropped"), (2, 840, "evicted"),
+    (2, 920, "evicted"),
+]  # fmt: skip
+CRASH_THEN_INVALIDATE = {
+    "invalidate": [
+        "crash", (1, 160, "dropped"), (1, 560, "dropped"), (1, 80, "dropped"),
+        (1, 232, "dropped"), (1, 320, "dropped"), (1, 8, "dropped"),
+        (1, 240, "dropped"), (1, 120, "dropped"), (1, 480, "dropped"),
+        (1, 0, "dropped"), (1, 400, "dropped"), "invalidate",
+        (2, 176, "dropped"), (2, 40, "dropped"), (2, 64, "dropped"),
+        (2, 520, "dropped"), (2, 440, "dropped"), (2, 288, "dropped"),
+        (2, 600, "dropped"),
+    ],
+    "serve-stale": [
+        "crash", "invalidate", (2, 176, "dropped"), (1, 160, "dropped"),
+        (1, 560, "dropped"), (1, 80, "dropped"), (2, 40, "dropped"),
+        (2, 64, "dropped"), (2, 520, "dropped"), (1, 232, "dropped"),
+        (1, 320, "dropped"), (2, 440, "dropped"), (2, 288, "dropped"),
+        (1, 8, "dropped"), (1, 240, "dropped"), (2, 600, "dropped"),
+        (1, 120, "dropped"), (1, 480, "dropped"), (1, 0, "dropped"),
+        (1, 400, "dropped"),
+    ],
+}  # fmt: skip
+
+
+class TestDepartureOrder:
+    """Entries die in index-slot order, then orphans — on every bulk path."""
+
+    @pytest.mark.parametrize("recovery_mode", ["invalidate", "serve-stale"])
+    def test_same_order_as_before_the_refactor(self, recovery_mode):
+        log, evicts, disposition = lifecycle_log(recovery_mode)
+        assert log == CHURN_AND_PUT + CRASH_THEN_INVALIDATE[recovery_mode]
+        assert evicts == [("conflict", 0)] * 4 + [("capacity", 16)] * 20
+        pinned_dropped = {"invalidate": (0, 11), "serve-stale": (11, 0)}
+        assert disposition == pinned_dropped[recovery_mode]

@@ -11,7 +11,12 @@ deadlock propagation still reach every sleeping thread.
 import pytest
 
 from repro import obs
-from repro.runtime.scheduler import DeadlockError, RankFailedError, SimWorld
+from repro.runtime.scheduler import (
+    DeadlockError,
+    RankFailedError,
+    RankRevokedError,
+    SimWorld,
+)
 
 
 def chatty_program(proc, rounds=6):
@@ -22,8 +27,8 @@ def chatty_program(proc, rounds=6):
     return proc.clock
 
 
-def switch_trace(nprocs=4, schedule="deterministic", seed=0):
-    world = SimWorld(nprocs, schedule=schedule, seed=seed)
+def switch_trace(nprocs=4, schedule="deterministic", seed=0, **world_kwargs):
+    world = SimWorld(nprocs, schedule=schedule, seed=seed, **world_kwargs)
     with obs.capture() as sink:
         world.run(chatty_program)
     trace = [
@@ -46,6 +51,16 @@ class TestTraceIdentity:
         first, clocks_1 = switch_trace(schedule="random", seed=7)
         second, clocks_2 = switch_trace(schedule="random", seed=7)
         assert first == second
+        assert clocks_1 == clocks_2
+
+    def test_trace_schedule_replays_the_recorded_switch_order(self):
+        world = SimWorld(4, schedule="random", seed=7, record_trace=True)
+        world.run(chatty_program)
+        recorded, clocks_1 = switch_trace(schedule="random", seed=7)
+        replayed, clocks_2 = switch_trace(
+            schedule="trace", trace=world.schedule_trace
+        )
+        assert replayed == recorded
         assert clocks_1 == clocks_2
 
     def test_default_mode_is_targeted(self):
@@ -76,3 +91,65 @@ class TestFailurePropagation:
         world = SimWorld(2, join_timeout=10.0)
         with pytest.raises(DeadlockError):
             world.run(uneven)
+
+
+class TestOneWakeupPerDispatch:
+    """A rank is woken because it was dispatched, and for nothing else."""
+
+    def test_sync_round_costs_one_wakeup_per_rank(self):
+        nprocs = 4
+        world = SimWorld(nprocs, join_timeout=10.0)
+        wakeups = [0]  # bumped with the world lock held (wait re-acquires it)
+
+        def counting(wait):
+            def counted(timeout=None):
+                woke = wait(timeout)
+                wakeups[0] += 1
+                return woke
+
+            return counted
+
+        for cond in world._rank_conds:
+            cond.wait = counting(cond.wait)
+
+        def read():
+            with world._lock:
+                return wakeups[0]
+
+        def program(proc):
+            proc.sync()  # start-up: threads race to their first park
+            marks = []
+            for _ in range(3):
+                # Rank 0 is dispatched first after every commit (equal
+                # clocks), while ranks 1..P-1 are parked READY: from here
+                # to the same point one round later each rank is woken
+                # exactly once — by its dispatch, not by the commit.
+                if proc.rank == 0:
+                    marks.append(read())
+                proc.sync()
+            if proc.rank == 0:
+                marks.append(read())
+            return marks
+
+        marks = world.run(program)[0]
+        assert [b - a for a, b in zip(marks, marks[1:])] == [nprocs] * 3
+
+    def test_committed_sync_survives_a_later_crash(self):
+        # All three ranks commit sync #1 at clock 0; rank 0 resumes first
+        # and dies before ranks 1 and 2 were re-dispatched.  Their sync
+        # committed, so it must return its payloads; the revocation
+        # surfaces at their *next* sync, exactly once.
+        def program(proc):
+            got = proc.sync(payload=f"p{proc.rank}")
+            proc.advance(1e-6)  # rank 0 dies here (crash time 5e-7)
+            with pytest.raises(RankRevokedError) as exc_info:
+                proc.sync()
+            assert exc_info.value.crashed == frozenset({0})
+            after = proc.sync(payload=proc.rank)  # survivors only
+            return got, after
+
+        world = SimWorld(3, crashes={0: 5e-7}, join_timeout=10.0)
+        results = world.run(program)
+        assert results[0] is None
+        for r in (1, 2):
+            assert results[r] == (["p0", "p1", "p2"], [None, 1, 2])

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.policy import available_policies
 from repro.core.stats import conservation_violations
 from repro.obs.events import CACHE_ADMIT, CACHE_EVICT
 from repro.verify.oracle import _reconcile_events
-from repro.verify.runner import Cell, run_cell
+from repro.verify.runner import Cell, _init_pattern, _payload, run_cell
 from repro.verify.workload import Phase, WorkloadSpec, generate, validate
 
 N_WORKLOADS = 50
@@ -111,3 +112,34 @@ def test_policy_ledgers_hold_under_eviction_pressure(
     # the tiny index must actually create churn somewhere, or the
     # reconciliation above trivially compared zeros the whole way
     assert pressured > 0, f"policy {policy} never evicted or rejected"
+
+
+def test_every_generated_sum_accumulate_is_observable():
+    """A dropped or doubled accumulate must change what the oracle compares.
+
+    Window bytes decode to huge or non-finite doubles about half of the
+    time, where ``x + 5.0`` is bit-identical to ``x``; generated
+    accumulates therefore use integer dtypes only, whose sums wrap and so
+    change the bytes for *any* target content and any non-zero addend.
+    """
+    seen = 0
+    for seed in range(120):
+        spec = generate(seed)
+        for pi, phase in enumerate(spec.phases):
+            for rank, ops in enumerate(phase.ops):
+                for oi, op in enumerate(ops):
+                    if op.kind != "accumulate" or op.acc_op != "sum":
+                        continue
+                    payload = _payload(spec, pi, rank, oi, op)
+                    if not payload.any():
+                        continue
+                    seen += 1
+                    where = f"seed {seed} phase {pi} rank {rank} op {oi}"
+                    assert np.issubdtype(payload.dtype, np.integer), where
+                    disp = op.slot * spec.slot_bytes
+                    before = _init_pattern(spec, op.target)[
+                        disp : disp + op.nbytes
+                    ].view(payload.dtype)
+                    after = before + payload
+                    assert after.tobytes() != before.tobytes(), where
+    assert seen >= 100  # the grammar really does generate sum accumulates
