@@ -14,6 +14,7 @@ from repro import clampi
 from repro.apps.cachespec import CacheSpec
 from repro.bench import make_micro_workload, run_micro
 from repro.bench.reporting import format_table
+from repro.core.stats import snapshot_hits
 from repro.util import KiB, format_bytes, format_time
 
 
@@ -47,7 +48,7 @@ def main():
     ]:
         res = run_micro(wl, spec)
         s = res.stats
-        hits = s["hit_full"] + s["hit_partial"] + s["hit_pending"]
+        hits = snapshot_hits(s)
         rows.append(
             [
                 label,

@@ -19,6 +19,7 @@ import numpy as np
 from repro.apps import BarnesHutApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.reporting import format_table
+from repro.core.stats import snapshot_hits
 from repro.util import KiB, format_bytes, format_time
 
 
@@ -49,7 +50,7 @@ def main():
             hits = st["block_hits"]
             gets = st["block_hits"] + st["block_misses"]
         else:
-            hits = st.get("hit_full", 0) + st.get("hit_pending", 0) + st.get("hit_partial", 0)
+            hits = snapshot_hits(st)
             gets = st.get("gets", 0)
         rows.append(
             [

@@ -17,6 +17,7 @@ import numpy as np
 from repro.apps import LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.reporting import format_table
+from repro.core.stats import snapshot_hits
 from repro.util import format_bytes, format_time
 
 
@@ -49,7 +50,7 @@ def main():
         runs.append(run)
         st = run.merged_stats()
         gets = st.get("gets", 0)
-        hits = st.get("hit_full", 0) + st.get("hit_pending", 0) + st.get("hit_partial", 0)
+        hits = snapshot_hits(st)
         rows.append(
             [
                 run.label,

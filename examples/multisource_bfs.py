@@ -18,6 +18,7 @@ import numpy as np
 from repro.apps.bfs import BFSApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.reporting import format_table
+from repro.core.stats import snapshot_hits
 from repro.util import format_time
 
 
@@ -42,7 +43,7 @@ def main():
         f = app.run(nprocs, sources, CacheSpec.fompi())
         c = app.run(nprocs, sources, CacheSpec.clampi_fixed(4 * app.nvertices, footprint))
         st = c.merged_stats()
-        hits = st["hit_full"] + st["hit_pending"] + st["hit_partial"]
+        hits = snapshot_hits(st)
         rows.append(
             [
                 nsources,

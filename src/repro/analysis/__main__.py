@@ -12,8 +12,8 @@ Subcommands::
 text|json|sarif`` selects the emitter, ``--out`` writes the report to a
 file (always written, even when clean — CI uploads it as an artifact),
 ``--baseline FILE`` filters out previously accepted findings by stable
-fingerprint, ``--write-baseline`` refreshes that file from the current
-findings, and ``--cache FILE`` enables mtime+hash incremental re-analysis.
+fingerprint, and ``--write-baseline`` refreshes that file from the current
+findings.
 Both exit 1 when any non-baselined finding survives suppression; ``report``
 and ``smoke`` exit 1 when the sanitizer records a violation, so all of
 them wire directly into CI.  ``smoke --report PATH`` writes the violations
@@ -43,35 +43,12 @@ def _emit(diags, args) -> None:
 
 
 def _run_static(kind: str, args: argparse.Namespace) -> int:
-    from repro.analysis.diagnostics import (
-        RULES,
-        AnalysisCache,
-        Baseline,
-        SEV_ERROR,
-    )
-    from repro.analysis.lint import _load_registry, run_lint
+    from repro.analysis.diagnostics import RULES, Baseline, SEV_ERROR
+    from repro.analysis.lint import run_lint
     from repro.analysis.typestate import run_verify
 
-    cache = None
-    if args.cache:
-        if kind == "lint":
-            # ANL004 findings depend on the event registry, which is
-            # cross-file: fold it into the salt so registry edits
-            # invalidate every cached entry.
-            from repro.analysis.diagnostics import collect_files
-
-            registry, _ = _load_registry(collect_files(args.paths))
-            salt = AnalysisCache.make_salt(
-                kind, json.dumps(registry, sort_keys=True)
-            )
-        else:
-            salt = AnalysisCache.make_salt(kind)
-        cache = AnalysisCache(args.cache, salt)
-
     runner = run_lint if kind == "lint" else run_verify
-    diags = runner(args.paths, cache=cache)
-    if cache is not None:
-        cache.save()
+    diags = runner(args.paths)
 
     if args.write_baseline:
         baseline = Baseline.from_diagnostics(diags)
@@ -241,11 +218,6 @@ def _add_static_flags(sub: argparse.ArgumentParser) -> None:
         "--write-baseline",
         action="store_true",
         help="refresh the baseline file from the current findings and exit 0",
-    )
-    sub.add_argument(
-        "--cache",
-        default=None,
-        help="mtime+hash incremental cache file (created if missing)",
     )
 
 

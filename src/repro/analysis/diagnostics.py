@@ -22,10 +22,7 @@ through this module:
   a rule could have reported is itself flagged (ANL013) so stale allows
   get cleaned up;
 * a checked-in **baseline** (:class:`Baseline`) of fingerprinted known
-  findings, so CI fails only on *new* ones;
-* an **incremental cache** (:class:`AnalysisCache`) keyed by
-  mtime + content hash + a tool/registry salt, so re-running over an
-  unchanged tree is I/O-bound only.
+  findings, so CI fails only on *new* ones.
 
 The walker (:func:`collect_files`) skips ``__pycache__`` and hidden
 directories, and unparseable files surface as an ``ANL000`` diagnostic
@@ -41,9 +38,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
-
-#: Bump when diagnostic semantics change; part of the cache salt.
-ENGINE_VERSION = "2"
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
@@ -538,92 +532,6 @@ class Baseline:
 
     def __len__(self) -> int:
         return len(self.fingerprints)
-
-
-# ---------------------------------------------------------------------------
-# incremental cache
-# ---------------------------------------------------------------------------
-def _file_sha256(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-class AnalysisCache:
-    """mtime + content-hash keyed per-file diagnostic cache.
-
-    The ``salt`` must capture everything *besides* the file content that
-    can change a file's diagnostics: the engine version, the rule registry
-    and any cross-file input (the linter's event-kind registry).  A salt
-    mismatch invalidates the whole cache.
-    """
-
-    VERSION = 1
-
-    def __init__(self, path: str | Path, salt: str) -> None:
-        self.path = Path(path)
-        self.salt = salt
-        self._entries: dict[str, dict[str, Any]] = {}
-        self._dirty = False
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                data = {}
-            if (
-                data.get("version") == self.VERSION
-                and data.get("salt") == salt
-            ):
-                self._entries = data.get("files", {})
-
-    @staticmethod
-    def make_salt(*parts: str) -> str:
-        rules_repr = "|".join(
-            f"{r.code}:{r.name}:{r.severity}:{r.summary}" for r in RULES.values()
-        )
-        raw = "\x1f".join((ENGINE_VERSION, rules_repr, *parts))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()
-
-    def get(self, path: Path, source: str) -> list[Diagnostic] | None:
-        entry = self._entries.get(str(path))
-        if entry is None:
-            return None
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return None
-        # mtime is the cheap gate; the content hash is the correctness gate
-        # (editors and git checkouts can rewrite identical bytes).
-        if entry.get("mtime") != mtime:
-            if entry.get("sha256") != _file_sha256(source):
-                return None
-            entry["mtime"] = mtime
-            self._dirty = True
-        return [Diagnostic.from_dict(d) for d in entry.get("diags", [])]
-
-    def put(self, path: Path, source: str, diags: list[Diagnostic]) -> None:
-        try:
-            mtime = path.stat().st_mtime
-        except OSError:
-            return
-        self._entries[str(path)] = {
-            "mtime": mtime,
-            "sha256": _file_sha256(source),
-            "diags": [d.to_dict() for d in diags],
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if not self._dirty:
-            return
-        payload = {
-            "version": self.VERSION,
-            "salt": self.salt,
-            "files": self._entries,
-        }
-        try:
-            self.path.write_text(json.dumps(payload), encoding="utf-8")
-        except OSError:
-            pass  # caching is best-effort; never fail the analysis over it
-        self._dirty = False
 
 
 # ---------------------------------------------------------------------------

@@ -577,32 +577,10 @@ def lint_file(
     return findings
 
 
-def run_lint(
-    paths: Iterable[str | Path], cache=None
-) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths``; returns sorted findings.
-
-    ``cache`` is an optional :class:`repro.analysis.diagnostics.AnalysisCache`
-    for mtime+hash incremental reuse; registry-consistency findings are
-    never cached (they are cross-file).
-    """
+def run_lint(paths: Iterable[str | Path]) -> list[Finding]:
+    """Lint every ``.py`` file under ``paths``; returns sorted findings."""
     files = collect_files(paths)
     registry, findings = _load_registry(files)
     for f in files:
-        cached = None
-        src = None
-        if cache is not None:
-            try:
-                src = f.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                src = None
-            if src is not None:
-                cached = cache.get(f, src)
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        diags = lint_file(f, registry)
-        if cache is not None and src is not None:
-            cache.put(f, src, diags)
-        findings.extend(diags)
+        findings.extend(lint_file(f, registry))
     return sort_diagnostics(findings)

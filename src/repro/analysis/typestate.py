@@ -926,24 +926,9 @@ def verify_file(path: Path) -> list[Diagnostic]:
     return diags
 
 
-def run_verify(paths: Iterable[str | Path], cache=None) -> list[Diagnostic]:
+def run_verify(paths: Iterable[str | Path]) -> list[Diagnostic]:
     """Verify every ``.py`` file under ``paths``; returns sorted findings."""
     findings: list[Diagnostic] = []
     for f in collect_files(paths):
-        cached = None
-        src = None
-        if cache is not None:
-            try:
-                src = f.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                src = None
-            if src is not None:
-                cached = cache.get(f, src)
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        diags = verify_file(f)
-        if cache is not None and src is not None:
-            cache.put(f, src, diags)
-        findings.extend(diags)
+        findings.extend(verify_file(f))
     return sort_diagnostics(findings)

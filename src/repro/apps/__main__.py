@@ -20,6 +20,7 @@ from repro import clampi
 from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.reporting import format_table
+from repro.core.stats import snapshot_hits
 from repro.trace import recommend_parameters, reuse_histogram
 from repro.util import KiB, format_bytes, format_time
 
@@ -47,13 +48,8 @@ def _print_outcome(label: str, time_per_item: float, item: str, stats: dict) -> 
             rows.append(["bytes fetched", format_bytes(stats.get("bytes_fetched", 0))])
         elif stats.get("gets", 0):
             gets = stats["gets"]
-            hits = (
-                stats.get("hit_full", 0)
-                + stats.get("hit_pending", 0)
-                + stats.get("hit_partial", 0)
-            )
             rows.append(["gets", gets])
-            rows.append(["hit ratio", f"{hits / gets:.1%}"])
+            rows.append(["hit ratio", f"{snapshot_hits(stats) / gets:.1%}"])
             rows.append(
                 ["network bytes", format_bytes(stats.get("bytes_from_network", 0))]
             )

@@ -5,19 +5,9 @@ are printed; pass figure ids (e.g. ``fig07 fig12``) or ablation ids (e.g.
 ``a1_cuckoo_hashes``) to run a subset, or ``ablations`` for all ablations.
 Use ``--markdown`` to emit the EXPERIMENTS.md-style blocks instead.
 
-``python -m repro.bench perfsmoke`` runs the perf smoke subset instead
-(see :mod:`repro.bench.perfsmoke`): wall/virtual times to a JSON artifact,
-optionally checked against a committed baseline.
-
-``python -m repro.bench policies`` runs the eviction/admission
-policy-matrix benchmark (see :mod:`repro.bench.policies`): every
-registered policy over the fig02-reuse, LCC and Barnes-Hut workloads,
-hit-rate + virtual-time tables to a JSON artifact.
-
-``python -m repro.bench profile`` aggregates per-rank-thread cProfile
-stats for figure workloads (see :mod:`repro.bench.profile`): top-N
-functions by tottime, optionally dumped to a JSON artifact — the hot-path
-costing tool behind ``docs/performance.md``.
+This CLI regenerates figures and checks their claims; it does not measure
+host speed.  That is ``benchmarks/perf`` (``python3 benchmarks/perf/run.py``,
+contract in ``BENCHMARK.json``; see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -35,20 +25,6 @@ _ALL = {**ALL_FIGURES, **ALL_ABLATIONS}
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "perfsmoke":
-        from repro.bench.perfsmoke import main as perfsmoke_main
-
-        return perfsmoke_main(argv[1:])
-    if argv and argv[0] == "policies":
-        from repro.bench.policies import main as policies_main
-
-        return policies_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.bench.profile import main as profile_main
-
-        return profile_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench", description=__doc__
     )

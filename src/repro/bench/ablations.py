@@ -16,6 +16,9 @@ ablations make each one measurable on the simulated substrate:
 * **A5 — block size of the native baseline**: Fig. 3's argument — fixed
   blocks either fragment internally (big blocks) or multiply requests
   (small blocks).  Sweep the block size on the LCC workload.
+* **A6 — eviction/admission policy**: Sec. III-D1 evaluates one score
+  family.  Run every registered policy (:mod:`repro.core.policy`) on
+  three tight-cache workloads; defined in :mod:`repro.bench.policies`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from repro import clampi
 from repro.apps import LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.micro import make_micro_workload, run_micro
+from repro.bench.policies import ablation_policy_matrix
 from repro.bench.reporting import FigureResult
+from repro.core.stats import snapshot_hits
 from repro.util import format_bytes
 
 
@@ -51,13 +56,12 @@ def ablation_cuckoo_hashes(
         s = res.stats
         conflicts[p] = s["conflicting"]
         completion[p] = res.completion_time
-        hits = s["hit_full"] + s["hit_pending"] + s["hit_partial"]
         fig.rows.append(
             [
                 p,
                 s["conflicting"],
                 round(s["conflicting"] / s["gets"], 4),
-                round(hits / s["gets"], 3),
+                round(snapshot_hits(s) / s["gets"], 3),
                 round(res.completion_time * 1e3, 3),
             ]
         )
@@ -91,7 +95,7 @@ def ablation_sample_size(
         )
         res = run_micro(wl, spec)
         s = res.stats
-        hits[m] = s["hit_full"] + s["hit_pending"] + s["hit_partial"]
+        hits[m] = snapshot_hits(s)
         ev = max(s["capacity_evictions"], 1)
         fig.rows.append(
             [
@@ -124,37 +128,31 @@ def ablation_weak_caching(
         f"capacity-eviction budget per miss (|S_w|={format_bytes(storage)})",
         ["budget", "hits", "failing", "evictions", "completion (ms)"],
     )
-    data = {}
+    hits = {}
     for b in budgets:
         spec = CacheSpec.clampi_fixed(
             2 * n_distinct, storage, max_capacity_evictions=b
         )
         res = run_micro(wl, spec)
         s = res.stats
-        data[b] = s
-        hits = s["hit_full"] + s["hit_pending"] + s["hit_partial"]
+        hits[b] = snapshot_hits(s)
         fig.rows.append(
             [
                 b,
-                hits,
+                hits[b],
                 s["failing"],
                 s["evictions"],
                 round(res.completion_time * 1e3, 3),
             ]
         )
-
-    def hit_count(b):
-        s = data[b]
-        return s["hit_full"] + s["hit_pending"] + s["hit_partial"]
-
     fig.add_claim(
         "no evictions at all (budget 0) loses hits once the buffer fills",
-        hit_count(0) < hit_count(1),
+        hits[0] < hits[1],
     )
     fig.add_claim(
         "one eviction per miss (the paper's weak caching) already captures "
         "most of the benefit of a large budget",
-        hit_count(1) >= 0.9 * hit_count(16),
+        hits[1] >= 0.9 * hits[16],
     )
     return fig
 
@@ -177,7 +175,7 @@ def ablation_allocator_fit(
         )
         res = run_micro(wl, spec, record_occupancy=True)
         s = res.stats
-        hits = s["hit_full"] + s["hit_pending"] + s["hit_partial"]
+        hits = snapshot_hits(s)
         occ = float(res.occupancy[z // 4 :].mean())
         stats[fit] = (hits, s["failing"], occ, res.completion_time)
         fig.rows.append(
@@ -246,4 +244,5 @@ ALL_ABLATIONS = {
     "a3_weak_caching": ablation_weak_caching,
     "a4_allocator_fit": ablation_allocator_fit,
     "a5_native_block_size": ablation_native_block_size,
+    "a6_policy_matrix": ablation_policy_matrix,
 }

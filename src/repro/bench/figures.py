@@ -23,6 +23,7 @@ from repro.apps.cachespec import CacheSpec
 from repro.bench.micro import make_micro_workload, run_micro
 from repro.bench.overlap import measure_overlap_curve
 from repro.bench.reporting import FigureResult
+from repro.core.stats import snapshot_hits
 from repro.mpi.simmpi import SimMPI
 from repro.mpi.window import Window
 from repro.net import PerfModel, Topology
@@ -39,43 +40,51 @@ SCORE_POLICIES = (TEMPORAL, POSITIONAL, FULL)
 # ----------------------------------------------------------------------
 # Fig. 1 — latency per message size and process/node mapping
 # ----------------------------------------------------------------------
+#: Fig. 1's initiator/target placements, nearest first (rank 0 gets from
+#: the last rank of each topology)
+DISTANCE_CLASSES = (
+    ("same node", Topology(2, ranks_per_node=2)),
+    ("same chassis", Topology(2, ranks_per_node=1)),
+    ("same group", Topology(32, ranks_per_node=1)),
+    ("remote group", Topology(2, 1, nodes_per_chassis=1, chassis_per_group=1)),
+)
+
+
+def _ping(mpi, nbytes, target):
+    win = Window.allocate(mpi.comm_world, max(nbytes, 1))
+    mpi.comm_world.barrier()
+    if mpi.rank != 0:
+        return None
+    buf = np.empty(max(nbytes, 1), np.uint8)
+    win.lock(target)
+    t0 = mpi.time
+    win.get(buf[:nbytes], target, 0)
+    win.flush(target)
+    dt = mpi.time - t0
+    win.unlock(target)
+    return dt
+
+
+def plain_get_latency(topo: Topology, nbytes: int) -> float:
+    """Virtual seconds of one blocking plain get across ``topo``."""
+    mpi = SimMPI(nprocs=topo.nprocs, perf=PerfModel(topology=topo))
+    return mpi.run(_ping, nbytes, topo.nprocs - 1)[0]
+
+
 def fig01_latency(sizes: list[int] | None = None) -> FigureResult:
     """Blocking get latency across the placement hierarchy."""
     sizes = sizes or [2**i for i in range(0, 17, 2)]
-    mappings = [
-        ("same node", Topology(2, ranks_per_node=2)),
-        ("same chassis", Topology(2, ranks_per_node=1)),
-        ("same group", Topology(32, ranks_per_node=1)),
-        ("remote group", Topology(2, 1, nodes_per_chassis=1, chassis_per_group=1)),
-    ]
+    mappings = DISTANCE_CLASSES
     fig = FigureResult(
         "Fig. 1",
         "get latency (us) per message size and initiator/target mapping",
         ["size"] + [m for m, _t in mappings],
     )
-
-    def _ping(mpi, nbytes, target):
-        win = Window.allocate(mpi.comm_world, max(nbytes, 1))
-        mpi.comm_world.barrier()
-        if mpi.rank != 0:
-            return None
-        buf = np.empty(max(nbytes, 1), np.uint8)
-        win.lock(target)
-        t0 = mpi.time
-        win.get(buf[:nbytes], target, 0)
-        win.flush(target)
-        dt = mpi.time - t0
-        win.unlock(target)
-        return dt
-
-    table: dict[tuple[str, int], float] = {}
-    for name, topo in mappings:
-        perf = PerfModel(topology=topo)
-        target = 1 if topo.nprocs == 2 else topo.nprocs - 1
-        for s in sizes:
-            mpi = SimMPI(nprocs=topo.nprocs, perf=perf)
-            res = mpi.run(_ping, s, target)
-            table[(name, s)] = res[0]
+    table = {
+        (name, s): plain_get_latency(topo, s)
+        for name, topo in mappings
+        for s in sizes
+    }
     for s in sizes:
         fig.rows.append([s] + [round(table[(m, s)] * US, 3) for m, _t in mappings])
     small = sizes[0]
@@ -455,11 +464,7 @@ def fig11_victim(
                 record_occupancy=True,
             )
             per_policy[policy] = res
-            hits[policy][h] = (
-                res.stats["hit_full"]
-                + res.stats["hit_partial"]
-                + res.stats["hit_pending"]
-            )
+            hits[policy][h] = snapshot_hits(res.stats)
         full = per_policy[FULL]
         evictions = max(full.stats["capacity_evictions"], 1)
         row.append(round(full.stats["eviction_visited"] / evictions, 1))
@@ -578,6 +583,16 @@ def fig12_bh_params(
     return fig
 
 
+def _access_breakdown(st: dict) -> list[float]:
+    """The Fig. 13/16/18 cells: hit, direct, conflicting, capacity and
+    failing accesses as fractions of all gets."""
+    gets = max(st["gets"], 1)
+    return [round(snapshot_hits(st) / gets, 3)] + [
+        round(st[k] / gets, 3)
+        for k in ("direct", "conflicting", "capacity", "failing")
+    ]
+
+
 def fig13_bh_stats(
     nbodies: int = 1500,
     nprocs: int = 8,
@@ -605,19 +620,9 @@ def fig13_bh_stats(
             CacheSpec.clampi_fixed(ie, storage, mode=clampi.Mode.USER_DEFINED),
         )
         st = run.merged_stats()
-        gets = max(st["gets"], 1)
-        hit = (st["hit_full"] + st["hit_partial"] + st["hit_pending"]) / gets
-        conflict_ratio[ie] = st["conflicting"] / gets
+        conflict_ratio[ie] = st["conflicting"] / max(st["gets"], 1)
         fig.rows.append(
-            [
-                ie,
-                round(hit, 3),
-                round(st["direct"] / gets, 3),
-                round(st["conflicting"] / gets, 3),
-                round(st["capacity"] / gets, 3),
-                round(st["failing"] / gets, 3),
-                round(run.time_per_body * US, 2),
-            ]
+            [ie, *_access_breakdown(st), round(run.time_per_body * US, 2)]
         )
     fig.add_claim(
         "small |I_w| suffers from conflicting accesses; large |I_w| does not",
@@ -685,26 +690,15 @@ def fig14_bh_weak(
 # ----------------------------------------------------------------------
 # Fig. 15/16 — LCC parameter sweep + stats
 # ----------------------------------------------------------------------
-def fig15_lcc_params(
-    scale: int = 12,
-    edge_factor: int = 16,
-    nprocs: int = 8,
-) -> FigureResult:
-    """LCC vertex processing time across cache configurations.
-
-    Paper: R-MAT 2^20/2^24 on P=32; fixed 64 MiB limited by capacity
-    accesses, 128 MiB reaches 5x over foMPI; adaptive matches the best
-    fixed independent of the start.
-    """
-    app = LCCApp(scale=scale, edge_factor=edge_factor, seed=5)
+def fig15_configs(app: LCCApp) -> list[tuple[str, CacheSpec]]:
+    """Fig. 15's five cache configurations, sized from ``app``'s graph."""
     # total adjacency footprint = nedges * 8 bytes
     adj_bytes = app.csr.nedges * 8
     s_small = adj_bytes // 8
     s_big = adj_bytes
     ie_small = max(256, app.nvertices // 8)
     ie_big = 2 * app.nvertices
-    fompi = app.run(nprocs, CacheSpec.fompi())
-    configs = [
+    return [
         (f"fixed |S|={format_bytes(s_small)} |I|={ie_small}",
          CacheSpec.clampi_fixed(ie_small, s_small)),
         (f"fixed |S|={format_bytes(s_small)} |I|={ie_big}",
@@ -720,6 +714,22 @@ def fig15_lcc_params(
              ie_big, s_big,
              adaptive_params=clampi.AdaptiveParams(check_interval=256))),
     ]
+
+
+def fig15_lcc_params(
+    scale: int = 12,
+    edge_factor: int = 16,
+    nprocs: int = 8,
+) -> FigureResult:
+    """LCC vertex processing time across cache configurations.
+
+    Paper: R-MAT 2^20/2^24 on P=32; fixed 64 MiB limited by capacity
+    accesses, 128 MiB reaches 5x over foMPI; adaptive matches the best
+    fixed independent of the start.
+    """
+    app = LCCApp(scale=scale, edge_factor=edge_factor, seed=5)
+    fompi = app.run(nprocs, CacheSpec.fompi())
+    configs = fig15_configs(app)
     fig = FigureResult(
         "Fig. 15",
         f"LCC vertex time (us), R-MAT 2^{scale} x EF{edge_factor}, P={nprocs}",
@@ -782,21 +792,12 @@ def fig16_lcc_stats(
         run = app.run(nprocs, spec)
         st = run.merged_stats()
         gets = max(st["gets"], 1)
-        hit = (st["hit_full"] + st["hit_partial"] + st["hit_pending"]) / gets
         ratios[label] = {
-            "hit": hit,
+            "hit": snapshot_hits(st) / gets,
             "capfail": (st["capacity"] + st["failing"]) / gets,
         }
         fig.rows.append(
-            [
-                label,
-                round(hit, 3),
-                round(st["direct"] / gets, 3),
-                round(st["conflicting"] / gets, 3),
-                round(st["capacity"] / gets, 3),
-                round(st["failing"] / gets, 3),
-                run.max_stat("adjustments"),
-            ]
+            [label, *_access_breakdown(st), run.max_stat("adjustments")]
         )
     fig.add_claim(
         "adaptive recovers a solid hit rate from the small start (>55%)",
@@ -901,19 +902,8 @@ def fig18_lcc_weak_stats(
     direct_ratio = []
     for p in procs:
         st = runs[p]["adaptive"].merged_stats()
-        gets = max(st["gets"], 1)
-        hit = (st["hit_full"] + st["hit_partial"] + st["hit_pending"]) / gets
-        direct_ratio.append(st["direct"] / gets)
-        fig.rows.append(
-            [
-                p,
-                round(hit, 3),
-                round(st["direct"] / gets, 3),
-                round(st["conflicting"] / gets, 3),
-                round(st["capacity"] / gets, 3),
-                round(st["failing"] / gets, 3),
-            ]
-        )
+        direct_ratio.append(st["direct"] / max(st["gets"], 1))
+        fig.rows.append([p, *_access_breakdown(st)])
     fig.add_claim(
         "direct accesses increase with P (data reuse decreases)",
         direct_ratio[-1] > direct_ratio[0],

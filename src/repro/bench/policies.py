@@ -1,9 +1,10 @@
-"""Policy-matrix benchmark: ``python -m repro.bench policies``.
+"""Ablation A6 — the eviction/admission policy matrix.
 
 Runs every registered eviction/admission policy (``repro.core.policy``)
 over three workloads with deliberately tight cache sizing — so the
 victim/admission decisions, not the cache capacity, dominate the hit
-rate — and emits one hit-rate + virtual-time table per workload:
+rate — and tabulates hit rate, virtual time and admission rejects per
+(workload, policy):
 
 * ``fig02-reuse`` — the Barnes-Hut get trace of Fig. 2 (recorded once
   from an uncached run) replayed through a two-rank cached window: the
@@ -12,34 +13,29 @@ rate — and emits one hit-rate + virtual-time table per workload:
   sizes, scale-free hub reuse);
 * ``bh`` — the Barnes-Hut force phase itself (USER_DEFINED epochs).
 
-The artifact (``BENCH_PR6.json``) records wall/virtual seconds and the
-hit rate per (workload, policy).  CI replays it in ``--quick`` mode
-against the committed baseline: total wall-clock must stay within the
-allowed factor, and the **default policy's virtual times must not drift
-at all** — the pluggable-policy engine is required to leave the paper's
-figures bit-identical.
+Registered as ``a6_policy_matrix`` in
+:data:`repro.bench.ablations.ALL_ABLATIONS`, so ``python -m repro.bench
+a6_policy_matrix`` runs, renders and claim-checks it like every other
+figure.  That the default policy's virtual times stay bit-identical on
+these workloads is pinned in tier-1
+(``tests/test_virtual_time_golden.py``).
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from repro import obs
 from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
-from repro.core.policy import DEFAULT_POLICY, available_policies
+from repro.bench.reporting import FigureResult
+from repro.core.policy import available_policies
+from repro.core.stats import snapshot_hits
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
 from repro.trace import GetRecord
 from repro.util import KiB, align_up
-
-#: Wall-clock regression factor CI tolerates over the committed baseline.
-DEFAULT_MAX_REGRESSION = 2.0
 
 #: Fraction of the distinct working set the replay cache can hold —
 #: small enough that eviction/admission quality decides the hit rate
@@ -106,8 +102,13 @@ def _replay_program(
     return win.stats.snapshot()
 
 
-def replay_trace(records: list[GetRecord], policy: str) -> dict[str, Any]:
-    """Replay the trace through a tight two-rank cache under ``policy``."""
+def replay_trace(
+    records: list[GetRecord], policy: str
+) -> tuple[dict[str, Any], float]:
+    """Replay the trace through a tight two-rank cache under ``policy``.
+
+    Returns the getting rank's stats snapshot and the run's makespan.
+    """
     gets, window_bytes = _flatten_trace(records)
     distinct_bytes = sum(
         size for (dsp, size) in dict.fromkeys(gets)  # first occurrence per key
@@ -119,190 +120,91 @@ def replay_trace(records: list[GetRecord], policy: str) -> dict[str, Any]:
     )
     mpi = SimMPI(nprocs=2, perf=PerfModel.spread(2))
     results = mpi.run(_replay_program, gets, window_bytes, spec)
-    return results[0]
+    return results[0], mpi.elapsed
 
 
 # ---------------------------------------------------------------------------
 # the matrix
 # ---------------------------------------------------------------------------
-def _hit_rate(stats: dict[str, Any]) -> float:
-    gets = stats.get("gets", 0)
-    hits = (
-        stats.get("hit_full", 0)
-        + stats.get("hit_partial", 0)
-        + stats.get("hit_pending", 0)
-    )
-    return hits / gets if gets else 0.0
+def policy_workloads(
+    nbodies: int, lcc_scale: int
+) -> dict[str, Callable[[str], tuple[dict[str, Any], float]]]:
+    """The three workloads, each a ``policy -> (stats, virtual s)`` run.
 
-
-def run_policy_matrix(quick: bool = False) -> dict[str, Any]:
-    """Run every registered policy over the three workloads.
-
-    Returns the artifact dict: per (workload, policy) wall seconds,
-    virtual seconds, hit rate and admission rejects.
+    ``stats`` is the merged counter snapshot and the virtual time is that
+    run's own makespan, so a cell never depends on what ran before it.
     """
-    nbodies = 150 if quick else 400
-    lcc_scale = 7 if quick else 8
-    policies = available_policies()
-
     bh_trace = record_bh_trace(nbodies)
     lcc_app = LCCApp(scale=lcc_scale, edge_factor=8, seed=5)
     bh_app = BarnesHutApp(nbodies=nbodies, seed=11)
+
     # Tight app-run caches: a fraction of what the generous figure specs
     # use, so policy quality shows up as hit-rate spread.
-    lcc_spec_of = lambda pol: CacheSpec.clampi_fixed(  # noqa: E731
-        1 << 7, lcc_app.csr.nedges * 2, policy=pol
-    )
-    bh_spec_of = lambda pol: CacheSpec.clampi_fixed(  # noqa: E731
-        1 << 7, max(nbodies * 48, 2 * KiB), policy=pol
-    )
+    def app_run(app, storage_bytes: int):
+        def run(policy: str):
+            spec = CacheSpec.clampi_fixed(1 << 7, storage_bytes, policy=policy)
+            result = app.run(4, spec)
+            return result.merged_stats(), result.makespan
 
-    workloads: dict[str, dict[str, dict[str, float]]] = {}
+        return run
 
-    def note(workload: str, policy: str, stats: dict, wall: float, virt: float):
-        workloads.setdefault(workload, {})[policy] = {
-            "wall_s": round(wall, 4),
-            "virtual_s": virt,
-            "hit_rate": round(_hit_rate(stats), 6),
-            "admission_rejects": int(stats.get("admission_rejects", 0)),
-        }
-
-    for pol in policies:
-        v0, t0 = obs.virtual_time.total, time.perf_counter()
-        stats = replay_trace(bh_trace, pol)
-        note(
-            "fig02-reuse", pol, stats,
-            time.perf_counter() - t0, obs.virtual_time.total - v0,
-        )
-
-        v0, t0 = obs.virtual_time.total, time.perf_counter()
-        run = lcc_app.run(4, lcc_spec_of(pol))
-        note(
-            "lcc", pol, run.merged_stats(),
-            time.perf_counter() - t0, obs.virtual_time.total - v0,
-        )
-
-        v0, t0 = obs.virtual_time.total, time.perf_counter()
-        run = bh_app.run(4, bh_spec_of(pol))
-        note(
-            "bh", pol, run.merged_stats(),
-            time.perf_counter() - t0, obs.virtual_time.total - v0,
-        )
-
-    total = round(
-        sum(e["wall_s"] for w in workloads.values() for e in w.values()), 4
-    )
     return {
-        "quick": quick,
-        "default_policy": DEFAULT_POLICY,
-        "workloads": workloads,
-        "total_wall_s": total,
+        "fig02-reuse": lambda policy: replay_trace(bh_trace, policy),
+        "lcc": app_run(lcc_app, lcc_app.csr.nedges * 2),
+        "bh": app_run(bh_app, max(nbodies * 48, 2 * KiB)),
     }
 
 
-def render_tables(result: dict[str, Any]) -> str:
-    """Per-workload hit-rate + virtual-time tables (terminal-friendly)."""
-    lines: list[str] = []
-    for workload, per_policy in result["workloads"].items():
-        lines.append(f"== {workload} ==")
-        lines.append(
-            f"{'policy':16s} {'hit rate':>10s} {'virtual s':>14s} "
-            f"{'wall s':>8s} {'adm.rej':>8s}"
-        )
-        best = max(per_policy, key=lambda p: per_policy[p]["hit_rate"])
-        for pol, e in sorted(per_policy.items()):
-            mark = " *" if pol == best else ""
-            lines.append(
-                f"{pol:16s} {e['hit_rate']:10.4f} {e['virtual_s']:14.6e} "
-                f"{e['wall_s']:8.3f} {e['admission_rejects']:8d}{mark}"
+def ablation_policy_matrix(
+    nbodies: int = 400,
+    lcc_scale: int = 8,
+    policies: list[str] | None = None,
+) -> FigureResult:
+    """A6: every registered eviction/admission policy on tight caches."""
+    policies = policies or available_policies()
+    fig = FigureResult(
+        "Ablation A6",
+        f"eviction/admission policies on tight caches (BH N={nbodies}, "
+        f"LCC 2^{lcc_scale})",
+        ["workload", "policy", "hit rate", "virtual time (ms)", "admission rejects"],
+    )
+    workloads = policy_workloads(nbodies, lcc_scale)
+    hit: dict[tuple[str, str], float] = {}
+    virtual: dict[tuple[str, str], float] = {}
+    for w, run in workloads.items():
+        for pol in policies:
+            stats, virtual[w, pol] = run(pol)
+            hit[w, pol] = snapshot_hits(stats) / max(stats["gets"], 1)
+            fig.rows.append(
+                [
+                    w,
+                    pol,
+                    round(hit[w, pol], 3),
+                    round(virtual[w, pol] * 1e3, 3),
+                    stats["admission_rejects"],
+                ]
             )
-        lines.append("")
-    lines.append(f"total wall: {result['total_wall_s']:.3f}s")
-    return "\n".join(lines)
-
-
-def check_regression(
-    result: dict[str, Any],
-    baseline_path: Path,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
-) -> list[str]:
-    """Compare against a committed baseline; returns failure messages.
-
-    Wall-clock may grow up to ``max_regression`` times the baseline
-    total; the *default* policy's virtual times must match the baseline
-    exactly (the policy engine must not perturb the paper's figures).
-    """
-    baseline = json.loads(baseline_path.read_text())
-    problems: list[str] = []
-    if baseline.get("quick") != result.get("quick"):
-        return [
-            "baseline was generated at a different scale "
-            f"(quick={baseline.get('quick')!r} vs {result.get('quick')!r})"
-        ]
-    base_total = baseline.get("total_wall_s")
-    if base_total and result["total_wall_s"] > max_regression * base_total:
-        problems.append(
-            f"total wall-clock {result['total_wall_s']:.2f}s exceeds "
-            f"{max_regression:.1f}x the baseline {base_total:.2f}s"
+        best = max(policies, key=lambda pol: hit[w, pol])
+        fig.notes.append(f"best hit rate on {w}: {best} ({hit[w, best]:.3f})")
+    # Each claim names built-in policies; a ``policies`` subset that
+    # leaves one out skips the claim rather than failing it.
+    if {"lru", "clampi-temporal"} <= set(policies):
+        fig.add_claim(
+            "lru and clampi-temporal order victims identically (same hit "
+            "rate and virtual time on every workload)",
+            all(
+                hit[w, "lru"] == hit[w, "clampi-temporal"]
+                and virtual[w, "lru"] == virtual[w, "clampi-temporal"]
+                for w in workloads
+            ),
         )
-    default = result.get("default_policy", DEFAULT_POLICY)
-    for workload, per_policy in result["workloads"].items():
-        entry = per_policy.get(default)
-        base = baseline.get("workloads", {}).get(workload, {}).get(default)
-        if entry is None or base is None:
-            continue
-        if entry["virtual_s"] != base["virtual_s"]:
-            problems.append(
-                f"{workload}/{default}: virtual time drifted from the "
-                f"baseline ({entry['virtual_s']!r} != {base['virtual_s']!r}); "
-                "the default policy must keep figures bit-identical"
-            )
-        if entry["hit_rate"] != base["hit_rate"]:
-            problems.append(
-                f"{workload}/{default}: hit rate drifted from the baseline "
-                f"({entry['hit_rate']!r} != {base['hit_rate']!r})"
-            )
-    return problems
-
-
-def main(argv: list[str]) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench policies",
-        description="policy-matrix benchmark; writes a JSON artifact",
-    )
-    parser.add_argument(
-        "--out", default="BENCH_PR6.json", help="artifact path to write"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced scale for CI"
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="committed baseline JSON to compare against",
-    )
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=DEFAULT_MAX_REGRESSION,
-        help="fail if total wall-clock exceeds this factor over the baseline",
-    )
-    args = parser.parse_args(argv)
-
-    result = run_policy_matrix(quick=args.quick)
-    Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
-    print(render_tables(result))
-    print(f"-> {args.out}")
-
-    if args.baseline:
-        problems = check_regression(
-            result, Path(args.baseline), args.max_regression
+    if {"lru", "slru", "tinylfu"} <= set(policies):
+        fig.add_claim(
+            "frequency-aware slru and tinylfu beat recency-only lru on the "
+            "Fig. 2 reuse trace and on Barnes-Hut",
+            all(
+                min(hit[w, "slru"], hit[w, "tinylfu"]) > hit[w, "lru"]
+                for w in ("fig02-reuse", "bh")
+            ),
         )
-        if problems:
-            for p in problems:
-                print(f"POLICIES FAIL: {p}")
-            return 1
-        print(f"within {args.max_regression:.1f}x of baseline {args.baseline}")
-    return 0
+    return fig

@@ -118,6 +118,20 @@ class Counters:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def snapshot_hits(snapshot: "dict[str, int | str]") -> int:
+    """:attr:`Counters.hits` for the plain-dict form of the counters.
+
+    Takes a ``CacheStats.snapshot()`` or an app run's ``merged_stats()``;
+    absent keys count as zero, so the empty dict of an uncached run has
+    no hits.
+    """
+    return (
+        snapshot.get("hit_full", 0)
+        + snapshot.get("hit_partial", 0)
+        + snapshot.get("hit_pending", 0)
+    )
+
+
 @dataclass
 class CacheStats:
     """Cumulative + interval counters for one caching layer."""

@@ -2,8 +2,8 @@
 
 Diagnostic records and fingerprints, the suppression index, the SARIF /
 json / text emitters (SARIF checked structurally against the 2.1.0
-shape), the fingerprint baseline, the incremental cache, the generated
-docs rule table (drift test), and the extended CLI plumbing.
+shape), the fingerprint baseline, the generated docs rule table (drift
+test), and the extended CLI plumbing.
 """
 
 import json
@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.diagnostics import (
     RULES,
     SARIF_SCHEMA_URI,
-    AnalysisCache,
     Baseline,
     Diagnostic,
     Related,
@@ -163,36 +162,6 @@ class TestBaseline:
         assert len(base) == 0
 
 
-class TestAnalysisCache:
-    def test_hit_and_content_invalidation(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("x = 1\n")
-        salt = AnalysisCache.make_salt("test")
-        cache = AnalysisCache(tmp_path / "cache.json", salt)
-        assert cache.get(f, f.read_text()) is None
-        cache.put(f, f.read_text(), [diag(path=str(f))])
-        assert cache.get(f, f.read_text()) == [diag(path=str(f))]
-        cache.save()
-
-        reloaded = AnalysisCache(tmp_path / "cache.json", salt)
-        assert reloaded.get(f, f.read_text()) == [diag(path=str(f))]
-        f.write_text("x = 2\n")
-        assert reloaded.get(f, f.read_text()) is None
-
-    def test_salt_change_invalidates_whole_cache(self, tmp_path):
-        f = tmp_path / "m.py"
-        f.write_text("x = 1\n")
-        cache = AnalysisCache(
-            tmp_path / "cache.json", AnalysisCache.make_salt("a")
-        )
-        cache.put(f, f.read_text(), [])
-        cache.save()
-        other = AnalysisCache(
-            tmp_path / "cache.json", AnalysisCache.make_salt("b")
-        )
-        assert other.get(f, f.read_text()) is None
-
-
 class TestDocsSync:
     def test_docs_rule_table_in_sync_with_registry(self):
         # regenerate with `python -m repro.analysis rules --write-docs`
@@ -237,17 +206,6 @@ class TestCLI:
         log = json.loads(sarif.read_text())
         assert log["version"] == "2.1.0"
         assert log["runs"][0]["results"] == []
-
-    def test_verify_cache_round_trip(self, tmp_path, capsys):
-        from repro.analysis.__main__ import main
-
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(x=[]):\n    return x\n")  # lint-bad, verify-ok
-        cache = tmp_path / "cache.json"
-        assert main(["verify", str(bad), "--cache", str(cache)]) == 0
-        assert cache.exists()
-        assert main(["verify", str(bad), "--cache", str(cache)]) == 0
-        capsys.readouterr()
 
     def test_rules_check_passes_on_synced_docs(self, capsys, monkeypatch):
         from repro.analysis.__main__ import main

@@ -18,7 +18,7 @@ def check_shape(fig: FigureResult):
 
 class TestRegistry:
     def test_all_registered_and_documented(self):
-        assert len(ALL_ABLATIONS) == 5
+        assert len(ALL_ABLATIONS) == 6
         for fn in ALL_ABLATIONS.values():
             assert fn.__doc__
 
@@ -44,3 +44,14 @@ class TestTinyRuns:
                 scale=8, nprocs=4, block_sizes=[128, 1024, 4096]
             )
         )
+
+    def test_a6_policy_matrix(self):
+        policies = ["clampi-full", "clampi-temporal", "lru", "slru", "tinylfu"]
+        fig = ablations.ablation_policy_matrix(
+            nbodies=48, lcc_scale=5, policies=policies
+        )
+        check_shape(fig)
+        # rows = workload x policy, grouped by workload
+        assert [r[1] for r in fig.rows] == policies * 3
+        assert len({r[0] for r in fig.rows}) == 3
+        assert len(fig.claims) == 2

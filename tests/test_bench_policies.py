@@ -1,24 +1,13 @@
-"""Tests for the policy-matrix benchmark harness (repro.bench.policies).
+"""Tests for the policy-matrix ablation's workload pieces (repro.bench.policies).
 
-The full matrix runs in CI via ``python -m repro.bench policies --quick``;
-here we pin the cheap pieces: trace flattening, the replay program, the
-hit-rate helper and the baseline-regression checker.
+The matrix itself is ablation A6 (tiny run in test_bench_ablations_smoke.py,
+full run in benchmarks/test_figures.py); here we pin the cheap pieces: trace
+flattening, the replay program and the snapshot hit counter it reports.
 """
 
-import json
-from pathlib import Path
-
-import numpy as np
-
-from repro.bench.policies import (
-    DEFAULT_POLICY,
-    _flatten_trace,
-    _hit_rate,
-    _replay_program,
-    check_regression,
-    render_tables,
-)
+from repro.bench.policies import _flatten_trace, _replay_program
 from repro.apps.cachespec import CacheSpec
+from repro.core.stats import Counters, snapshot_hits
 from repro.mpi import SimMPI
 from repro.net import PerfModel
 from repro.trace import GetRecord
@@ -56,90 +45,17 @@ class TestReplayProgram:
         snap = mpi.run(_replay_program, gets, 1024, spec)[0]
         assert snap["gets"] == 4
         assert snap["policy"] == "lru"
-        assert _hit_rate(snap) > 0  # the repeated get must hit
+        assert snapshot_hits(snap) == 2  # both repeats of the first get hit
 
 
 class TestHitRate:
     def test_zero_on_empty(self):
-        assert _hit_rate({}) == 0.0
+        # an uncached run's merged_stats() is {}
+        assert snapshot_hits({}) == 0
 
     def test_counts_all_hit_flavours(self):
         snap = {"gets": 10, "hit_full": 2, "hit_partial": 1, "hit_pending": 1}
-        assert _hit_rate(snap) == 0.4
-
-
-def _artifact(quick=True, wall=1.0, virtual=0.5, hit=0.25):
-    return {
-        "quick": quick,
-        "default_policy": DEFAULT_POLICY,
-        "workloads": {
-            "fig02-reuse": {
-                DEFAULT_POLICY: {
-                    "wall_s": wall,
-                    "virtual_s": virtual,
-                    "hit_rate": hit,
-                    "admission_rejects": 0,
-                },
-                "tinylfu": {
-                    "wall_s": wall,
-                    "virtual_s": virtual * 0.9,
-                    "hit_rate": hit + 0.1,
-                    "admission_rejects": 5,
-                },
-            }
-        },
-        "total_wall_s": wall,
-    }
-
-
-class TestCheckRegression:
-    def _write(self, tmp_path, artifact) -> Path:
-        p = tmp_path / "baseline.json"
-        p.write_text(json.dumps(artifact))
-        return p
-
-    def test_identical_passes(self, tmp_path):
-        base = self._write(tmp_path, _artifact())
-        assert check_regression(_artifact(), base) == []
-
-    def test_scale_mismatch_rejected(self, tmp_path):
-        base = self._write(tmp_path, _artifact(quick=False))
-        problems = check_regression(_artifact(quick=True), base)
-        assert problems and "scale" in problems[0]
-
-    def test_wall_regression_detected(self, tmp_path):
-        base = self._write(tmp_path, _artifact(wall=1.0))
-        problems = check_regression(_artifact(wall=2.5), base)
-        assert any("wall-clock" in p for p in problems)
-
-    def test_wall_within_factor_passes(self, tmp_path):
-        base = self._write(tmp_path, _artifact(wall=1.0))
-        assert check_regression(_artifact(wall=1.9), base) == []
-
-    def test_default_policy_virtual_drift_detected(self, tmp_path):
-        base = self._write(tmp_path, _artifact(virtual=0.5))
-        problems = check_regression(_artifact(virtual=0.5000001), base)
-        assert any("virtual time drifted" in p for p in problems)
-
-    def test_default_policy_hit_rate_drift_detected(self, tmp_path):
-        base = self._write(tmp_path, _artifact(hit=0.25))
-        problems = check_regression(_artifact(hit=0.26), base)
-        assert any("hit rate drifted" in p for p in problems)
-
-    def test_non_default_policies_may_drift(self, tmp_path):
-        base = self._write(tmp_path, _artifact())
-        drifted = _artifact()
-        drifted["workloads"]["fig02-reuse"]["tinylfu"]["virtual_s"] = 99.0
-        assert check_regression(drifted, base) == []
-
-
-class TestRenderTables:
-    def test_contains_policies_and_headline(self):
-        out = render_tables(_artifact())
-        assert "fig02-reuse" in out
-        assert DEFAULT_POLICY in out
-        assert "tinylfu" in out
-        assert "hit rate" in out
-        # the best-hit-rate policy is starred
-        starred = [ln for ln in out.splitlines() if ln.endswith("*")]
-        assert len(starred) == 1 and "tinylfu" in starred[0]
+        assert snapshot_hits(snap) == 4
+        # the dict spelling and the Counters property are one definition
+        counters = Counters(hit_full=2, hit_partial=1, hit_pending=1)
+        assert snapshot_hits(counters.as_dict()) == counters.hits == 4

@@ -46,6 +46,22 @@ class TestBenchCLI:
         with pytest.raises(SystemExit):
             main(["nope"])
 
+    def test_policy_matrix_is_an_ordinary_ablation(self):
+        # membership only: a default-parameter run takes most of a minute
+        # and belongs to benchmarks/test_figures.py
+        from repro.bench.__main__ import _ALL
+        from repro.bench.ablations import ALL_ABLATIONS
+
+        assert "a6_policy_matrix" in ALL_ABLATIONS
+        assert "a6_policy_matrix" in _ALL
+
+    @pytest.mark.parametrize("retired", ["perfsmoke", "profile", "policies"])
+    def test_retired_subcommands_are_unknown_figures(self, retired, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([retired])
+        assert exc.value.code == 2
+        assert "unknown figures" in capsys.readouterr().err
+
     def test_json_artifact_content(self, tmp_path, capsys):
         rc = main(["fig01", "--json-dir", str(tmp_path), "--markdown"])
         capsys.readouterr()
