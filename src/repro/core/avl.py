@@ -64,23 +64,44 @@ def _rot_left(x: _Node) -> _Node:
 
 
 def _rebalance(n: _Node) -> _Node:
-    _update(n)
-    bal = _balance(n)
-    if bal > 1:
-        assert n.left is not None
-        if _balance(n.left) < 0:
-            n.left = _rot_left(n.left)
+    left, right = n.left, n.right
+    lh = left.height if left else 0
+    rh = right.height if right else 0
+    n.height = 1 + (lh if lh > rh else rh)
+    if lh - rh > 1:
+        assert left is not None
+        if _balance(left) < 0:
+            n.left = _rot_left(left)
         return _rot_right(n)
-    if bal < -1:
-        assert n.right is not None
-        if _balance(n.right) > 0:
-            n.right = _rot_right(n.right)
+    if lh - rh < -1:
+        assert right is not None
+        if _balance(right) > 0:
+            n.right = _rot_right(right)
         return _rot_left(n)
     return n
 
 
+def _relink(path: list[tuple[_Node, bool]], child: _Node | None) -> _Node | None:
+    """Hang ``child`` below the last node of a root-to-leaf ``path`` of
+    ``(node, went_left)`` steps and rebalance every node on the way back
+    up; returns the new root."""
+    for node, went_left in reversed(path):
+        if went_left:
+            node.left = child
+        else:
+            node.right = child
+        child = _rebalance(node)
+    return child
+
+
 class AVLTree:
-    """Self-balancing BST with best-fit (ceiling) queries and step counting."""
+    """Self-balancing BST with best-fit (ceiling) queries and step counting.
+
+    ``insert`` / ``remove`` run on every miss and release, so they walk an
+    explicit path instead of recursing; step counts (charged to virtual
+    time) and tree shape are those of the recursive formulation, node for
+    node (``tests/test_core_structures_differential.py``).
+    """
 
     def __init__(self) -> None:
         self._root: _Node | None = None
@@ -92,71 +113,51 @@ class AVLTree:
     # ------------------------------------------------------------------
     def insert(self, key: Key, value: Any) -> int:
         """Insert a unique key; returns nodes visited."""
-        steps = 0
-
-        def rec(node: _Node | None) -> _Node:
-            nonlocal steps
-            steps += 1
-            if node is None:
-                return _Node(key, value)
+        path: list[tuple[_Node, bool]] = []
+        node = self._root
+        while node is not None:
             if key < node.key:
-                node.left = rec(node.left)
+                path.append((node, True))
+                node = node.left
             elif key > node.key:
-                node.right = rec(node.right)
+                path.append((node, False))
+                node = node.right
             else:
                 raise KeyError(f"duplicate key {key}")
-            return _rebalance(node)
-
-        self._root = rec(self._root)
+        self._root = _relink(path, _Node(key, value))
         self._size += 1
-        return steps
+        return len(path) + 1  # every node on the path, plus the new leaf
 
     def remove(self, key: Key) -> int:
         """Remove an existing key; returns nodes visited."""
-        steps = 0
-
-        def rec(node: _Node | None) -> _Node | None:
-            nonlocal steps
+        path: list[tuple[_Node, bool]] = []
+        node = self._root
+        while node is not None and key != node.key:
+            went_left = key < node.key
+            path.append((node, went_left))
+            node = node.left if went_left else node.right
+        if node is None:
+            raise KeyError(f"key {key} not in tree")
+        steps = len(path) + 1
+        if node.left is None:
+            child = node.right
+        elif node.right is None:
+            child = node.left
+        else:
+            # Two children: the node takes over its in-order successor,
+            # which is then unlinked from the right subtree.  Each hop
+            # down-left is visited twice (finding the successor, then
+            # removing it), as the recursive formulation does.
+            path.append((node, False))
+            succ = node.right
             steps += 1
-            if node is None:
-                raise KeyError(f"key {key} not in tree")
-            if key < node.key:
-                node.left = rec(node.left)
-            elif key > node.key:
-                node.right = rec(node.right)
-            else:
-                if node.left is None:
-                    return node.right
-                if node.right is None:
-                    return node.left
-                # Replace with in-order successor.
-                succ = node.right
-                while succ.left is not None:
-                    steps += 1
-                    succ = succ.left
-                node.key, node.value = succ.key, succ.value
-                key2 = succ.key
-
-                def rec2(n: _Node | None) -> _Node | None:
-                    nonlocal steps
-                    steps += 1
-                    assert n is not None
-                    if key2 < n.key:
-                        n.left = rec2(n.left)
-                    elif key2 > n.key:
-                        n.right = rec2(n.right)
-                    else:
-                        if n.left is None:
-                            return n.right
-                        if n.right is None:
-                            return n.left
-                        raise AssertionError("successor has two children")
-                    return _rebalance(n)
-
-                node.right = rec2(node.right)
-            return _rebalance(node)
-
-        self._root = rec(self._root)
+            while succ.left is not None:
+                path.append((succ, True))
+                succ = succ.left
+                steps += 2
+            node.key, node.value = succ.key, succ.value
+            child = succ.right
+        self._root = _relink(path, child)
         self._size -= 1
         return steps
 

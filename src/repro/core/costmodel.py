@@ -6,7 +6,7 @@ time:
 
 * ``lookup``     — the constant-time cuckoo query;
 * ``probes``     — extra hash-table probes during insertion walks;
-* ``alloc_steps``/``free_steps`` — AVL search/rebalance steps;
+* ``avl_steps``  — AVL search/rebalance steps (allocation and release);
 * ``eviction_visits`` — slots visited while sampling a victim;
 * ``descriptor_updates`` — linked-list / ``d_c`` bookkeeping;
 * ``copy``       — payload memcpy (hit path and materialisation);
@@ -34,7 +34,11 @@ STORAGE_INIT_PER_BYTE = 0.05e-9
 
 
 class CostModel:
-    """Accumulates management time and forwards it to a clock sink."""
+    """Accumulates management time and forwards it to a clock sink.
+
+    Charged several times per get, so each method is one add and one sink
+    call; virtual time is a float sum in issue order: never merge charges.
+    """
 
     def __init__(
         self,
@@ -42,36 +46,53 @@ class CostModel:
         sink: Callable[[float], None] | None = None,
     ):
         self.memory = memory or MemoryModel()
-        self._sink = sink
+        self._sink = sink or (lambda _seconds: None)  # standalone: total only
         self.total = 0.0  #: cumulative management time (seconds)
-
-    def _charge(self, seconds: float) -> None:
-        self.total += seconds
-        if self._sink is not None:
-            self._sink(seconds)
+        #: copy_time per size: pure (the model is frozen), few distinct sizes
+        self._copy_times: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     def lookup(self) -> None:
-        self._charge(self.memory.lookup_time)
+        dt = self.memory.lookup_time
+        self.total += dt
+        self._sink(dt)
 
     def probes(self, n: int) -> None:
-        self._charge(n * self.memory.probe_time)
+        dt = n * self.memory.probe_time
+        self.total += dt
+        self._sink(dt)
 
     def copy(self, nbytes: int) -> None:
-        self._charge(self.memory.copy_time(nbytes))
+        dt = self._copy_times.get(nbytes)
+        if dt is None:
+            if len(self._copy_times) >= 4096:
+                self._copy_times.clear()
+            dt = self._copy_times[nbytes] = self.memory.copy_time(nbytes)
+        self.total += dt
+        self._sink(dt)
 
     def avl_steps(self, n: int) -> None:
-        self._charge(n * self.memory.avl_step_time)
+        dt = n * self.memory.avl_step_time
+        self.total += dt
+        self._sink(dt)
 
     def eviction_visits(self, n: int) -> None:
-        self._charge(n * self.memory.eviction_visit_time)
+        dt = n * self.memory.eviction_visit_time
+        self.total += dt
+        self._sink(dt)
 
     def descriptor_updates(self, n: int) -> None:
-        self._charge(n * self.memory.descriptor_update_time)
+        dt = n * self.memory.descriptor_update_time
+        self.total += dt
+        self._sink(dt)
 
     def invalidate(self, live_entries: int) -> None:
-        self._charge(INVALIDATE_BASE + live_entries * INVALIDATE_PER_ENTRY)
+        dt = INVALIDATE_BASE + live_entries * INVALIDATE_PER_ENTRY
+        self.total += dt
+        self._sink(dt)
 
     def adjust(self, new_slots: int, new_storage_bytes: int) -> None:
         """Adaptive resize: rebuild index + storage (then invalidate)."""
-        self._charge(new_slots * SLOT_INIT + new_storage_bytes * STORAGE_INIT_PER_BYTE)
+        dt = new_slots * SLOT_INIT + new_storage_bytes * STORAGE_INIT_PER_BYTE
+        self.total += dt
+        self._sink(dt)

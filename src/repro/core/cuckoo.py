@@ -119,7 +119,7 @@ class CuckooIndex:
         """
         probes = 0
         slots = self._slots
-        for slot in self._candidates(key):
+        for slot in self._cand_memo.get(key) or self._candidates(key):
             probes += 1
             e = slots[slot]
             if e is not None and e.key == key:
@@ -134,37 +134,46 @@ class CuckooIndex:
         every stored entry is reachable — and ``homeless`` carries the
         entry that could not be placed (it may be ``entry`` itself or a
         displaced occupant); ``path`` lists the distinct entries visited,
-        i.e. the candidates for a conflict eviction.
+        i.e. the candidates for a conflict eviction.  A key that is already
+        stored raises ``ValueError`` before anything moves.
         """
-        existing, _ = self.lookup(entry.key)
-        if existing is not None:
-            raise ValueError(f"duplicate key {entry.key}")
-
+        key = entry.key
+        slots = self._slots
         probes = 0
         path: list[Indexable] = []
-        seen_ids: set[int] = set()
         current = entry
         last_slot = -1  # slot we were just displaced from (avoid ping-pong)
         for _ in range(self.max_iterations):
-            # Try all candidate slots of the current item for a free one.
-            cands = self._candidates(current.key)
+            # One scan of the current item's candidate slots finds its
+            # first free one and, for the new entry, a duplicate of its key
+            # (which can only sit in one of exactly these slots).
+            ckey = current.key
+            cands = self._cand_memo.get(ckey) or self._candidates(ckey)
             probes += len(cands)
-            free = [s for s in cands if self._slots[s] is None]
-            if free:
-                slot = free[0]
-                self._place(current, slot)
+            free = -1
+            for s in cands:
+                occupant = slots[s]
+                if occupant is None:
+                    if free < 0:
+                        free = s
+                elif current is entry and occupant.key == key:
+                    raise ValueError(f"duplicate key {key}")
+            if free >= 0:
+                self._place(current, free)
                 self._count += 1  # net effect of the whole walk: one new entry
                 return InsertResult(True, probes, path)
             # No free slot: displace a random occupant (not the slot we
             # came from, when avoidable).
             choices = [s for s in cands if s != last_slot] or cands
             slot = choices[self._rng.randrange(len(choices))]
-            victim = self._slots[slot]
+            victim = slots[slot]
             assert victim is not None
-            if id(victim) not in seen_ids:
-                seen_ids.add(id(victim))
+            for seen in path:
+                if seen is victim:
+                    break
+            else:
                 path.append(victim)
-            self._slots[slot] = None  # pop the victim, then place current
+            slots[slot] = None  # pop the victim, then place current
             self._place(current, slot)
             current = victim
             current.slot = -1

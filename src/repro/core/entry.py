@@ -49,6 +49,7 @@ class CacheEntry:
     __slots__ = (
         "trg",
         "dsp",
+        "key",
         "dtype",
         "count",
         "size",
@@ -57,13 +58,23 @@ class CacheEntry:
         "last",
         "slot",
         "pending_source",
-        "pending_waiter_bytes",
         "pinned",
     )
 
-    def __init__(self, trg: int, dsp: int, dtype: Datatype, count: int):
+    def __init__(
+        self,
+        trg: int,
+        dsp: int,
+        dtype: Datatype,
+        count: int,
+        key: tuple[int, int] | None = None,
+    ):
         self.trg = trg
         self.dsp = dsp
+        #: index key — the paper's hit rule is (trg, dsp) equality.  Stored
+        #: (the index compares it on every probe); a missing get hands over
+        #: the tuple it already looked up with.
+        self.key = key if key is not None else (trg, dsp)
         self.dtype = dtype
         self.count = count
         self.size = dtype.transfer_size(count)  #: payload bytes (size(x))
@@ -75,19 +86,12 @@ class CacheEntry:
         #: MPI forbids touching it before the epoch closes, so it is a
         #: valid materialisation source at closure time.
         self.pending_source: np.ndarray | None = None
-        #: payload bytes promised to same-epoch PENDING hits (charged at close)
-        self.pending_waiter_bytes: list[int] = []
         #: read-only survivor of a crashed target (recovery="serve-stale");
         #: pinned entries are never eviction victims and outlive epoch-close
         #: invalidation, but explicit invalidate() still drops them.
         self.pinned = False
 
     # ------------------------------------------------------------------
-    @property
-    def key(self) -> tuple[int, int]:
-        """Index key: the paper's hit rule is (trg, dsp) equality."""
-        return (self.trg, self.dsp)
-
     def transition(self, new_state: EntryState) -> None:
         check_transition(self.state, new_state)
         self.state = new_state
@@ -96,18 +100,24 @@ class CacheEntry:
         """Flattened target-side layout of this entry."""
         return self.dtype.flatten(self.count)
 
-    def covers(self, dtype: Datatype, count: int) -> bool:
+    def covers(
+        self, dtype: Datatype, count: int, want: int | None = None
+    ) -> bool:
         """Full-hit test: is a get of (dtype, count) served by this entry?
 
         Same datatype: a prefix in element count suffices (payload flattening
         is element-major, so fewer elements are always a payload prefix).
         Different datatype: fall back to comparing flattened blocks against
-        the matching payload prefix of this entry.
+        the matching payload prefix of this entry.  ``want`` is the get's
+        transfer size when the caller already has it.
         """
-        want = dtype.transfer_size(count)
+        if want is None:
+            want = dtype.transfer_size(count)
         if want > self.size:
             return False
-        if dtype == self.dtype:
+        # identity first: predefined datatypes are singletons, and the
+        # frozen-dataclass ``==`` builds and compares two field tuples
+        if dtype is self.dtype or dtype == self.dtype:
             return count <= self.count
         try:
             return dtype.flatten(count) == payload_prefix_blocks(self.blocks(), want)

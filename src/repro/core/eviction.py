@@ -41,6 +41,9 @@ from repro.core.policy import CachePolicy, PolicyContext, make_policy
 from repro.core.states import EntryState
 from repro.core.storage import Storage
 
+#: module constant: ``EntryState.CACHED`` is a descriptor call on CPython 3.11
+_CACHED = EntryState.CACHED
+
 
 @dataclass
 class SampleResult:
@@ -50,6 +53,12 @@ class SampleResult:
     visited: int      #: total slots visited (v_i = max(M, k_i) in the paper)
     nonempty: int     #: slots holding any entry
     score: float = float("inf")  #: the victim's score under the policy
+
+
+def _overrides(policy: CachePolicy, hook: str) -> bool:
+    """Is ``policy.<hook>`` anything but the inherited ``CachePolicy`` one?"""
+    bound = getattr(policy, hook)
+    return getattr(bound, "__func__", None) is not getattr(CachePolicy, hook)
 
 
 class EvictionEngine:
@@ -88,6 +97,15 @@ class EvictionEngine:
         self._pooled_ctx = PolicyContext(
             seq_index=0, avg_get_size=0.0, miss_cost=miss_cost
         )
+        # Decided once, at bind time: the window skips a per-get ``notify_*``
+        # / ``admit`` call (and filling in its context) whose hook is still
+        # the ``CachePolicy`` no-op — ``clampi-full`` overrides none.  Read
+        # from the *bound* attribute, so a hook assigned on the instance
+        # counts; the cheap ``on_free`` stays unconditional.
+        self.wants_hit = _overrides(policy, "on_hit")
+        self.wants_miss = _overrides(policy, "on_miss")
+        self.wants_insert = _overrides(policy, "on_insert")
+        self.wants_admit = _overrides(policy, "admit")
 
     # ------------------------------------------------------------------
     def _ctx(
@@ -155,15 +173,25 @@ class EvictionEngine:
         nonempty = 0
         best: CacheEntry | None = None
         best_score = float("inf")
+        # ~M slots per victim: everything that is the same for each of them
+        # is looked up once, and the context's per-get fields are set once.
+        entry_at = self.index.entry_at
+        adjacent_free = self.storage.adjacent_free
+        victim_score = self.policy.victim_score
+        ctx = self._ctx(seq_index, avg_get_size)
+        sample_size = self.sample_size
         i = start
         while visited < cap:
-            entry = self.index.entry_at(i)
+            entry = entry_at(i)
             visited += 1
             if entry is not None:
                 nonempty += 1
                 assert isinstance(entry, CacheEntry)
-                if entry.state is EntryState.CACHED and not entry.pinned:
-                    s = self.score(entry, seq_index, avg_get_size)
+                if entry.state is _CACHED and not entry.pinned:
+                    ctx.adjacent_free = (
+                        adjacent_free(entry.desc) if entry.desc else 0
+                    )
+                    s = victim_score(entry, ctx)
                     if s < best_score:
                         best_score = s
                         best = entry
@@ -172,7 +200,7 @@ class EvictionEngine:
             # keep scanning only while the sample is still empty.  A sample
             # containing only PENDING (non-evictable) entries yields no
             # victim; the access then fails (weak caching).
-            if visited >= self.sample_size and nonempty > 0:
+            if visited >= sample_size and nonempty > 0:
                 break
         return SampleResult(best, visited, nonempty, best_score)
 
@@ -189,7 +217,7 @@ class EvictionEngine:
         for e in path:
             if e is exclude:
                 continue
-            if e.state is not EntryState.CACHED or e.pinned:
+            if e.state is not _CACHED or e.pinned:
                 continue
             s = self.score(e, seq_index, avg_get_size)
             if s < best_score:

@@ -67,6 +67,13 @@ class PolicyContext:
     single mutable instance across decisions (millions per run), updating
     the fields in place before each hook call.  Policies must not mutate
     it or retain a reference past the hook's return.
+
+    It is filled in only for a hook that will run: a get whose hooks the
+    policy leaves at the :class:`CachePolicy` no-ops builds no context at
+    all.  Every hook that *is* called sees all fields current —
+    ``adjacent_free`` is that of the entry passed to ``on_hit`` /
+    ``on_insert`` / ``victim_score`` and 0 for ``on_miss`` / ``admit``,
+    whose entry holds no storage yet.
     """
 
     seq_index: int            #: position ``i`` in the get sequence ``C_w.G``
@@ -93,6 +100,16 @@ class CachePolicy:
     default so a minimal policy only implements :meth:`victim_score`.
     State must be rebuilt from scratch on :meth:`bind` — the engine
     re-binds after adaptive resizes and invalidation rebuilds.
+
+    **When hooks are called.**  ``on_hit``, ``on_miss``, ``on_insert`` and
+    ``admit`` run once per get, so the engine decides *when it binds the
+    policy* which of them are overridden and the window never calls the
+    others (an un-overridden ``admit`` admits).  The decision reads the
+    bound attribute: a subclass method counts, and so does a callable
+    assigned on the instance **before** the policy is handed to an engine
+    or window; one assigned later is not seen.  ``on_free`` and
+    ``victim_score`` are looked up on every call and may be replaced at
+    any time.
     """
 
     #: registry name (set by subclasses; surfaced in stats/events)

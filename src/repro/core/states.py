@@ -26,6 +26,9 @@ class EntryState(Enum):
     PENDING = "pending"
     CACHED = "cached"
 
+    #: states this one may legally move to (filled in from ``_LEGAL`` below)
+    successors: "tuple[EntryState, ...]"
+
 
 _LEGAL: frozenset[tuple[EntryState, EntryState]] = frozenset(
     {
@@ -38,13 +41,20 @@ _LEGAL: frozenset[tuple[EntryState, EntryState]] = frozenset(
 )
 
 
+# The per-transition check, derived from ``_LEGAL`` (which stays the single
+# statement of Fig. 5): each state carries the tuple of states it may move
+# to, so a check is an identity scan instead of hashing an (Enum, Enum)
+# pair through the Python-level ``Enum.__hash__`` twice per transition.
+for _old in EntryState:
+    _old.successors = tuple(n for n in EntryState if (_old, n) in _LEGAL)
+
+
 class IllegalTransition(RuntimeError):
     """Raised when an entry attempts a transition not present in Fig. 5."""
 
 
 def check_transition(old: EntryState, new: EntryState) -> None:
     """Validate a state change; raises :class:`IllegalTransition` if bogus."""
-    if old == new:
+    if new is old or new in old.successors:
         return
-    if (old, new) not in _LEGAL:
-        raise IllegalTransition(f"illegal cache-entry transition {old} -> {new}")
+    raise IllegalTransition(f"illegal cache-entry transition {old} -> {new}")

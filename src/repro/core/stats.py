@@ -81,11 +81,6 @@ class Counters:
     recovery_pinned: int = 0        #: entries pinned read-only on target death
     recovery_dropped: int = 0       #: entries invalidated on target death
 
-    def record_access(self, access: AccessType) -> None:
-        self.gets += 1
-        name = access.value
-        setattr(self, name, getattr(self, name) + 1)
-
     @property
     def hits(self) -> int:
         return self.hit_full + self.hit_partial + self.hit_pending
@@ -145,8 +140,15 @@ class CacheStats:
     policy: str | None = None
 
     def record_access(self, access: AccessType) -> None:
-        self.total.record_access(access)
-        self.interval.record_access(access)
+        # Once per get: plain arithmetic on both views.  ``_value_`` is the
+        # member's stored value (``.value`` is a descriptor call) and names
+        # the ``Counters`` field to bump.
+        name = access._value_
+        total, interval = self.total, self.interval
+        total.gets += 1
+        interval.gets += 1
+        total.__dict__[name] += 1
+        interval.__dict__[name] += 1
         self.last_access = access
 
     def record_eviction(self, visited: int, nonempty: int, *, conflict: bool) -> None:

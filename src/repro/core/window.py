@@ -39,7 +39,9 @@ for the miss traffic.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from itertools import chain
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -81,6 +83,22 @@ from repro.rma.cache import (
 from repro.rma.descriptor import _origin_bytes, describe_get
 from repro.rma.interceptors import emit_get_batch
 
+# Enum members as module constants: on CPython 3.11 ``EntryState.CACHED`` is
+# a Python-level descriptor call (~0.1 us), paid several times per get.
+_MISSING = EntryState.MISSING
+_PENDING = EntryState.PENDING
+_CACHED = EntryState.CACHED
+_HIT_FULL = AccessType.HIT_FULL
+_HIT_PARTIAL = AccessType.HIT_PARTIAL
+_HIT_PENDING = AccessType.HIT_PENDING
+_DIRECT = AccessType.DIRECT
+_CONFLICTING = AccessType.CONFLICTING
+_CAPACITY = AccessType.CAPACITY
+_FAILING = AccessType.FAILING
+_TRANSPARENT = Mode.TRANSPARENT
+_dsp = attrgetter("dsp")
+_slot = attrgetter("slot")
+
 
 class CachedWindow(WindowProxy):
     """A caching layer ``C_w = (I_w, S_w)`` wrapped around an MPI window."""
@@ -98,8 +116,13 @@ class CachedWindow(WindowProxy):
         #: resolved registry name of the eviction/admission policy
         self.policy_name = cfg.policy
         self.stats = CacheStats(policy=self.policy_name)
+        # Fixed for the window's lifetime, so read once and not per get
+        # (without an injector the window's fault counters never move).
+        self._proc = window.comm.proc
+        self._can_fail = self._proc.can_fail
+        self._has_injector = window._faults is not None
         self.cost = CostModel(
-            memory=window.comm.perf.memory, sink=window.comm.proc.advance
+            memory=window.comm.perf.memory, sink=self._proc.advance
         )
         self.index_entries = cfg.index_entries  #: current |I_w|
         self.storage_bytes = cfg.storage_bytes  #: current |S_w|
@@ -107,6 +130,17 @@ class CachedWindow(WindowProxy):
         self._seq = 0        #: i — position in the get sequence C_w.G
         self._size_sum = 0   #: running sum of get sizes (for ags)
         self._pending: list[CacheEntry] = []
+        #: live entries per target rank, sorted by (unique) displacement:
+        #: what a write or a crash looks at.  An entry joins in
+        #: ``_serve_miss`` once it holds slot and storage, leaves in
+        #: ``_release``.
+        self._by_target: dict[int, list[CacheEntry]] = {}
+        #: largest target-side extent any entry has had: how far below a
+        #: written range an overlapping entry can start
+        self._max_extent = 0
+        #: payload bytes promised to same-epoch hits on a PENDING entry,
+        #: charged when it closes (few entries ever have any: not a field)
+        self._waiter_bytes: dict[CacheEntry, list[int]] = {}
         self._orphan_waiter_bytes: list[int] = []
         self._controller = (
             AdaptiveController(cfg.adaptive_params) if cfg.adaptive else None
@@ -248,7 +282,7 @@ class CachedWindow(WindowProxy):
 
     def _invalidate_overlapping(self, trg: int, lo: int, hi: int) -> None:
         """Drop cached/pending entries of ``trg`` overlapping [lo, hi)."""
-        victims = self._live_entries({trg}, (lo, hi))
+        victims = self._live_entries(trg, (lo, hi))
         for e in victims:
             self._drop_entry(e)
         if victims:
@@ -323,12 +357,12 @@ class CachedWindow(WindowProxy):
     def _consult(self, req: CacheGetRequest) -> int | None:
         """Cost-charged index consult; serves full and partial hits."""
         self.cost.lookup()
-        entry, _probes = self._index.lookup((req.target, req.disp))
+        entry, _probes = self._index.lookup(req.key)
         if entry is None or not isinstance(entry, CacheEntry):
             return None
-        if entry.state is not EntryState.CACHED and entry.state is not EntryState.PENDING:
+        if entry.state is not _CACHED and entry.state is not _PENDING:
             return None
-        if entry.covers(req.dtype, req.count):
+        if entry.covers(req.dtype, req.count, req.size):
             return self._serve_full_hit(entry, req.origin, req.size)
         return self._serve_partial_hit(entry, req)
 
@@ -352,9 +386,8 @@ class CachedWindow(WindowProxy):
         return desc.result
 
     def _emit_access(self, target_rank: int, target_disp: int, size: int) -> None:
-        """One ``cache.access`` event per classified get_c."""
-        if not self.obs.wants(CACHE_ACCESS):
-            return
+        """One ``cache.access`` event per classified get_c (the caller
+        has checked that somebody wants it)."""
         assert self.stats.last_access is not None
         self._emit(
             CACHE_ACCESS,
@@ -370,17 +403,18 @@ class CachedWindow(WindowProxy):
         self, entry: CacheEntry, origin: np.ndarray, size: int
     ) -> int:
         entry.last = self._seq
-        self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
+        if self._evictor.wants_hit:
+            self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
         obuf = _origin_bytes(origin)
-        if entry.state is EntryState.CACHED:
+        if entry.state is _CACHED:
             obuf[:size] = self._storage.read(entry.desc, size)
             self.cost.copy(size)
-            self.stats.record_access(AccessType.HIT_FULL)
+            self.stats.record_access(_HIT_FULL)
         else:  # PENDING: same data already in flight from an earlier get
             assert entry.pending_source is not None
             obuf[:size] = entry.pending_source[:size]
-            entry.pending_waiter_bytes.append(size)
-            self.stats.record_access(AccessType.HIT_PENDING)
+            self._waiter_bytes.setdefault(entry, []).append(size)
+            self.stats.record_access(_HIT_PENDING)
         self.stats.record_cache_bytes(size)
         return size
 
@@ -388,8 +422,9 @@ class CachedWindow(WindowProxy):
         """Partial hit: refetch everything; extend the entry if space allows."""
         origin, dtype, count, size = req.origin, req.dtype, req.count, req.size
         entry.last = self._seq
-        self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
-        self.stats.record_access(AccessType.HIT_PARTIAL)
+        if self._evictor.wants_hit:
+            self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
+        self.stats.record_access(_HIT_PARTIAL)
         nbytes = self._raw_get(req)
         self.stats.record_network_bytes(nbytes)
         # Extension: allocate the larger region *first* so a failure leaves
@@ -397,15 +432,16 @@ class CachedWindow(WindowProxy):
         new_desc = self._allocate_tracked(size)
         if new_desc is None:
             return nbytes
-        was_pending = entry.state is EntryState.PENDING
+        was_pending = entry.state is _PENDING
         if entry.desc is not None:
             self._release_tracked(entry)
         entry.desc = new_desc
         new_desc.entry = entry
         entry.relayout(dtype, count)
+        self._max_extent = max(self._max_extent, dtype.extent * count)
         entry.pending_source = _origin_bytes(origin)[:size]
         if not was_pending:
-            entry.transition(EntryState.PENDING)
+            entry.transition(_PENDING)
             self._pending.append(entry)
         self.cost.descriptor_updates(2)
         return nbytes
@@ -417,22 +453,26 @@ class CachedWindow(WindowProxy):
         nbytes = self._raw_get(req)
         self.stats.record_network_bytes(nbytes)
 
-        entry = CacheEntry(req.target, req.disp, dtype, count)
+        entry = CacheEntry(req.target, req.disp, dtype, count, req.key)
         entry.last = self._seq
-        self._evictor.notify_miss(entry.key, size, self._seq, self.avg_get_size)
+        evictor = self._evictor
+        if evictor.wants_miss:
+            evictor.notify_miss(req.key, size, self._seq, self.avg_get_size)
 
         # Oversized requests can never be stored: fail fast, no eviction
         # storm for a sporadically accessed big segment (Sec. III-D2).
         if size > self._storage.capacity:
-            self.stats.record_access(AccessType.FAILING)
+            self.stats.record_access(_FAILING)
             return nbytes
 
         # Admission gate: a policy may refuse to cache this miss before
         # any index/storage work is spent on it (e.g. TinyLFU rejecting
         # one-hit wonders).  A rejected miss behaves like a failing
         # access: the data was already fetched, nothing is cached.
-        if not self._evictor.admit(entry, self._seq, self.avg_get_size):
-            self.stats.record_access(AccessType.FAILING)
+        if evictor.wants_admit and not evictor.admit(
+            entry, self._seq, self.avg_get_size
+        ):
+            self.stats.record_access(_FAILING)
             self.stats.record_admission_reject()
             if self.obs.wants(CACHE_ADMIT):
                 self._emit(
@@ -449,29 +489,33 @@ class CachedWindow(WindowProxy):
         self.cost.probes(res.probes)
         conflicted = not res.success
         if conflicted and not self._resolve_conflict(res, entry):
-            self.stats.record_access(AccessType.FAILING)
+            self.stats.record_access(_FAILING)
             return nbytes
 
         desc, evicted = self._allocate_with_eviction(size)
         if desc is None:
             self._index.remove(entry)
-            self.stats.record_access(AccessType.FAILING)
+            self.stats.record_access(_FAILING)
             return nbytes
 
         entry.desc = desc
         desc.entry = entry
-        entry.transition(EntryState.PENDING)
+        entry.transition(_PENDING)
         entry.pending_source = _origin_bytes(origin)[:size]
         self._pending.append(entry)
+        # The entry is live from here (slot, storage, PENDING) until _release.
+        insort(self._by_target.setdefault(req.target, []), entry, key=_dsp)
+        self._max_extent = max(self._max_extent, dtype.extent * count)
         self.cost.descriptor_updates(1)
-        self._evictor.notify_insert(entry, self._seq, self.avg_get_size)
+        if evictor.wants_insert:
+            evictor.notify_insert(entry, self._seq, self.avg_get_size)
 
         if conflicted:
-            self.stats.record_access(AccessType.CONFLICTING)
+            self.stats.record_access(_CONFLICTING)
         elif evicted:
-            self.stats.record_access(AccessType.CAPACITY)
+            self.stats.record_access(_CAPACITY)
         else:
-            self.stats.record_access(AccessType.DIRECT)
+            self.stats.record_access(_DIRECT)
         return nbytes
 
     # ------------------------------------------------------------------
@@ -533,17 +577,18 @@ class CachedWindow(WindowProxy):
 
     def _evict(self, entry: CacheEntry) -> None:
         """Evict a CACHED entry that is stored in the index."""
-        assert entry.state is EntryState.CACHED
+        assert entry.state is _CACHED
         self._release(entry, "evicted")
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         """Remove an entry wherever it is (index, storage, pending list)."""
-        if entry.state is EntryState.PENDING:
-            self._orphan_waiter_bytes.extend(entry.pending_waiter_bytes)
-            entry.pending_waiter_bytes = []
+        if entry.state is _PENDING:
+            self._orphan_waiter_bytes.extend(self._waiter_bytes.pop(entry, ()))
             entry.pending_source = None
-            if entry in self._pending:
+            try:
                 self._pending.remove(entry)
+            except ValueError:
+                pass  # was not on the list
         self._release(entry, "dropped")
 
     def _release(self, entry: CacheEntry, reason: str) -> None:
@@ -559,8 +604,13 @@ class CachedWindow(WindowProxy):
             self._index.remove(entry)
         if entry.desc is not None:
             self._release_tracked(entry)
-        if entry.state is not EntryState.MISSING:
-            entry.transition(EntryState.MISSING)
+        if entry.state is not _MISSING:
+            entry.transition(_MISSING)
+        members = self._by_target.get(entry.trg)
+        if members:  # a miss that failed before going live is not a member
+            i = bisect_left(members, entry.dsp, key=_dsp)
+            if i < len(members) and members[i] is entry:
+                del members[i]
         self._evictor.notify_free(entry, reason)
 
     def _resolve_conflict(self, res: InsertResult, entry: CacheEntry) -> bool:
@@ -649,7 +699,7 @@ class CachedWindow(WindowProxy):
         probe countdown, in that (telemetry contract) order.
         """
         nbytes = self._raw_get(req)
-        self.stats.record_access(AccessType.FAILING)
+        self.stats.record_access(_FAILING)
         self.stats.record_degraded_get()
         self.stats.record_network_bytes(nbytes)
         return nbytes
@@ -661,8 +711,8 @@ class CachedWindow(WindowProxy):
         snapshot is the cache's.  Diffing (rather than copying) keeps the
         counters correct across adaptive rebuilds and invalidations.
         """
-        fi = getattr(self._win, "faults_injected", 0)
-        rt = getattr(self._win, "retries", 0)
+        fi = self._win.faults_injected
+        rt = self._win.retries
         base = self._win_fault_base
         if fi > base[0]:
             self.stats.record_faults(fi - base[0])
@@ -685,14 +735,13 @@ class CachedWindow(WindowProxy):
         entries (mid-conflict, out of the index) are unreachable for
         serving and are dropped in both modes.
         """
-        proc = self._win._comm.proc
-        new = proc.failed_ranks - self._observed_failures
+        new = self._proc.failed_ranks - self._observed_failures
         if not new:
             return
         for rank in sorted(new):
             self._observed_failures.add(rank)
             pinned = dropped = 0
-            for e in self._live_entries({rank}):
+            for e in self._live_entries(rank):
                 if e.slot >= 0 and self.recovery_mode == "serve-stale":
                     e.pinned = True
                     pinned += 1
@@ -719,16 +768,16 @@ class CachedWindow(WindowProxy):
         """
         if self.recovery_mode == "serve-stale":
             self.cost.lookup()
-            entry, _probes = self._index.lookup((req.target, req.disp))
+            entry, _probes = self._index.lookup(req.key)
             if (
                 isinstance(entry, CacheEntry)
-                and entry.state in (EntryState.CACHED, EntryState.PENDING)
-                and entry.covers(req.dtype, req.count)
+                and entry.state in (_CACHED, _PENDING)
+                and entry.covers(req.dtype, req.count, req.size)
             ):
                 nbytes = self._serve_full_hit(entry, req.origin, req.size)
                 self.stats.record_recovered_get()
                 return nbytes
-        self.stats.record_access(AccessType.FAILING)
+        self.stats.record_access(_FAILING)
         self.stats.record_failed_target_get()
         req.failure = TargetFailedError(req.target, "get")
         return 0
@@ -737,9 +786,11 @@ class CachedWindow(WindowProxy):
     # epoch closure, invalidation, adaptation
     # ------------------------------------------------------------------
     def _on_epoch_close(self, _win: Window, targets: set[int] | None) -> None:
-        proc = self._win._comm.proc
-        if proc.can_fail:
-            if proc.crashing:
+        """Materialise or drop what the closing epoch left PENDING; with
+        nothing pending or owed and nobody listening (the flush after a
+        hit) this does no work at all."""
+        if self._can_fail:
+            if self._proc.crashing:
                 # This rank is the victim, closing epochs from ``finally:``
                 # blocks while its stack unwinds.  The crash may have
                 # interrupted a mutation half-way (time is charged between
@@ -756,10 +807,9 @@ class CachedWindow(WindowProxy):
             if targets is not None and e.trg not in targets:
                 still_pending.append(e)
                 continue
-            for n in e.pending_waiter_bytes:
+            for n in self._waiter_bytes.pop(e, ()):
                 self.cost.copy(n)
-            e.pending_waiter_bytes = []
-            if self.mode is Mode.TRANSPARENT and not e.pinned:
+            if self.mode is _TRANSPARENT and not e.pinned:
                 # The entry dies at closure anyway: skip the materialisation
                 # copy, release its resources.  This is the whole of
                 # TRANSPARENT invalidation: in that mode only pinned
@@ -774,11 +824,13 @@ class CachedWindow(WindowProxy):
                 self._storage.write(e.desc, e.pending_source[: e.size])
                 self.cost.copy(e.size)
                 e.pending_source = None
-                e.transition(EntryState.CACHED)
+                e.transition(_CACHED)
         self._pending = still_pending
 
-        self._charge_orphan_waiters()
-        self._sync_fault_counters()
+        if self._orphan_waiter_bytes:
+            self._charge_orphan_waiters()
+        if self._has_injector:
+            self._sync_fault_counters()
         if self.obs.wants(CACHE_EPOCH):
             # The hook runs before ``eph`` is bumped: the stamp names the
             # epoch being closed, matching the historical timeline samples.
@@ -788,35 +840,43 @@ class CachedWindow(WindowProxy):
             )
 
     def _live_entries(
-        self,
-        targets: set[int] | None = None,
-        span: tuple[int, int] | None = None,
+        self, target: int | None = None, span: tuple[int, int] | None = None
     ) -> list[CacheEntry]:
         """The one enumeration of live entries, in the order they die.
 
         Indexed entries in slot order, then the PENDING orphans outside
         the index (homeless tails of an unresolved cuckoo conflict) in
-        arrival order — optionally only those of ``targets`` and, for a
+        arrival order — optionally only those of ``target`` and, for a
         write, only those whose target bytes overlap ``span = (lo, hi)``.
         Returns a snapshot, so callers may drop entries while walking it.
+
+        Only without ``target`` does this walk the index; a ``span``
+        bisects the target's membership, so a write costs
+        O(log n + entries near the written range).
         """
-        orphans = [e for e in self._pending if e.slot < 0]
-        live = [
-            e
-            for e in chain(self._index.entries(), orphans)
-            if isinstance(e, CacheEntry)
-            and (targets is None or e.trg in targets)
-        ]
+        if target is None:
+            orphans = [e for e in self._pending if e.slot < 0]
+            return [
+                e
+                for e in chain(self._index.entries(), orphans)
+                if isinstance(e, CacheEntry)
+            ]
+        live = self._by_target.get(target, [])
         if span is not None:
             lo, hi = span
-            du = self._win._group.disp_units
+            du = self._win._group.disp_units[target]
+            # start < hi, and start > lo - extent >= lo - largest extent
+            first = bisect_right(live, (lo - self._max_extent) // du, key=_dsp)
+            last = bisect_left(live, -(-hi // du), key=_dsp)
             live = [
                 e
-                for e in live
-                if e.dsp * du[e.trg] < hi
-                and e.dsp * du[e.trg] + e.dtype.extent * e.count > lo
+                for e in live[first:last]
+                if e.dsp * du + e.dtype.extent * e.count > lo
             ]
-        return live
+        indexed = sorted((e for e in live if e.slot >= 0), key=_slot)
+        if len(indexed) == len(live):
+            return indexed
+        return indexed + [e for e in self._pending if e.slot < 0 and e in live]
 
     def _charge_orphan_waiters(self) -> None:
         """Charge the copies of waiters whose PENDING entry was dropped."""
@@ -847,7 +907,8 @@ class CachedWindow(WindowProxy):
         """
         live = self._purge()
         self.stats.record_invalidation()
-        self._sync_fault_counters()
+        if self._has_injector:
+            self._sync_fault_counters()
         if self.obs.wants(CACHE_INVALIDATE):
             self._emit(CACHE_INVALIDATE, live=live)
 
@@ -870,18 +931,23 @@ class CachedWindow(WindowProxy):
         indexed = [e for e in live if e.slot >= 0]
         assert len(indexed) == len(self._index), "indexed entry lost its slot"
         for e in indexed:
-            assert e.state in (EntryState.CACHED, EntryState.PENDING), e
+            assert e.state in (_CACHED, _PENDING), e
             assert self._index.entry_at(e.slot) is e, e
             assert e.key == (e.trg, e.dsp), e
             assert e.desc is not None and not e.desc.free, e
             assert e.desc.size >= e.size, e
             assert e.desc.entry is e, e
-        pending_in_index = {id(e) for e in indexed if e.state is EntryState.PENDING}
+        pending_in_index = {id(e) for e in indexed if e.state is _PENDING}
         pending_list = {id(e) for e in self._pending}
         assert pending_in_index <= pending_list, "indexed PENDING not tracked"
         for e in self._pending:
-            assert e.state is EntryState.PENDING, e
+            assert e.state is _PENDING, e
             assert e.pending_source is not None, e
+        members = [e for trg in sorted(self._by_target) for e in self._by_target[trg]]
+        assert members == sorted(live, key=lambda e: (e.trg, e.dsp)), (
+            "per-target membership is not the live entries by displacement"
+        )
+        assert all(e.dtype.extent * e.count <= self._max_extent for e in live)
         used = sum(e.desc.size for e in live if e.desc is not None)
         assert used == self._storage.used_bytes, (
             f"storage accounting: entries hold {used}, "
@@ -890,8 +956,8 @@ class CachedWindow(WindowProxy):
         self._storage.check_invariants()
 
     def _maybe_adapt(self) -> None:
-        if self._controller is None:
-            return
+        """Adaptive check after a get (only called on an adaptive window)."""
+        assert self._controller is not None
         if self.stats.interval.gets < self.config.adaptive_params.check_interval:
             return
         if self._cooldown > 0:

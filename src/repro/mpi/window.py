@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.faults import DEFAULT_RETRY_POLICY
 from repro.mpi.comm import Communicator
-from repro.mpi.datatypes import BYTE, Datatype, from_numpy
+from repro.mpi.datatypes import Datatype, from_numpy
 from repro.mpi.errors import (
     EpochError,
     TargetFailedError,
@@ -179,6 +179,8 @@ class Window:
         #: (span, blocks) footprint memo keyed on (dtype, count) — see
         #: repro.rma.descriptor._footprint
         self._fp_memo: dict = {}
+        #: numpy dtype -> predefined Datatype memo (see :meth:`_resolve_dtype`)
+        self._dtype_memo: dict = {}
         #: pooled descriptor frame for the dominant scalar-get path; taken
         #: (set to None) while a get is in flight, restored afterwards, so
         #: a million-get run reuses one frame instead of allocating one
@@ -750,12 +752,17 @@ class Window:
         self, origin: np.ndarray, count: int | None, datatype: Datatype | None
     ) -> tuple[Datatype, int]:
         if datatype is None:
-            datatype = from_numpy(origin.dtype) if origin.dtype != np.uint8 else BYTE
+            # numpy dtype -> Datatype is a pure function of the dtype and
+            # applications use a handful, so the scan runs once per dtype.
+            memo = self._dtype_memo
+            datatype = memo.get(origin.dtype)
+            if datatype is None:
+                if len(memo) >= 64:
+                    memo.clear()
+                datatype = memo[origin.dtype] = from_numpy(origin.dtype)
         if count is None:
-            if datatype.size == 0:
-                count = 0
-            else:
-                count = origin.nbytes // datatype.size
+            size = datatype.size
+            count = origin.nbytes // size if size else 0
         if count < 0:
             raise WindowError(f"negative count: {count}")
         return datatype, count

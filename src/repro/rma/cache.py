@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.mpi.datatypes import Datatype
-from repro.obs import CACHE_ACCESS_BATCH
+from repro.obs import CACHE_ACCESS, CACHE_ACCESS_BATCH
 from repro.rma.descriptor import OpDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,6 +53,9 @@ class CacheGetRequest:
     count: int
     dtype: Datatype
     size: int                #: transfer size in bytes
+    #: index key ``(target, disp)``: built once, shared by the lookup, the
+    #: candidate-slot memo and the entry a miss creates
+    key: tuple[int, int]
     quiet: bool = False      #: batch element: suppress the per-op event
     #: deferred failure: raised after accounting/telemetry ran, so both
     #: stay ordered even for refused gets
@@ -66,13 +69,12 @@ def serve_cached_get(cw: "CachedWindow", req: CacheGetRequest) -> int:
     """Serve one ``get_c``; returns payload bytes (order: module docstring)."""
     cw._seq += 1
     cw._size_sum += req.size
-    proc = cw._win._comm.proc
     nbytes = None
     degraded = False
     # A world without a crash plan never pays for the failure detector.
-    if proc.can_fail:
+    if cw._can_fail:
         cw._observe_failures()
-        if req.target in proc.failed_ranks:
+        if req.target in cw._proc.failed_ranks:
             nbytes = cw._serve_failed_target(req)
     if nbytes is None:
         if (
@@ -89,7 +91,8 @@ def serve_cached_get(cw: "CachedWindow", req: CacheGetRequest) -> int:
                 nbytes = cw._serve_miss(req)
 
     if not req.quiet:
-        cw._emit_access(req.target, req.disp, req.size)
+        if cw.obs.wants(CACHE_ACCESS):
+            cw._emit_access(req.target, req.disp, req.size)
     elif req.access_sink is not None:
         assert cw.stats.last_access is not None
         req.access_sink.append(
@@ -101,12 +104,13 @@ def serve_cached_get(cw: "CachedWindow", req: CacheGetRequest) -> int:
                 "base": req.disp * cw._win._group.disp_units[req.target],
             }
         )
-    cw._sync_fault_counters()
+    if cw._has_injector:
+        cw._sync_fault_counters()
     if degraded:
         cw._probe_countdown -= 1
         if cw._probe_countdown <= 0:
             cw._leave_quarantine()
-    else:
+    elif cw._controller is not None:
         cw._maybe_adapt()
     if req.failure is not None:
         raise req.failure
@@ -126,16 +130,18 @@ def describe_cached_get(
     net_sink: list[OpDescriptor] | None = None,
 ) -> CacheGetRequest:
     dtype, count = cw._win._resolve_dtype(origin, count, datatype)
-    return CacheGetRequest(
-        origin=origin,
-        target=target_rank,
-        disp=target_disp,
-        count=count,
-        dtype=dtype,
-        size=dtype.transfer_size(count),
-        quiet=quiet,
-        access_sink=access_sink,
-        net_sink=net_sink,
+    return CacheGetRequest(  # once per get: positional, in field order
+        origin,
+        target_rank,
+        target_disp,
+        count,
+        dtype,
+        dtype.transfer_size(count),
+        (target_rank, target_disp),
+        quiet,
+        None,
+        access_sink,
+        net_sink,
     )
 
 

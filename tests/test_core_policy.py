@@ -13,7 +13,10 @@ import pytest
 
 from repro import clampi, obs
 from repro.core import policy as pol
+from repro.core.cuckoo import CuckooIndex
 from repro.core.entry import CacheEntry
+from repro.core.eviction import EvictionEngine
+from repro.core.storage import Storage
 from repro.mpi.datatypes import BYTE
 from repro.mpi import SimMPI
 from repro.util import KiB
@@ -438,3 +441,116 @@ def test_default_policy_virtual_time_unchanged_by_subsystem():
     t_default, snap_default = run_once()
     assert t_name == t_default
     assert snap_name == snap_default
+
+
+# ---------------------------------------------------------------------------
+# hook resolution: what a policy does not override is not called
+# ---------------------------------------------------------------------------
+def _hook_log(policy_cls):
+    """Run gets on a window using ``policy_cls`` (registered ad hoc);
+    returns what the policy's hooks logged, and the stats snapshot."""
+    name = f"test-hooks-{policy_cls.__name__.lower()}"
+    pol.register(name, policy_cls, replace=True)
+
+    def program(m):
+        win = clampi.window_allocate(
+            m.comm_world,
+            4 * KiB,
+            mode=clampi.Mode.ALWAYS_CACHE,
+            config=clampi.Config(index_entries=64, storage_bytes=1 * KiB, policy=name),
+        )
+        m.comm_world.barrier()
+        if m.rank != 0:
+            return None
+        buf = np.empty(100, np.uint8)
+        win.lock_all()
+        win.get_blocking(buf, 1, 0)     # miss, inserted
+        win.get_blocking(buf, 1, 0)     # full hit
+        win.get_blocking(buf, 1, 512)   # second miss
+        win.unlock_all()
+        evictor = win._evictor
+        return (
+            evictor.policy.log,
+            (evictor.wants_hit, evictor.wants_miss, evictor.wants_insert,
+             evictor.wants_admit),
+            win.stats.snapshot(),
+        )  # fmt: skip
+
+    return SimMPI(nprocs=2).run(program)[0]
+
+
+class TestHookResolution:
+    def test_builtin_default_overrides_nothing(self):
+        def wants(policy):
+            ev = EvictionEngine(CuckooIndex(16), Storage(1024), policy, 4)
+            return ev.wants_hit, ev.wants_miss, ev.wants_insert, ev.wants_admit
+
+        assert wants("clampi-full") == (False, False, False, False)
+        assert wants("slru") == (True, False, False, False)
+        assert wants("gdsf") == (True, True, True, False)
+        assert wants("tinylfu") == (True, True, False, True)
+
+    def test_only_on_insert_still_gets_a_filled_context(self):
+        class OnlyInsert(pol.LRUPolicy):
+            def bind(self, capacity, seed):
+                super().bind(capacity, seed)
+                self.log = []
+
+            def on_insert(self, entry, ctx):
+                self.log.append(
+                    ("insert", entry.dsp, ctx.seq_index, ctx.avg_get_size,
+                     ctx.adjacent_free)
+                )  # fmt: skip
+
+        log, wants, snap = _hook_log(OnlyInsert)
+        assert wants == (False, False, True, False)
+        # 100 B take two 64 B lines of the 1 KiB store: the free remainder
+        # is adjacent to the first entry, and what is left of it to the second
+        assert log == [("insert", 0, 1, 100.0, 896), ("insert", 512, 3, 100.0, 768)]
+        assert (snap["direct"], snap["hit_full"]) == (2, 1)
+
+    def test_only_on_hit_still_gets_a_filled_context(self):
+        class OnlyHit(pol.LRUPolicy):
+            def bind(self, capacity, seed):
+                super().bind(capacity, seed)
+                self.log = []
+
+            def on_hit(self, entry, ctx):
+                self.log.append(("hit", entry.dsp, ctx.seq_index, ctx.adjacent_free))
+
+        log, wants, _snap = _hook_log(OnlyHit)
+        assert wants == (True, False, False, False)
+        assert log == [("hit", 0, 2, 896)]
+
+    def test_hook_assigned_on_the_instance_counts_as_overridden(self):
+        """Resolved from the bound attribute, not from the class."""
+        policy = pol.make_policy("clampi-full")
+        seen = []
+        policy.on_miss = lambda key, nbytes, ctx: seen.append((key, nbytes))
+        ev = EvictionEngine(CuckooIndex(16), Storage(1024), policy, 4)
+        assert (ev.wants_hit, ev.wants_miss) == (False, True)
+        ev.notify_miss((1, 0), 64, 1, 64.0)
+        assert seen == [((1, 0), 64)]
+
+    def test_on_free_can_be_replaced_at_any_time(self):
+        """``on_free`` is looked up per call: a spy installed on a live
+        window's policy sees every later departure."""
+
+        def program(m):
+            win = clampi.window_allocate(
+                m.comm_world, 4 * KiB, mode=clampi.Mode.ALWAYS_CACHE
+            )
+            m.comm_world.barrier()
+            if m.rank != 0:
+                return None
+            win.lock_all()
+            win.get_blocking(np.empty(64, np.uint8), 1, 0)
+            freed = []
+            win._evictor.policy.on_free = lambda e, reason: freed.append(
+                (e.dsp, reason)
+            )
+            win.invalidate()
+            win.unlock_all()
+            return freed
+
+        assert SimMPI(nprocs=2).run(program)[0] == [(0, "dropped")]

@@ -270,3 +270,96 @@ class TestDepartureOrder:
         assert evicts == [("conflict", 0)] * 4 + [("capacity", 16)] * 20
         pinned_dropped = {"invalidate": (0, 11), "serve-stale": (11, 0)}
         assert disposition == pinned_dropped[recovery_mode]
+
+
+class TestPerTargetMembership:
+    """Writes and crashes read a target's membership, not the index."""
+
+    def test_put_never_walks_the_index(self):
+        def program(m):
+            win = clampi.window_allocate(
+                m.comm_world, 4 * KiB, mode=clampi.Mode.ALWAYS_CACHE
+            )
+            m.comm_world.barrier()
+            if m.rank != 0:
+                return None
+            buf = np.empty(64, np.uint8)
+            win.lock_all()
+            for disp in (0, 256, 512):
+                win.get(buf, 1, disp)
+                win.get(buf, 2, disp)
+            win.flush_all()
+            scans = []
+            entries = win.index.entries
+            win.index.entries = lambda: scans.append(1) or entries()
+            win.put(np.zeros(100, np.uint8), 1, 200)  # overlaps (1, 256) only
+            win.flush_all()
+            scanned = len(scans)
+            live = sorted(e.key for e in win._live_entries())
+            win.unlock_all()
+            win.check_invariants()
+            return scanned, live
+
+        results, _ = run(3, program)
+        assert results[0] == (
+            0,
+            [(1, 0), (1, 512), (2, 0), (2, 256), (2, 512)],
+        )
+
+    def test_span_query_matches_a_scan_of_every_entry(self):
+        """Mixed sizes, strided datatypes (extent > size), a disp_unit of
+        4 and partial-hit extensions: bisecting the membership finds
+        exactly what filtering the whole enumeration finds, in its order."""
+        from repro.mpi.datatypes import FLOAT32, Vector
+
+        def program(m):
+            cfg = clampi.Config(index_entries=256, storage_bytes=64 * KiB)
+            win = clampi.window_allocate(
+                m.comm_world,
+                8 * KiB,
+                disp_unit=4,
+                mode=clampi.Mode.ALWAYS_CACHE,
+                config=cfg,
+            )
+            m.comm_world.barrier()
+            if m.rank != 0:
+                return None
+            rng = np.random.default_rng(7)
+            strided = Vector(3, 1, 4, FLOAT32)  # 12 B payload over 36 B
+            win.lock_all()
+            for i in range(150):
+                trg, disp = int(rng.integers(1, 3)), int(rng.integers(0, 1900))
+                if i % 5 == 0:
+                    win.get(np.empty(12, np.uint8), trg, disp, 1, strided)
+                else:
+                    win.get(np.empty(int(rng.integers(1, 200)), np.uint8), trg, disp)
+                if i % 7 == 0:
+                    win.flush_all()
+            win.flush_all()
+            win.check_invariants()
+            everything = win._live_entries()
+            assert len(everything) > 100
+            mismatches = 0
+            for _ in range(300):
+                trg = int(rng.integers(1, 3))
+                lo = int(rng.integers(0, 8 * KiB))
+                hi = lo + int(rng.integers(0, 300))
+                want = [
+                    e
+                    for e in everything
+                    if e.trg == trg
+                    and e.dsp * 4 < hi
+                    and e.dsp * 4 + e.dtype.extent * e.count > lo
+                ]
+                mismatches += win._live_entries(trg, (lo, hi)) != want
+            whole = [
+                win._live_entries(t) == [e for e in everything if e.trg == t]
+                for t in (1, 2, 3)
+            ]
+            win.unlock_all()
+            return mismatches, whole, win.stats.snapshot()["hit_partial"]
+
+        results, _ = run(3, program)
+        mismatches, whole, partial_hits = results[0]
+        assert mismatches == 0 and whole == [True, True, True]
+        assert partial_hits > 0, "the stream never extended an entry"
