@@ -20,6 +20,11 @@ Design
 * The next thread to run is always the READY process with the smallest
   ``(clock, rank)``, which makes runs deterministic and gives collectives
   max-time semantics identical to a real barrier.
+* A world runs on one CPU.  Only one rank thread is ever runnable, so
+  :meth:`SimWorld.run` confines the caller to the CPU it is on (its rank
+  threads inherit the mask) and restores the caller's mask afterwards: a
+  handoff is then a same-CPU wake-up instead of a cross-CPU one.  Nothing
+  changes where affinity is unsupported or already a single CPU.
 
 Failure semantics: an exception in any rank aborts the world; the original
 traceback is re-raised from :meth:`SimWorld.run` wrapped in
@@ -38,6 +43,8 @@ barriers require only the live ranks — the ULFM revoke/agree model (see
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
 import threading
 import time
@@ -45,6 +52,38 @@ from enum import Enum
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs import RANK_CRASHED, SCHED_SWITCH, CallbackSink, Event, get_bus, virtual_time
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread is running on (Linux), else ``None``."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as f:
+            stat = f.read()
+        # comm (field 2) may hold spaces or ')': count fields after the
+        # last ')', where field 3 is index 0 and field 39 (processor) is 36
+        return int(stat.rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _confine_to_one_cpu() -> set[int] | None:
+    """Narrow the calling thread to one CPU of its mask.
+
+    Picks the CPU the thread is on if the mask allows it, else the lowest
+    allowed one.  Returns the mask to restore, or ``None`` when nothing was
+    changed (no affinity support, a one-CPU mask, or an ``OSError``).
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        if len(mask) < 2:
+            return None
+        cpu = _current_cpu()
+        os.sched_setaffinity(0, {cpu if cpu in mask else min(mask)})
+    except OSError:
+        return None
+    return mask
 
 
 class DeadlockError(RuntimeError):
@@ -348,6 +387,8 @@ class SimWorld:
             # disabled bus) — it only sees what the active capture built
             recorder = CallbackSink(self._note_event, passive=True)
             self._obs.attach(recorder)
+        # threads inherit the mask of the thread that starts them
+        restore = _confine_to_one_cpu()
         try:
             with self._cond:
                 for t in threads:
@@ -391,6 +432,9 @@ class SimWorld:
             if self._deadlock is not None:
                 raise DeadlockError(self._deadlock)
         finally:
+            if restore is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, restore)
             if recorder is not None:
                 self._obs.detach(recorder)
         virtual_time.note_run(self.max_clock)

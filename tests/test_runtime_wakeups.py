@@ -153,3 +153,71 @@ class TestOneWakeupPerDispatch:
         assert results[0] is None
         for r in (1, 2):
             assert results[r] == (["p0", "p1", "p2"], [None, 1, 2])
+
+
+class TestSelfDispatchCostsNoWait:
+    """A rank the dispatcher picks again never sleeps (ROADMAP 4(2)).
+
+    ``_park_locked``'s ``wait_for`` checks its predicate before waiting,
+    so when a sync's last arriver is itself the next rank dispatched it
+    returns without calling ``Condition.wait``: that sync costs P-1 waits,
+    not P, with no separate elision path.
+    """
+
+    @staticmethod
+    def count_waits(world):
+        calls = [0]  # bumped with the world lock held (wait is called under it)
+
+        def counting(wait):
+            def counted(timeout=None):
+                calls[0] += 1
+                return wait(timeout)
+
+            return counted
+
+        for cond in world._rank_conds:
+            cond.wait = counting(cond.wait)
+
+        def read():
+            with world._lock:
+                return calls[0]
+
+        return read
+
+    def waits_per_sync(self, world, rounds):
+        read = self.count_waits(world)
+        marks = {}
+
+        def program(proc):
+            for _ in range(rounds):
+                proc.sync()
+                # the first rank to run after a commit marks the round
+                marks.setdefault(world._sync_gen, read())
+
+        world.run(program)
+        counts = [marks[g] for g in sorted(marks)]
+        return [b - a for a, b in zip(counts, counts[1:])]
+
+    def test_last_arriver_dispatched_next_does_not_wait(self):
+        # Replay a dispatch order in which each round starts with the
+        # previous round's last arriver: 0 1 2 | 2 0 1 | 1 2 0 | 0 1 2 ...
+        nprocs, rounds = 3, 6
+        order, trace = list(range(nprocs)), []
+        for _ in range(rounds + 1):
+            trace += order
+            order = order[-1:] + order[:-1]
+        world = SimWorld(nprocs, schedule="trace", trace=trace, join_timeout=10.0)
+        assert self.waits_per_sync(world, rounds) == [nprocs - 1] * (rounds - 1)
+
+    def test_deterministic_order_pays_one_wait_per_rank(self):
+        # Equal clocks after a commit: rank 0 goes first, the last arriver
+        # (rank P-1) is not re-picked and parks.
+        nprocs, rounds = 3, 6
+        world = SimWorld(nprocs, join_timeout=10.0)
+        assert self.waits_per_sync(world, rounds) == [nprocs] * (rounds - 1)
+
+    def test_single_rank_world_never_waits(self):
+        world = SimWorld(1)
+        read = self.count_waits(world)
+        world.run(lambda proc: [proc.sync() for _ in range(5)])
+        assert read() == 0
