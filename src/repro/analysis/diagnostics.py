@@ -110,7 +110,7 @@ RULES: dict[str, Rule] = dict(
         _rule(
             "ANL006", "pipeline-purity", "everywhere", SEV_ERROR,
             "Window/CachedWindow op methods must not inline pipeline concerns",
-            "move the concern into the repro.rma handler or serve_cached_get",
+            "move the concern into the repro.rma handler or CachedWindow._serve",
         ),
         _rule(
             "ANL007", "deterministic-policies", "everywhere", SEV_ERROR,

@@ -30,7 +30,8 @@ Rules
     must describe + issue through the :mod:`repro.rma` pipeline only: no
     inlined cost, fault, retry or telemetry logic (``self.cost``,
     ``self._faults``, ``self._emit`` and friends) in their bodies.  Each
-    cross-cutting concern lives once, in a :mod:`repro.rma` handler.
+    cross-cutting concern lives once: in a :mod:`repro.rma` handler, or —
+    for the cached get — in the adapter's ``CachedWindow._serve``.
 ``ANL007`` **deterministic-policies** — cache policy implementations
     (classes with a base ending in ``Policy``, i.e. anything pluggable
     into the :mod:`repro.core.policy` registry) must not read wall-clock

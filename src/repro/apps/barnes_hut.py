@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import recovery
-from repro.apps.cachespec import CacheSpec, cache_stats_of
+from repro.apps.cachespec import CacheSpec, PerRankStats, cache_stats_of
 from repro.graph.partition import BlockPartition
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import MPIProcess, SimMPI
@@ -155,7 +155,7 @@ def morton_order(pos: np.ndarray, bits: int = 10) -> np.ndarray:
 # Distributed force computation
 # ----------------------------------------------------------------------
 @dataclass
-class BHRunResult:
+class BHRunResult(PerRankStats):
     """Outcome of one distributed Barnes-Hut force phase."""
 
     nprocs: int
@@ -169,21 +169,6 @@ class BHRunResult:
     #: absolute virtual makespan incl. setup (window creation, barrier);
     #: chaos crash plans anchor their death times to this
     makespan: float = 0.0
-
-    def merged_stats(self) -> dict[str, float]:
-        if not self.cache_stats or not self.cache_stats[0]:
-            return {}
-        return {
-            k: sum(s.get(k, 0) for s in self.cache_stats)
-            for k, v in self.cache_stats[0].items()
-            # skip the schema tag and non-numeric values (e.g. the v3
-            # "policy" name) -- only counters can be summed across ranks
-            if k != "schema_version" and isinstance(v, (int, float))
-        }
-
-    def max_stat(self, key: str) -> float:
-        """Maximum of one counter over ranks (e.g. per-rank adjustments)."""
-        return max((s.get(key, 0) for s in self.cache_stats), default=0)
 
 
 class BarnesHutApp:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.apps.cachespec import CacheSpec, cache_stats_of
+from repro.apps.cachespec import CacheSpec, PerRankStats, cache_stats_of
 from repro.graph import CSRGraph, DistributedGraph, rmat_graph
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
@@ -34,7 +34,7 @@ LEVEL_OVERHEAD_TIME = 400e-9
 
 
 @dataclass
-class BFSRunResult:
+class BFSRunResult(PerRankStats):
     """Outcome of one multi-source BFS run."""
 
     nprocs: int
@@ -44,17 +44,6 @@ class BFSRunResult:
     distances: np.ndarray          #: (nsources, nvertices) hop counts, -1 unreached
     cache_stats: list[dict] = field(default_factory=list)
     traces: list[TraceRecorder] = field(default_factory=list)
-
-    def merged_stats(self) -> dict[str, float]:
-        if not self.cache_stats or not self.cache_stats[0]:
-            return {}
-        return {
-            k: sum(s.get(k, 0) for s in self.cache_stats)
-            for k, v in self.cache_stats[0].items()
-            # skip the schema tag and non-numeric values (e.g. the v3
-            # "policy" name) -- only counters can be summed across ranks
-            if k != "schema_version" and isinstance(v, (int, float))
-        }
 
 
 class BFSApp:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro import clampi
 from repro.baselines import BlockCachedWindow
+from repro.core.stats import merge_snapshots
 from repro.mpi.comm import Communicator
 from repro.mpi.window import Window
 from repro.trace import TraceRecorder, TracingWindow
@@ -138,6 +139,18 @@ class CacheSpec:
         if recorder is not None:
             win = TracingWindow(win, recorder)
         return win
+
+
+class PerRankStats:
+    """Stats of an app run result holding one ``cache_stats`` dict per rank."""
+
+    def merged_stats(self) -> dict[str, float]:
+        """Sum of per-rank cache counters ({} for an uncached run)."""
+        return merge_snapshots(self.cache_stats)
+
+    def max_stat(self, key: str) -> float:
+        """Maximum of one counter over ranks (e.g. per-rank adjustments)."""
+        return max((s.get(key, 0) for s in self.cache_stats), default=0)
 
 
 def cache_stats_of(window: Any) -> dict[str, float]:

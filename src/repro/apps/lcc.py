@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import recovery
-from repro.apps.cachespec import CacheSpec, cache_stats_of
+from repro.apps.cachespec import CacheSpec, PerRankStats, cache_stats_of
 from repro.graph import CSRGraph, DistributedGraph, rmat_graph
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import MPIProcess, SimMPI
@@ -46,7 +46,7 @@ VERTEX_OVERHEAD_TIME = 150e-9
 
 
 @dataclass
-class LCCRunResult:
+class LCCRunResult(PerRankStats):
     """Outcome of one distributed LCC run."""
 
     nprocs: int
@@ -60,22 +60,6 @@ class LCCRunResult:
     #: absolute virtual makespan incl. setup (window creation, barrier);
     #: chaos crash plans anchor their death times to this
     makespan: float = 0.0
-
-    def merged_stats(self) -> dict[str, float]:
-        """Sum of per-rank cache counters."""
-        if not self.cache_stats or not self.cache_stats[0]:
-            return {}
-        return {
-            k: sum(s.get(k, 0) for s in self.cache_stats)
-            for k, v in self.cache_stats[0].items()
-            # skip the schema tag and non-numeric values (e.g. the v3
-            # "policy" name) -- only counters can be summed across ranks
-            if k != "schema_version" and isinstance(v, (int, float))
-        }
-
-    def max_stat(self, key: str) -> float:
-        """Maximum of one counter over ranks (e.g. per-rank adjustments)."""
-        return max((s.get(key, 0) for s in self.cache_stats), default=0)
 
 
 class LCCApp:

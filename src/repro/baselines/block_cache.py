@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.costmodel import CostModel
-from repro.mpi.datatypes import Datatype
+from repro.mpi.datatypes import Datatype, origin_bytes
 from repro.mpi.window import Window, WindowProxy
-from repro.rma.descriptor import _origin_bytes
 
 
 @dataclass
@@ -103,7 +102,7 @@ class BlockCachedWindow(WindowProxy):
         self.stats.gets += 1
         if nbytes == 0:
             return 0
-        obuf = _origin_bytes(origin)
+        obuf = origin_bytes(origin)
         du = self._win._group.disp_units[target_rank]
         start = target_disp * du
         end = start + nbytes

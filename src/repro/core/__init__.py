@@ -13,17 +13,20 @@ Subpackage map (paper section in brackets):
   (Sec. III-C2, III-D1).
 * :mod:`repro.core.policy` — pluggable eviction/admission policies and
   the name registry (the paper's score engine is the default policy).
-* :mod:`repro.core.eviction` — victim selection mechanism (Sec. III-D).
 * :mod:`repro.core.adaptive` — runtime parameter tuning (Sec. III-E).
 * :mod:`repro.core.stats` — access-type accounting (Figs. 13/16/18).
 * :mod:`repro.core.costmodel` — virtual-time charges for cache management.
-* :mod:`repro.core.window` — :class:`CachedWindow`, the get_c processing
-  engine and the operational modes (Sec. III-A/B).
+* :mod:`repro.core.engine` — :class:`CacheEngine`, the cache ``C_w`` and
+  its get_c flow with victim selection (Sec. III-B/D); no MPI under it.
+* :mod:`repro.core.window` — :class:`CachedWindow`, the MPI adapter:
+  op methods, epoch closure, operational modes, crash and fault handling
+  (Sec. III-A).
 
 The user-facing facade lives in :mod:`repro.clampi`.
 """
 
 from repro.core.config import Config, Mode
+from repro.core.engine import CacheEngine
 from repro.core.policy import CachePolicy, PolicyContext
 from repro.core.stats import AccessType, CacheStats
 from repro.core.states import EntryState
@@ -31,6 +34,7 @@ from repro.core.window import CachedWindow
 
 __all__ = [
     "AccessType",
+    "CacheEngine",
     "CachePolicy",
     "CacheStats",
     "CachedWindow",

@@ -13,8 +13,10 @@ time:
 * ``invalidate`` — clearing the structures;
 * ``adjust``     — adaptive resize: structure re-allocation + invalidation.
 
-The sink is usually ``SimProcess.advance``; standalone (non-MPI) cache
-experiments pass no sink and just read :attr:`CostModel.total`.
+A :class:`~repro.core.engine.CacheEngine` owns one.  Behind a
+``CachedWindow`` the sink is ``SimProcess.advance``; a standalone engine
+(no world at all) passes any callable or none and reads
+:attr:`CostModel.total`.
 """
 
 from __future__ import annotations

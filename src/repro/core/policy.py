@@ -6,7 +6,7 @@ first-class policy subsystem: a :class:`CachePolicy` observes the cache's
 lifecycle (hits, misses, inserts, frees), scores eviction candidates and
 may veto admissions, while the *mechanism* — sampling, cuckoo-path victim
 selection, storage bookkeeping — stays in
-:class:`repro.core.eviction.EvictionEngine`.
+:class:`repro.core.engine.CacheEngine`.
 
 Protocol
 --------

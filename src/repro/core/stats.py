@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from typing import Iterable
 
 #: Version of the public ``CacheStats.snapshot()`` schema.  Bump whenever a
 #: counter is added, removed or renamed so downstream consumers (captures,
@@ -125,6 +126,24 @@ def snapshot_hits(snapshot: "dict[str, int | str]") -> int:
         + snapshot.get("hit_partial", 0)
         + snapshot.get("hit_pending", 0)
     )
+
+
+def merge_snapshots(
+    per_rank: "Iterable[dict[str, int | str]]",
+) -> dict[str, int | float]:
+    """Sum per-rank snapshots counter by counter (an app run's merged stats).
+
+    Keys keep their first-seen order and a key a rank lacks counts as zero
+    there; ``schema_version`` and non-numeric values (the ``policy`` name)
+    are skipped — only counters add up across ranks.  No snapshots, or only
+    the empty ones of an uncached run, merge to ``{}``.
+    """
+    merged: dict[str, int | float] = {}
+    for snapshot in per_rank:
+        for key, value in snapshot.items():
+            if key != "schema_version" and isinstance(value, (int, float)):
+                merged[key] = merged.get(key, 0) + value
+    return merged
 
 
 @dataclass

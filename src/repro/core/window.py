@@ -1,23 +1,30 @@
-"""Caching-enabled windows: the CLaMPI get_c processing engine (Sec. III).
+"""Caching-enabled windows: the MPI adapter of the CLaMPI cache engine.
 
 A :class:`CachedWindow` wraps a :class:`repro.mpi.Window` and intercepts
-``get``:
+``get``; the cache itself — index, storage, eviction, policy, stats, cost
+— is a :class:`~repro.core.engine.CacheEngine` (paper Sec. III), reachable
+as :attr:`CachedWindow.engine`.  The adapter keeps what needs a window:
+the op methods, the raw network get the engine is bound to, the
+epoch-close hook, crash disposition, quarantine, the fault-counter fold,
+the adaptive trigger and telemetry.
 
-1. the index ``I_w`` is queried (constant-time cuckoo lookup);
-2. a CACHED/PENDING entry that *covers* the request is a **full hit**
-   (CACHED → copy from ``S_w``; PENDING → the data was already requested in
-   this epoch, the destination is served and the copy charged at epoch
-   close);
-3. a covering entry that is too small is a **partial hit**: the remote get
-   is issued for the whole request and the entry is extended only if
-   ``S_w`` has space;
-4. otherwise the access is a miss: the remote get is issued (overlapping
-   the management work), the entry is inserted into ``I_w`` (a cuckoo
-   insertion failure triggers a **conflicting** eviction on the insertion
-   path) and storage is allocated (allocation failure triggers at most a
-   constant number of **capacity** evictions — weak caching); if space still
-   cannot be found the access is **failing** and simply behaves like an
-   uncached get.
+A get_c is :meth:`CachedWindow._serve`, in statement order::
+
+    sequence accounting (seq, size sum)
+    crash check          dead target: pinned serve or deferred failure
+    quarantine           enter on a storage-fault streak; degraded direct serve
+    engine.serve         consult, full/partial hit, or miss under the fetch
+    --
+    cache.access emission + fault-counter fold
+    probe countdown / re-enable (degraded)  *or*  adaptive-controller check
+    deferred failure raise
+
+The second half always runs, in that order: the telemetry contract is
+ordered (``cache.access`` precedes the probe's ``cache.degraded``
+re-enable event), so a step that must fail the get records the exception
+on ``req.failure`` and serves 0 bytes; it is raised last.
+:meth:`CachedWindow.get_batch` serves N requests through the same method
+with one accounting event and one batched event for the miss traffic.
 
 PENDING entries materialise into ``S_w`` when the epoch closes (flush,
 unlock, fence — Sec. II): the payload is copied out of the fetching get's
@@ -27,40 +34,24 @@ Operational modes (Sec. III-A): TRANSPARENT invalidates at every epoch
 closure (only intra-epoch reuse); ALWAYS_CACHE never invalidates;
 USER_DEFINED is ALWAYS_CACHE plus the explicit :meth:`invalidate`
 (CLAMPI_Invalidate).
-
-The get_c flow is orchestrated by
-:func:`repro.rma.cache.serve_cached_get` (sequence accounting → crash
-check → quarantine → consult → miss, then accounting events and
-adaptation); this class keeps the structural machinery (index, storage,
-evictor) it drives.  :meth:`CachedWindow.get_batch` serves N requests
-through the same function with one accounting event and one batched event
-for the miss traffic.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from itertools import chain
-from operator import attrgetter
 from typing import Any
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveController, Adjustment
-from repro.core.config import Config, Mode, resolve_config
-from repro.core.costmodel import CostModel
-from repro.core.cuckoo import CuckooIndex, InsertResult
-from repro.core.entry import CacheEntry
-from repro.core.eviction import EvictionEngine
-from repro.core.policy import make_policy
-from repro.core.states import EntryState
-from repro.core.stats import AccessType, CacheStats
-from repro.core.storage import Storage
+from repro.core.adaptive import AdaptiveController
+from repro.core.config import Config, resolve_config
+from repro.core.engine import CacheEngine, CacheGetRequest
+from repro.core.stats import AccessType
 from repro.mpi.datatypes import Datatype
-from repro.mpi.errors import StorageFault, TargetFailedError
+from repro.mpi.errors import TargetFailedError
 from repro.mpi.window import Window, WindowProxy
 from repro.obs import (
     CACHE_ACCESS,
+    CACHE_ACCESS_BATCH,
     CACHE_ADAPT,
     CACHE_ADMIT,
     CACHE_DEGRADED,
@@ -73,31 +64,12 @@ from repro.obs import (
     EventBus,
     get_bus,
 )
-from repro.rma.cache import (
-    CacheGetRequest,
-    describe_cached_get,
-    emit_cache_batch,
-    serve_cached_get,
-    serve_write,
-)
-from repro.rma.descriptor import _origin_bytes, describe_get
+from repro.rma.descriptor import describe_get
 from repro.rma.interceptors import emit_get_batch
 
-# Enum members as module constants: on CPython 3.11 ``EntryState.CACHED`` is
-# a Python-level descriptor call (~0.1 us), paid several times per get.
-_MISSING = EntryState.MISSING
-_PENDING = EntryState.PENDING
-_CACHED = EntryState.CACHED
-_HIT_FULL = AccessType.HIT_FULL
-_HIT_PARTIAL = AccessType.HIT_PARTIAL
-_HIT_PENDING = AccessType.HIT_PENDING
-_DIRECT = AccessType.DIRECT
-_CONFLICTING = AccessType.CONFLICTING
-_CAPACITY = AccessType.CAPACITY
 _FAILING = AccessType.FAILING
-_TRANSPARENT = Mode.TRANSPARENT
-_dsp = attrgetter("dsp")
-_slot = attrgetter("slot")
+#: the engine's event kinds, as published on the bus
+_ENGINE_EVENTS = {"admit": CACHE_ADMIT, "evict": CACHE_EVICT}
 
 
 class CachedWindow(WindowProxy):
@@ -115,40 +87,34 @@ class CachedWindow(WindowProxy):
         self._observed_failures: set[int] = set()
         #: resolved registry name of the eviction/admission policy
         self.policy_name = cfg.policy
-        self.stats = CacheStats(policy=self.policy_name)
+        comm = window.comm
+        perf, rank = comm.perf, comm.rank
         # Fixed for the window's lifetime, so read once and not per get
         # (without an injector the window's fault counters never move).
-        self._proc = window.comm.proc
+        self._proc = comm.proc
         self._can_fail = self._proc.can_fail
         self._has_injector = window._faults is not None
-        self.cost = CostModel(
-            memory=window.comm.perf.memory, sink=self._proc.advance
+        injector = getattr(comm, "faults", None)
+        self.engine = CacheEngine(
+            cfg,
+            self._raw_get,
+            memory=perf.memory,
+            sink=self._proc.advance,
+            on_event=self._emit_engine_event,
+            # cost-aware policies weigh victims by the virtual-time miss
+            # penalty of refetching them from their home rank
+            miss_cost=lambda e: perf.get_time(rank, e.trg, e.size),
+            fault_hook=injector.storage_hook if injector is not None else None,
+            disp_units=window._group.disp_units,
         )
-        self.index_entries = cfg.index_entries  #: current |I_w|
-        self.storage_bytes = cfg.storage_bytes  #: current |S_w|
-        self._build_structures()
-        self._seq = 0        #: i — position in the get sequence C_w.G
-        self._size_sum = 0   #: running sum of get sizes (for ags)
-        self._pending: list[CacheEntry] = []
-        #: live entries per target rank, sorted by (unique) displacement:
-        #: what a write or a crash looks at.  An entry joins in
-        #: ``_serve_miss`` once it holds slot and storage, leaves in
-        #: ``_release``.
-        self._by_target: dict[int, list[CacheEntry]] = {}
-        #: largest target-side extent any entry has had: how far below a
-        #: written range an overlapping entry can start
-        self._max_extent = 0
-        #: payload bytes promised to same-epoch hits on a PENDING entry,
-        #: charged when it closes (few entries ever have any: not a field)
-        self._waiter_bytes: dict[CacheEntry, list[int]] = {}
-        self._orphan_waiter_bytes: list[int] = []
+        # Never replaced, not even by an adaptive resize.
+        self.stats = self.engine.stats
+        self.cost = self.engine.cost
         self._controller = (
             AdaptiveController(cfg.adaptive_params) if cfg.adaptive else None
         )
         self._cooldown = 0  #: intervals left before the controller may act
         # -- graceful degradation (docs/resilience.md) -------------------
-        #: consecutive storage faults since the last successful allocation
-        self._fault_streak = 0
         self._quarantined = False
         self._probe_countdown = 0
         #: last observed (faults_injected, retries) of the wrapped window,
@@ -189,53 +155,42 @@ class CachedWindow(WindowProxy):
             )
         )
 
+    def _emit_engine_event(self, kind: str, **attrs: Any) -> None:
+        """The engine's event callback, gated on somebody listening."""
+        kind = _ENGINE_EVENTS[kind]
+        if self.obs.wants(kind):
+            self._emit(kind, **attrs)
+
     # ------------------------------------------------------------------
-    # plumbing / introspection
+    # introspection (the engine's, under the names readers use)
     # ------------------------------------------------------------------
     @property
-    def index(self) -> CuckooIndex:
-        return self._index
+    def index(self):
+        return self.engine.index
 
     @property
-    def storage(self) -> Storage:
-        return self._storage
+    def storage(self):
+        return self.engine.storage
+
+    @property
+    def index_entries(self) -> int:
+        """Current |I_w|."""
+        return self.engine.index_entries
+
+    @property
+    def storage_bytes(self) -> int:
+        """Current |S_w|."""
+        return self.engine.storage_bytes
 
     @property
     def avg_get_size(self) -> float:
         """``C_w.ags(i)`` — average size of the gets processed so far."""
-        return self._size_sum / self._seq if self._seq else 0.0
+        return self.engine.avg_get_size
 
     @property
     def seq_index(self) -> int:
         """Number of gets processed (the current index ``i`` in ``C_w.G``)."""
-        return self._seq
-
-    def _build_structures(self) -> None:
-        cfg = self.config
-        self._index = CuckooIndex(
-            self.index_entries,
-            num_hashes=cfg.num_hashes,
-            max_iterations=cfg.max_insert_iterations,
-            seed=cfg.seed,
-        )
-        injector = getattr(self._win.comm, "faults", None)
-        self._storage = Storage(
-            self.storage_bytes,
-            fit=cfg.allocator_fit,
-            fault_hook=injector.storage_hook if injector is not None else None,
-        )
-        perf = self._win.comm.perf
-        rank = self._win.comm.rank
-        self._evictor = EvictionEngine(
-            self._index,
-            self._storage,
-            make_policy(self.policy_name, seed=cfg.seed + 1),
-            cfg.sample_size,
-            seed=cfg.seed + 1,
-            # cost-aware policies weigh victims by the virtual-time miss
-            # penalty of refetching them from their home rank
-            miss_cost=lambda e: perf.get_time(rank, e.trg, e.size),
-        )
+        return self.engine.seq
 
     # ------------------------------------------------------------------
     # writes (epochs, syncs and introspection come from WindowProxy)
@@ -255,9 +210,10 @@ class CachedWindow(WindowProxy):
         written target range are dropped so a later epoch cannot serve
         stale bytes.
         """
-        return serve_write(
-            self, "put", origin, target_rank, target_disp, count, datatype
-        )
+        dtype, count = self._win._resolve_dtype(origin, count, datatype)
+        nbytes = self._win.put(origin, target_rank, target_disp, count, dtype)
+        self._drop_written(target_rank, target_disp, dtype.extent * count)
+        return nbytes
 
     def accumulate(
         self,
@@ -269,24 +225,16 @@ class CachedWindow(WindowProxy):
         datatype: Datatype | None = None,
     ) -> int:
         """Accumulates are writes: pass through and drop overlapping entries."""
-        return serve_write(
-            self,
-            "accumulate",
-            origin,
-            target_rank,
-            target_disp,
-            count,
-            datatype,
-            acc_op=op,
+        dtype, count = self._win._resolve_dtype(origin, count, datatype)
+        nbytes = self._win.accumulate(
+            origin, target_rank, target_disp, op, count, dtype
         )
+        self._drop_written(target_rank, target_disp, dtype.extent * count)
+        return nbytes
 
-    def _invalidate_overlapping(self, trg: int, lo: int, hi: int) -> None:
-        """Drop cached/pending entries of ``trg`` overlapping [lo, hi)."""
-        victims = self._live_entries(trg, (lo, hi))
-        for e in victims:
-            self._drop_entry(e)
-        if victims:
-            self.cost.descriptor_updates(len(victims))
+    def _drop_written(self, target: int, disp: int, extent: int) -> None:
+        lo = disp * self._win._group.disp_units[target]
+        self.engine.invalidate_span(target, lo, lo + extent)
 
     # ------------------------------------------------------------------
     # the cached get (get_c)
@@ -313,10 +261,18 @@ class CachedWindow(WindowProxy):
         """
         if bypass_cache:
             return self._win.get(origin, target_rank, target_disp, count, datatype)
-        req = describe_cached_get(
-            self, origin, target_rank, target_disp, count, datatype
+        dtype, count = self._win._resolve_dtype(origin, count, datatype)
+        return self._serve(
+            CacheGetRequest(  # once per get: positional, in field order
+                origin,
+                target_rank,
+                target_disp,
+                count,
+                dtype,
+                dtype.transfer_size(count),
+                (target_rank, target_disp),
+            )
         )
-        return serve_cached_get(self, req)
 
     def get_batch(self, requests) -> list[int]:
         """Serve a batch of cached gets with one accounting pass.
@@ -333,45 +289,82 @@ class CachedWindow(WindowProxy):
         """
         access_sink: list[dict] = []
         net_sink: list = []
-        results = [
-            serve_cached_get(
-                self,
-                describe_cached_get(
-                    self,
-                    req[0],
-                    req[1],
-                    req[2],
-                    req[3] if len(req) > 3 else None,
-                    req[4] if len(req) > 4 else None,
-                    quiet=True,
-                    access_sink=access_sink,
-                    net_sink=net_sink,
-                ),
+        results = []
+        for req in requests:
+            origin, target, disp = req[0], req[1], req[2]
+            dtype, count = self._win._resolve_dtype(
+                origin,
+                req[3] if len(req) > 3 else None,
+                req[4] if len(req) > 4 else None,
             )
-            for req in requests
-        ]
+            results.append(
+                self._serve(
+                    CacheGetRequest(
+                        origin,
+                        target,
+                        disp,
+                        count,
+                        dtype,
+                        dtype.transfer_size(count),
+                        (target, disp),
+                        True,
+                        None,
+                        access_sink,
+                        net_sink,
+                    )
+                )
+            )
         emit_get_batch(self._win, net_sink)
-        emit_cache_batch(self, access_sink)
+        self._emit_access_batch(access_sink)
         return results
 
-    def _consult(self, req: CacheGetRequest) -> int | None:
-        """Cost-charged index consult; serves full and partial hits."""
-        self.cost.lookup()
-        entry, _probes = self._index.lookup(req.key)
-        if entry is None or not isinstance(entry, CacheEntry):
-            return None
-        if entry.state is not _CACHED and entry.state is not _PENDING:
-            return None
-        if entry.covers(req.dtype, req.count, req.size):
-            return self._serve_full_hit(entry, req.origin, req.size)
-        return self._serve_partial_hit(entry, req)
+    def _serve(self, req: CacheGetRequest) -> int:
+        """Serve one ``get_c``; returns payload bytes (order: module docstring)."""
+        engine = self.engine
+        engine.seq += 1
+        engine.size_sum += req.size
+        nbytes = None
+        degraded = False
+        # A world without a crash plan never pays for the failure detector.
+        if self._can_fail:
+            self._observe_failures()
+            if req.target in self._proc.failed_ranks:
+                nbytes = self._serve_failed_target(req)
+        if nbytes is None:
+            if (
+                not self._quarantined
+                and engine.fault_streak >= self.config.quarantine_threshold
+            ):
+                self._enter_quarantine()
+            if self._quarantined:
+                degraded = True
+                nbytes = self._serve_degraded(req)
+            else:
+                nbytes = engine.serve(req)
+
+        if not req.quiet:
+            if self.obs.wants(CACHE_ACCESS):
+                self._emit(CACHE_ACCESS, **self._access_record(req))
+        elif req.access_sink is not None:
+            req.access_sink.append(self._access_record(req))
+        if self._has_injector:
+            self._sync_fault_counters()
+        if degraded:
+            self._probe_countdown -= 1
+            if self._probe_countdown <= 0:
+                self._leave_quarantine()
+        elif self._controller is not None:
+            self._maybe_adapt()
+        if req.failure is not None:
+            raise req.failure
+        return nbytes
 
     def _raw_get(self, req: CacheGetRequest) -> int:
         """Issue ``req``'s bytes on the wrapped (uncached) window.
 
-        Scalar requests use the plain op method; batch elements issue a
-        quiet descriptor through the window and record it for
-        the batch-level ``rma.get_batch`` event.
+        The engine's ``fetch``.  Scalar requests use the plain op method;
+        batch elements issue a quiet descriptor through the window and
+        record it for the batch-level ``rma.get_batch`` event.
         """
         if req.net_sink is None:
             return self._win.get(
@@ -385,277 +378,27 @@ class CachedWindow(WindowProxy):
         req.net_sink.append(desc)
         return desc.result
 
-    def _emit_access(self, target_rank: int, target_disp: int, size: int) -> None:
-        """One ``cache.access`` event per classified get_c (the caller
-        has checked that somebody wants it)."""
+    def _access_record(self, req: CacheGetRequest) -> dict[str, Any]:
+        """Attributes of the ``cache.access`` event of the get just classified."""
         assert self.stats.last_access is not None
+        return {
+            "access": self.stats.last_access.value,
+            "target": req.target,
+            "disp": req.disp,
+            "nbytes": req.size,
+            "base": req.disp * self._win._group.disp_units[req.target],
+        }
+
+    def _emit_access_batch(self, records: list[dict[str, Any]]) -> None:
+        """One ``cache.access_batch`` accounting event for a ``get_batch``."""
+        if not records or not self.obs.wants(CACHE_ACCESS_BATCH):
+            return
         self._emit(
-            CACHE_ACCESS,
-            access=self.stats.last_access.value,
-            target=target_rank,
-            disp=target_disp,
-            nbytes=size,
-            base=target_disp * self._win._group.disp_units[target_rank],
+            CACHE_ACCESS_BATCH,
+            count=len(records),
+            nbytes=sum(r["nbytes"] for r in records),
+            ops=records,
         )
-
-    # ------------------------------------------------------------------
-    def _serve_full_hit(
-        self, entry: CacheEntry, origin: np.ndarray, size: int
-    ) -> int:
-        entry.last = self._seq
-        if self._evictor.wants_hit:
-            self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
-        obuf = _origin_bytes(origin)
-        if entry.state is _CACHED:
-            obuf[:size] = self._storage.read(entry.desc, size)
-            self.cost.copy(size)
-            self.stats.record_access(_HIT_FULL)
-        else:  # PENDING: same data already in flight from an earlier get
-            assert entry.pending_source is not None
-            obuf[:size] = entry.pending_source[:size]
-            self._waiter_bytes.setdefault(entry, []).append(size)
-            self.stats.record_access(_HIT_PENDING)
-        self.stats.record_cache_bytes(size)
-        return size
-
-    def _serve_partial_hit(self, entry: CacheEntry, req: CacheGetRequest) -> int:
-        """Partial hit: refetch everything; extend the entry if space allows."""
-        origin, dtype, count, size = req.origin, req.dtype, req.count, req.size
-        entry.last = self._seq
-        if self._evictor.wants_hit:
-            self._evictor.notify_hit(entry, self._seq, self.avg_get_size)
-        self.stats.record_access(_HIT_PARTIAL)
-        nbytes = self._raw_get(req)
-        self.stats.record_network_bytes(nbytes)
-        # Extension: allocate the larger region *first* so a failure leaves
-        # the existing (smaller but valid) entry untouched.
-        new_desc = self._allocate_tracked(size)
-        if new_desc is None:
-            return nbytes
-        was_pending = entry.state is _PENDING
-        if entry.desc is not None:
-            self._release_tracked(entry)
-        entry.desc = new_desc
-        new_desc.entry = entry
-        entry.relayout(dtype, count)
-        self._max_extent = max(self._max_extent, dtype.extent * count)
-        entry.pending_source = _origin_bytes(origin)[:size]
-        if not was_pending:
-            entry.transition(_PENDING)
-            self._pending.append(entry)
-        self.cost.descriptor_updates(2)
-        return nbytes
-
-    def _serve_miss(self, req: CacheGetRequest) -> int:
-        origin, dtype, count, size = req.origin, req.dtype, req.count, req.size
-        # Issue the remote get immediately: its flight time overlaps all the
-        # cache-management work below (Sec. III-B2).
-        nbytes = self._raw_get(req)
-        self.stats.record_network_bytes(nbytes)
-
-        entry = CacheEntry(req.target, req.disp, dtype, count, req.key)
-        entry.last = self._seq
-        evictor = self._evictor
-        if evictor.wants_miss:
-            evictor.notify_miss(req.key, size, self._seq, self.avg_get_size)
-
-        # Oversized requests can never be stored: fail fast, no eviction
-        # storm for a sporadically accessed big segment (Sec. III-D2).
-        if size > self._storage.capacity:
-            self.stats.record_access(_FAILING)
-            return nbytes
-
-        # Admission gate: a policy may refuse to cache this miss before
-        # any index/storage work is spent on it (e.g. TinyLFU rejecting
-        # one-hit wonders).  A rejected miss behaves like a failing
-        # access: the data was already fetched, nothing is cached.
-        if evictor.wants_admit and not evictor.admit(
-            entry, self._seq, self.avg_get_size
-        ):
-            self.stats.record_access(_FAILING)
-            self.stats.record_admission_reject()
-            if self.obs.wants(CACHE_ADMIT):
-                self._emit(
-                    CACHE_ADMIT,
-                    admitted=False,
-                    policy=self.policy_name,
-                    target=req.target,
-                    disp=req.disp,
-                    nbytes=size,
-                )
-            return nbytes
-
-        res = self._index.insert(entry)
-        self.cost.probes(res.probes)
-        conflicted = not res.success
-        if conflicted and not self._resolve_conflict(res, entry):
-            self.stats.record_access(_FAILING)
-            return nbytes
-
-        desc, evicted = self._allocate_with_eviction(size)
-        if desc is None:
-            self._index.remove(entry)
-            self.stats.record_access(_FAILING)
-            return nbytes
-
-        entry.desc = desc
-        desc.entry = entry
-        entry.transition(_PENDING)
-        entry.pending_source = _origin_bytes(origin)[:size]
-        self._pending.append(entry)
-        # The entry is live from here (slot, storage, PENDING) until _release.
-        insort(self._by_target.setdefault(req.target, []), entry, key=_dsp)
-        self._max_extent = max(self._max_extent, dtype.extent * count)
-        self.cost.descriptor_updates(1)
-        if evictor.wants_insert:
-            evictor.notify_insert(entry, self._seq, self.avg_get_size)
-
-        if conflicted:
-            self.stats.record_access(_CONFLICTING)
-        elif evicted:
-            self.stats.record_access(_CAPACITY)
-        else:
-            self.stats.record_access(_DIRECT)
-        return nbytes
-
-    # ------------------------------------------------------------------
-    # eviction machinery
-    # ------------------------------------------------------------------
-    def _allocate_tracked(self, size: int):
-        s0 = self._storage.steps
-        try:
-            desc = self._storage.allocate(size)
-        except StorageFault:
-            # Injected memory pressure: behaves like a failed allocation,
-            # but a streak of them quarantines the cache (see get()).
-            self.cost.avl_steps(self._storage.steps - s0)
-            self._note_storage_fault()
-            return None
-        self.cost.avl_steps(self._storage.steps - s0)
-        if desc is not None:
-            self._fault_streak = 0
-        return desc
-
-    def _release_tracked(self, entry: CacheEntry) -> None:
-        assert entry.desc is not None
-        s0 = self._storage.steps
-        self._storage.release(entry.desc)
-        self.cost.avl_steps(self._storage.steps - s0)
-        self.cost.descriptor_updates(1)
-        entry.desc = None
-
-    def _allocate_with_eviction(self, size: int):
-        """Best-fit allocate; on failure run the bounded capacity eviction."""
-        desc = self._allocate_tracked(size)
-        if desc is not None:
-            return desc, False
-        evicted_any = False
-        for _ in range(self.config.max_capacity_evictions):
-            sample = self._evictor.sample_capacity_victim(
-                self._seq, self.avg_get_size
-            )
-            self.cost.eviction_visits(sample.visited)
-            if sample.victim is None:
-                break
-            self.stats.record_eviction(
-                sample.visited, sample.nonempty, conflict=False
-            )
-            if self.obs.wants(CACHE_EVICT):
-                self._emit(
-                    CACHE_EVICT,
-                    reason="capacity",
-                    visited=sample.visited,
-                    policy=self.policy_name,
-                    score=sample.score,
-                )
-            self._evict(sample.victim)
-            evicted_any = True
-            desc = self._allocate_tracked(size)
-            if desc is not None:
-                return desc, True
-        return None, evicted_any
-
-    def _evict(self, entry: CacheEntry) -> None:
-        """Evict a CACHED entry that is stored in the index."""
-        assert entry.state is _CACHED
-        self._release(entry, "evicted")
-
-    def _drop_entry(self, entry: CacheEntry) -> None:
-        """Remove an entry wherever it is (index, storage, pending list)."""
-        if entry.state is _PENDING:
-            self._orphan_waiter_bytes.extend(self._waiter_bytes.pop(entry, ()))
-            entry.pending_source = None
-            try:
-                self._pending.remove(entry)
-            except ValueError:
-                pass  # was not on the list
-        self._release(entry, "dropped")
-
-    def _release(self, entry: CacheEntry, reason: str) -> None:
-        """The one way out of the cache: give back slot and storage.
-
-        Every departure — eviction, drop, TRANSPARENT epoch close — ends
-        here, so index, storage, state and policy cannot disagree about
-        whether an entry is still held.  PENDING bookkeeping (waiters,
-        source, the pending list) is the caller's: only it knows whether
-        the waiters were already charged.
-        """
-        if entry.slot >= 0:
-            self._index.remove(entry)
-        if entry.desc is not None:
-            self._release_tracked(entry)
-        if entry.state is not _MISSING:
-            entry.transition(_MISSING)
-        members = self._by_target.get(entry.trg)
-        if members:  # a miss that failed before going live is not a member
-            i = bisect_left(members, entry.dsp, key=_dsp)
-            if i < len(members) and members[i] is entry:
-                del members[i]
-        self._evictor.notify_free(entry, reason)
-
-    def _resolve_conflict(self, res: InsertResult, entry: CacheEntry) -> bool:
-        """Handle a cuckoo insertion failure (conflicting access).
-
-        Evicts the lowest-score CACHED entry on the insertion path and
-        re-inserts the homeless tail, retrying a bounded number of times.
-        Returns True when ``entry`` ends up stored in the index.
-        """
-        for _ in range(4):
-            homeless = res.homeless
-            assert isinstance(homeless, CacheEntry)
-            victim = self._evictor.select_conflict_victim(
-                [e for e in res.path if isinstance(e, CacheEntry)],
-                self._seq,
-                self.avg_get_size,
-                exclude=entry,
-            )
-            if victim is None:
-                # Nothing evictable on the path: drop the homeless tail.
-                self._drop_entry(homeless)
-                return homeless is not entry
-            self.stats.record_eviction(0, 0, conflict=True)
-            if self.obs.wants(CACHE_EVICT):
-                self._emit(
-                    CACHE_EVICT,
-                    reason="conflict",
-                    visited=0,
-                    policy=self.policy_name,
-                    score=self._evictor.score(
-                        victim, self._seq, self.avg_get_size
-                    ),
-                )
-            if victim is homeless:
-                # Already out of the table; just release its resources.
-                self._drop_entry(victim)
-                return True
-            self._evict(victim)
-            res2 = self._index.insert(homeless)
-            self.cost.probes(res2.probes)
-            if res2.success:
-                return True
-            res = res2
-        self._drop_entry(res.homeless)  # give up on the last homeless tail
-        return res.homeless is not entry
 
     # ------------------------------------------------------------------
     # graceful degradation (fault quarantine)
@@ -665,15 +408,11 @@ class CachedWindow(WindowProxy):
         """True while the cache is quarantined and serving gets direct."""
         return self._quarantined
 
-    def _note_storage_fault(self) -> None:
-        self._fault_streak += 1
-        self.stats.record_storage_fault()
-
     def _enter_quarantine(self) -> None:
         """Self-disable: drop all content, serve direct until the probe."""
-        live = self._purge()
+        live = self.engine.purge()
         self._quarantined = True
-        self._fault_streak = 0
+        self.engine.fault_streak = 0
         self._probe_countdown = self.config.quarantine_probe_interval
         self.stats.record_quarantine()
         if self.obs.wants(CACHE_DEGRADED):
@@ -687,7 +426,7 @@ class CachedWindow(WindowProxy):
     def _leave_quarantine(self) -> None:
         """Probe: re-enable caching; a new fault streak re-quarantines."""
         self._quarantined = False
-        self._fault_streak = 0
+        self.engine.fault_streak = 0
         self._probe_countdown = 0
         if self.obs.wants(CACHE_DEGRADED):
             self._emit(CACHE_DEGRADED, state="re-enabled")
@@ -695,8 +434,8 @@ class CachedWindow(WindowProxy):
     def _serve_degraded(self, req: CacheGetRequest) -> int:
         """Quarantined get: straight to the network, classified FAILING.
 
-        ``serve_cached_get`` emits the accounting event and then runs the
-        probe countdown, in that (telemetry contract) order.
+        ``_serve`` emits the accounting event and then runs the probe
+        countdown, in that (telemetry contract) order.
         """
         nbytes = self._raw_get(req)
         self.stats.record_access(_FAILING)
@@ -741,12 +480,12 @@ class CachedWindow(WindowProxy):
         for rank in sorted(new):
             self._observed_failures.add(rank)
             pinned = dropped = 0
-            for e in self._live_entries(rank):
+            for e in self.engine.live_entries(rank):
                 if e.slot >= 0 and self.recovery_mode == "serve-stale":
                     e.pinned = True
                     pinned += 1
                 else:
-                    self._drop_entry(e)
+                    self.engine.drop(e)
                     dropped += 1
             self.stats.record_rank_failure(pinned=pinned, dropped=dropped)
             if self.obs.wants(CACHE_RECOVERED):
@@ -759,7 +498,7 @@ class CachedWindow(WindowProxy):
                 )
 
     def _serve_failed_target(self, req: CacheGetRequest) -> int:
-        """A get towards a crashed rank (``serve_cached_get``'s crash check).
+        """A get towards a crashed rank (``_serve``'s crash check).
 
         ``serve-stale`` serves exact full hits from the rank's pinned
         entries; anything else — and every get in ``invalidate`` mode —
@@ -767,14 +506,8 @@ class CachedWindow(WindowProxy):
         :class:`TargetFailedError` (raised after the accounting events).
         """
         if self.recovery_mode == "serve-stale":
-            self.cost.lookup()
-            entry, _probes = self._index.lookup(req.key)
-            if (
-                isinstance(entry, CacheEntry)
-                and entry.state in (_CACHED, _PENDING)
-                and entry.covers(req.dtype, req.count, req.size)
-            ):
-                nbytes = self._serve_full_hit(entry, req.origin, req.size)
+            nbytes = self.engine.serve_hit(req)
+            if nbytes is not None:
                 self.stats.record_recovered_get()
                 return nbytes
         self.stats.record_access(_FAILING)
@@ -801,34 +534,9 @@ class CachedWindow(WindowProxy):
             # first, so serve-stale pins land before TRANSPARENT-mode
             # invalidation.
             self._observe_failures()
-
-        still_pending: list[CacheEntry] = []
-        for e in self._pending:
-            if targets is not None and e.trg not in targets:
-                still_pending.append(e)
-                continue
-            for n in self._waiter_bytes.pop(e, ()):
-                self.cost.copy(n)
-            if self.mode is _TRANSPARENT and not e.pinned:
-                # The entry dies at closure anyway: skip the materialisation
-                # copy, release its resources.  This is the whole of
-                # TRANSPARENT invalidation: in that mode only pinned
-                # entries (serve-stale crash survivors — the only remaining
-                # copy of a dead rank's data, which can never be refreshed
-                # or go stale) are ever materialised, so every other live
-                # entry is PENDING and dies right here.
-                e.pending_source = None
-                self._release(e, "dropped")
-            else:
-                assert e.pending_source is not None and e.desc is not None
-                self._storage.write(e.desc, e.pending_source[: e.size])
-                self.cost.copy(e.size)
-                e.pending_source = None
-                e.transition(_CACHED)
-        self._pending = still_pending
-
-        if self._orphan_waiter_bytes:
-            self._charge_orphan_waiters()
+        engine = self.engine
+        if engine.pending or engine.orphan_waiter_bytes:
+            engine.close_epoch(targets)
         if self._has_injector:
             self._sync_fault_counters()
         if self.obs.wants(CACHE_EPOCH):
@@ -839,73 +547,13 @@ class CachedWindow(WindowProxy):
                 CACHE_EPOCH, eph=self._win.eph, gets=t.gets, hits=t.hits
             )
 
-    def _live_entries(
-        self, target: int | None = None, span: tuple[int, int] | None = None
-    ) -> list[CacheEntry]:
-        """The one enumeration of live entries, in the order they die.
-
-        Indexed entries in slot order, then the PENDING orphans outside
-        the index (homeless tails of an unresolved cuckoo conflict) in
-        arrival order — optionally only those of ``target`` and, for a
-        write, only those whose target bytes overlap ``span = (lo, hi)``.
-        Returns a snapshot, so callers may drop entries while walking it.
-
-        Only without ``target`` does this walk the index; a ``span``
-        bisects the target's membership, so a write costs
-        O(log n + entries near the written range).
-        """
-        if target is None:
-            orphans = [e for e in self._pending if e.slot < 0]
-            return [
-                e
-                for e in chain(self._index.entries(), orphans)
-                if isinstance(e, CacheEntry)
-            ]
-        live = self._by_target.get(target, [])
-        if span is not None:
-            lo, hi = span
-            du = self._win._group.disp_units[target]
-            # start < hi, and start > lo - extent >= lo - largest extent
-            first = bisect_right(live, (lo - self._max_extent) // du, key=_dsp)
-            last = bisect_left(live, -(-hi // du), key=_dsp)
-            live = [
-                e
-                for e in live[first:last]
-                if e.dsp * du + e.dtype.extent * e.count > lo
-            ]
-        indexed = sorted((e for e in live if e.slot >= 0), key=_slot)
-        if len(indexed) == len(live):
-            return indexed
-        return indexed + [e for e in self._pending if e.slot < 0 and e in live]
-
-    def _charge_orphan_waiters(self) -> None:
-        """Charge the copies of waiters whose PENDING entry was dropped."""
-        for n in self._orphan_waiter_bytes:
-            self.cost.copy(n)
-        self._orphan_waiter_bytes = []
-
-    def _purge(self) -> int:
-        """Drop the whole content; returns how many entries were indexed.
-
-        The common half of explicit invalidation, quarantine and adaptive
-        rebuilds: pinned crash survivors and mid-conflict orphans die too,
-        any same-epoch pending waiters are charged immediately, and the
-        invalidation itself is charged per indexed entry.
-        """
-        live = len(self._index)
-        for e in self._live_entries():
-            self._drop_entry(e)
-        self._charge_orphan_waiters()
-        self.cost.invalidate(live)
-        return live
-
     def invalidate(self) -> None:
         """CLAMPI_Invalidate: explicitly drop the whole cache content.
 
         This is the USER_DEFINED-mode call from the paper's Listing 1; any
         same-epoch pending waiters are charged immediately.
         """
-        live = self._purge()
+        live = self.engine.purge()
         self.stats.record_invalidation()
         if self._has_injector:
             self._sync_fault_counters()
@@ -913,47 +561,8 @@ class CachedWindow(WindowProxy):
             self._emit(CACHE_INVALIDATE, live=live)
 
     def check_invariants(self) -> None:
-        """Structural audit of the whole caching layer (used by tests).
-
-        Verifies the cross-structure invariants that the get_c engine must
-        maintain at every quiescent point:
-
-        * every indexed entry is CACHED or PENDING, knows its slot, and its
-          key matches its (trg, dsp);
-        * every CACHED entry owns a live storage descriptor large enough
-          for its payload and back-referencing it;
-        * the pending list is exactly the set of PENDING entries, each with
-          a materialisation source;
-        * storage bookkeeping (descriptor list, free tree, used bytes) is
-          internally consistent.
-        """
-        live = self._live_entries()
-        indexed = [e for e in live if e.slot >= 0]
-        assert len(indexed) == len(self._index), "indexed entry lost its slot"
-        for e in indexed:
-            assert e.state in (_CACHED, _PENDING), e
-            assert self._index.entry_at(e.slot) is e, e
-            assert e.key == (e.trg, e.dsp), e
-            assert e.desc is not None and not e.desc.free, e
-            assert e.desc.size >= e.size, e
-            assert e.desc.entry is e, e
-        pending_in_index = {id(e) for e in indexed if e.state is _PENDING}
-        pending_list = {id(e) for e in self._pending}
-        assert pending_in_index <= pending_list, "indexed PENDING not tracked"
-        for e in self._pending:
-            assert e.state is _PENDING, e
-            assert e.pending_source is not None, e
-        members = [e for trg in sorted(self._by_target) for e in self._by_target[trg]]
-        assert members == sorted(live, key=lambda e: (e.trg, e.dsp)), (
-            "per-target membership is not the live entries by displacement"
-        )
-        assert all(e.dtype.extent * e.count <= self._max_extent for e in live)
-        used = sum(e.desc.size for e in live if e.desc is not None)
-        assert used == self._storage.used_bytes, (
-            f"storage accounting: entries hold {used}, "
-            f"storage says {self._storage.used_bytes}"
-        )
-        self._storage.check_invariants()
+        """Structural audit of the cache (:meth:`CacheEngine.check_invariants`)."""
+        self.engine.check_invariants()
 
     def _maybe_adapt(self) -> None:
         """Adaptive check after a get (only called on an adaptive window)."""
@@ -964,28 +573,18 @@ class CachedWindow(WindowProxy):
             self._cooldown -= 1
             self.stats.reset_interval()
             return
+        engine = self.engine
         adj = self._controller.evaluate(
             self.stats,
-            self.index_entries,
-            self.storage_bytes,
-            self._storage.free_bytes,
+            engine.index_entries,
+            engine.storage_bytes,
+            engine.storage.free_bytes,
         )
         self.stats.reset_interval()
         if adj is None:
             return
         self._cooldown = self.config.adaptive_params.cooldown_intervals
-        self._apply_adjustment(adj)
-
-    def _apply_adjustment(self, adj: Adjustment) -> None:
-        """Resize |I_w|/|S_w|: invalidate, rebuild, charge the rebuild."""
-        self._purge()
-        self.stats.record_invalidation()
-        self.index_entries = adj.index_entries
-        self.storage_bytes = adj.storage_bytes
-        self._pending = []
-        self._build_structures()
-        self.cost.adjust(adj.index_entries, adj.storage_bytes)
-        self.stats.record_adjustment()
+        engine.resize(adj.index_entries, adj.storage_bytes)
         if self.obs.wants(CACHE_ADAPT):
             self._emit(
                 CACHE_ADAPT,

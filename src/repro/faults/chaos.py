@@ -32,6 +32,7 @@ from repro.apps.cachespec import CacheSpec
 from repro.apps.lcc import LCCApp
 from repro.apps.barnes_hut import BarnesHutApp
 from repro.core.config import Config
+from repro.core.stats import merge_snapshots
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.faults.retry import RetryPolicy
 from repro.mpi.simmpi import MPIProcess, SimMPI
@@ -70,20 +71,6 @@ def default_plan(seed: int) -> FaultPlan:
 
 def default_retry() -> RetryPolicy:
     return RetryPolicy(max_attempts=8)
-
-
-def merge_stats(per_rank: list[dict]) -> dict[str, float]:
-    """Sum per-rank snapshot counters (dropping the schema tag).
-
-    Non-numeric snapshot values (the v3 ``policy`` name) are skipped —
-    only counters can be summed across ranks.
-    """
-    merged: dict[str, float] = {}
-    for snap in per_rank:
-        for k, v in snap.items():
-            if k != "schema_version" and isinstance(v, (int, float)):
-                merged[k] = merged.get(k, 0) + v
-    return merged
 
 
 # ----------------------------------------------------------------------
@@ -146,7 +133,7 @@ def run_micro(
         identical=identical,
         clean_elapsed=max(t for _, _, t in clean),
         faulty_elapsed=max(t for _, _, t in faulty),
-        stats=merge_stats([s for _, s, _ in faulty]),
+        stats=merge_snapshots([s for _, s, _ in faulty]),
     )
 
 
@@ -169,7 +156,7 @@ def run_lcc(
         identical=bool(np.array_equal(clean.lcc, faulty.lcc)),
         clean_elapsed=clean.elapsed,
         faulty_elapsed=faulty.elapsed,
-        stats=merge_stats(faulty.cache_stats),
+        stats=merge_snapshots(faulty.cache_stats),
     )
 
 
@@ -189,7 +176,7 @@ def run_barnes_hut(
         identical=bool(np.array_equal(clean.forces, faulty.forces)),
         clean_elapsed=clean.elapsed,
         faulty_elapsed=faulty.elapsed,
-        stats=merge_stats(faulty.cache_stats),
+        stats=merge_snapshots(faulty.cache_stats),
     )
 
 
@@ -287,7 +274,7 @@ def _run_crash_app(
         ),
         clean_elapsed=clean.elapsed,
         crashed_elapsed=crashed.elapsed,
-        stats=merge_stats(crashed.cache_stats),
+        stats=merge_snapshots(crashed.cache_stats),
     )
 
 

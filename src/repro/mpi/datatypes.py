@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.mpi.errors import DatatypeError
+from repro.mpi.errors import DatatypeError, WindowError
 
 #: A flattened block: (offset_in_bytes, size_in_bytes).
 Block = tuple[int, int]
@@ -234,3 +234,10 @@ def from_numpy(dtype: np.dtype | type) -> Predefined:
         if pre.np_dtype == nd:
             return pre
     return Predefined(nd.name.upper(), nd)
+
+
+def origin_bytes(origin: np.ndarray) -> np.ndarray:
+    """Flat ``uint8`` view of an origin buffer (which must be C-contiguous)."""
+    if not origin.flags["C_CONTIGUOUS"]:
+        raise WindowError("origin buffer must be C-contiguous")
+    return origin.view(np.uint8).reshape(-1)

@@ -8,20 +8,14 @@ straight-line handler per chain (:mod:`repro.rma.interceptors`) whose
 statement order is the ordering contract — byte movement, fault
 injection, cost-model pricing, telemetry, epoch closure — with one shared
 retry/fail-fast wrapper bound only on windows that can see faults.  The
-CLaMPI cached get is one function, :func:`repro.rma.cache.serve_cached_get`.
+CLaMPI cached get is :meth:`repro.core.window.CachedWindow._serve`, which
+issues its network gets through this package.
 
 A data-plane change (a new transport, a new charge) is one edit in one
 handler.  See ``docs/architecture.md`` for the layering diagram and
 ordering invariants, ``docs/api.md`` for the descriptor / ``get_batch`` API.
 """
 
-from repro.rma.cache import (
-    CacheGetRequest,
-    describe_cached_get,
-    emit_cache_batch,
-    serve_cached_get,
-    serve_write,
-)
 from repro.rma.descriptor import (
     DATA_KINDS,
     SYNC_KINDS,
@@ -42,21 +36,16 @@ from repro.rma.pipeline import BoundPipeline
 
 __all__ = [
     "BoundPipeline",
-    "CacheGetRequest",
     "DATA_KINDS",
     "OpDescriptor",
     "SYNC_KINDS",
     "build_data_pipeline",
     "build_sync_pipeline",
     "describe_accumulate",
-    "describe_cached_get",
     "describe_get",
     "describe_get_batch",
     "describe_lock",
     "describe_put",
     "describe_sync",
-    "emit_cache_batch",
     "emit_get_batch",
-    "serve_cached_get",
-    "serve_write",
 ]

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.mpi.datatypes import Datatype
+from repro.mpi.datatypes import Datatype, origin_bytes
 from repro.mpi.errors import WindowError
 from repro.obs import (
     RMA_ACCUMULATE,
@@ -109,12 +109,6 @@ class OpDescriptor:
             "origin": int(self.obuf.__array_interface__["data"][0]),
             "onbytes": self.nbytes,
         }
-
-
-def _origin_bytes(origin: np.ndarray) -> np.ndarray:
-    if not origin.flags["C_CONTIGUOUS"]:
-        raise WindowError("origin buffer must be C-contiguous")
-    return origin.view(np.uint8).reshape(-1)
 
 
 def _footprint(
@@ -226,7 +220,7 @@ def describe_put(
     ``WindowError`` even outside an epoch).
     """
     dtype, count = window._resolve_dtype(origin, count, datatype)
-    obuf = _origin_bytes(origin)
+    obuf = origin_bytes(origin)
     nbytes = dtype.transfer_size(count)
     if obuf.nbytes < nbytes:
         raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")
@@ -283,7 +277,7 @@ def describe_accumulate(
         base=base,
         span=nbytes,
         origin=origin,
-        obuf=_origin_bytes(origin)[:nbytes],
+        obuf=origin_bytes(origin)[:nbytes],
         acc_op=op,
         # accumulates are atomic at the target in MPI; the fault plan has
         # no site for them, matching the pre-pipeline behaviour

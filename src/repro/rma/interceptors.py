@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.mpi.datatypes import origin_bytes
 from repro.mpi.errors import (
     RMATimeoutError,
     TargetFailedError,
@@ -39,7 +40,7 @@ from repro.mpi.errors import (
     WindowError,
 )
 from repro.obs import FAULT_INJECTED, FAULT_RETRY, NET_TRANSFER, RMA_GET_BATCH
-from repro.rma.descriptor import OpDescriptor, _origin_bytes
+from repro.rma.descriptor import OpDescriptor
 from repro.rma.pipeline import BoundPipeline, Handler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,7 +75,7 @@ def _gather(desc: OpDescriptor, tbuf: np.ndarray) -> None:
     else:
         parts = [tbuf[base + o : base + o + s] for o, s in blocks]
         payload = np.concatenate(parts) if parts else np.empty(0, np.uint8)
-    obuf = _origin_bytes(desc.origin)
+    obuf = origin_bytes(desc.origin)
     nbytes = len(payload)
     if obuf.nbytes < nbytes:
         raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")

@@ -9,11 +9,17 @@ operation enters can: ``sys.setprofile`` ``call`` events for code under
 The budgets are the counts actually reached, so the next change cannot
 silently give them back.  When one fails, the message splits the count by
 package: the plain-window rows move with ``mpi`` / ``rma`` / ``runtime``,
-the cached rows additionally with ``core``.  The measured paths hold no
-list comprehension (inlined from CPython 3.12 on), so the counts are the
-same on every supported interpreter.
+the cached rows additionally with ``core``.  The ``engine_*`` rows are the
+same hit and miss served by a standalone :class:`CacheEngine` (no window,
+no world), so ``cached_*`` minus ``engine_*`` is the adapter's share.  The
+measured paths hold no list comprehension (inlined from CPython 3.12 on),
+so the counts are the same on every supported interpreter.
+
+The engine is only standalone if nothing it imports reaches a window, a
+world or the telemetry bus; the last tests check that statically.
 """
 
+import ast
 import os
 import sys
 from collections import Counter
@@ -23,18 +29,23 @@ import pytest
 
 import repro
 from repro import clampi
+from repro.core.config import Config, Mode
+from repro.core.engine import CacheEngine, CacheGetRequest
 from repro.mpi import SimMPI
+from repro.mpi.datatypes import FLOAT64
 from repro.mpi.window import Window
 from repro.net import PerfModel
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: calls per operation — (reached at this commit, at the parent 243c034)
+#: calls per operation — (reached at this commit, at the parent a317525)
 BUDGET = {
-    "cached_hit": (20, 42),          # full hit, CACHED entry
-    "cached_miss": (69, 102),        # direct miss into free space, new key
-    "cached_flush_idle": (12, 17),   # nothing pending on the cached window
-    "plain_get": (20, 22),
+    "cached_hit": (19, 20),          # full hit, CACHED entry
+    "cached_miss": (68, 69),         # direct miss into free space, new key
+    "cached_flush_idle": (12, 12),   # nothing pending on the cached window
+    "engine_hit": (10, None),        # the same hit, standalone engine
+    "engine_miss": (37, None),       # the same miss, standalone engine
+    "plain_get": (20, 20),
     "plain_flush": (10, 10),
 }
 
@@ -82,14 +93,45 @@ def program(mpi):
     return out, snapshot
 
 
+def zero_fetch(req):
+    """A remote memory of zeros, standing in for the network get."""
+    req.origin.view(np.uint8)[: req.size] = 0
+    return req.size
+
+
+def engine_program():
+    """``program``'s hit and miss on a standalone engine, as the adapter
+    would serve them (sequence accounting, then ``serve``)."""
+    engine = CacheEngine(
+        Config(mode=Mode.ALWAYS_CACHE), zero_fetch, sink=[].append
+    )
+    buf = np.empty(8, np.float64)
+
+    def get(disp):
+        engine.seq += 1
+        engine.size_sum += 64
+        return engine.serve(CacheGetRequest(buf, 1, disp, 8, FLOAT64, 64, (1, disp)))
+
+    for _ in range(2):
+        get(0)
+        engine.close_epoch()
+    out = {"engine_hit": count_calls(lambda: get(0))}
+    out["engine_miss"] = count_calls(lambda: get(128))
+    engine.close_epoch()
+    return out, engine.stats.snapshot()
+
+
 @pytest.fixture(scope="module")
 def measured():
-    return SimMPI(2, perf=PerfModel.spread(2)).run(program)[0]
+    calls, snapshot = SimMPI(2, perf=PerfModel.spread(2)).run(program)[0]
+    engine_calls, engine_snapshot = engine_program()
+    return {**calls, **engine_calls}, (snapshot, engine_snapshot)
 
 
 def test_the_counted_operations_are_what_they_claim(measured):
-    _calls, snapshot = measured
-    assert (snapshot["direct"], snapshot["hit_full"], snapshot["gets"]) == (2, 2, 4)
+    _calls, snapshots = measured
+    for snapshot in snapshots:
+        assert (snapshot["direct"], snapshot["hit_full"], snapshot["gets"]) == (2, 2, 4)
 
 
 @pytest.mark.parametrize("op", BUDGET)
@@ -112,3 +154,81 @@ def test_a_hit_costs_about_a_plain_get(measured):
         sum(calls[op].values()) for op in ("cached_flush_idle", "plain_flush")
     )
     assert idle <= flush + 2
+
+
+# ---------------------------------------------------------------------------
+# the layer boundary, statically
+# ---------------------------------------------------------------------------
+#: what the engine may never reach (value types — mpi.datatypes, mpi.errors,
+#: net.model, util — are fine)
+FORBIDDEN = (
+    "repro.mpi.window",
+    "repro.mpi.comm",
+    "repro.mpi.simmpi",
+    "repro.rma",
+    "repro.runtime",
+    "repro.obs",
+    "repro.faults",
+)
+
+
+def _module_file(module: str) -> str | None:
+    rel = module.split(".", 1)[1].replace(".", os.sep) if "." in module else ""
+    for path in (SRC + rel + ".py", os.path.join(SRC + rel, "__init__.py")):
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def imports_of(module: str) -> set[str]:
+    """Every module an import statement of ``module`` names (any nesting)."""
+    with open(_module_file(module)) as f:
+        tree = ast.parse(f.read())
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            out.add(node.module)
+            for alias in node.names:  # ``from repro.core import policy``
+                sub = f"{node.module}.{alias.name}"
+                if sub.startswith("repro.") and _module_file(sub):
+                    out.add(sub)
+    return out
+
+
+def reached_from(module: str) -> dict[str, set[str]]:
+    """Imports of ``module`` and of every ``repro.core`` module it reaches."""
+    reached: dict[str, set[str]] = {}
+    todo = [module]
+    while todo:
+        mod = todo.pop()
+        if mod in reached:
+            continue
+        reached[mod] = imports_of(mod)
+        todo.extend(
+            m for m in reached[mod] if m == "repro.core" or m.startswith("repro.core.")
+        )
+    return reached
+
+
+def forbidden_imports(module: str) -> list[tuple[str, str]]:
+    return sorted(
+        (mod, imp)
+        for mod, imps in reached_from(module).items()
+        for imp in imps
+        if any(imp == f or imp.startswith(f + ".") for f in FORBIDDEN)
+    )
+
+
+def test_the_engine_imports_no_window_world_or_bus():
+    assert forbidden_imports("repro.core.engine") == []
+
+
+def test_the_boundary_check_sees_the_adapter():
+    """Not vacuous: the adapter is on the far side of the boundary."""
+    assert {imp for _mod, imp in forbidden_imports("repro.core.window")} >= {
+        "repro.mpi.window",
+        "repro.obs",
+        "repro.rma.descriptor",
+    }

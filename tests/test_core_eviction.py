@@ -1,20 +1,19 @@
-"""Unit tests for the eviction engine (victim sampling and scoring)."""
+"""Unit tests for the cache engine's victim selection (sampling and scoring)."""
 
 import pytest
 
-from repro.core.cuckoo import CuckooIndex
+from repro.core.config import Config
+from repro.core.engine import CacheEngine
 from repro.core.entry import CacheEntry
-from repro.core.eviction import EvictionEngine
 from repro.core.states import EntryState
-from repro.core.storage import Storage
 from repro.mpi import BYTE
 
 
-def cached_entry(idx, storage, trg, dsp, size, last=1):
+def cached_entry(engine, trg, dsp, size, last=1):
     e = CacheEntry(trg, dsp, BYTE, size)
     e.last = last
-    assert idx.insert(e).success
-    e.desc = storage.allocate(size)
+    assert engine.index.insert(e).success
+    e.desc = engine.storage.allocate(size)
     assert e.desc is not None
     e.desc.entry = e
     e.state = EntryState.PENDING
@@ -23,103 +22,116 @@ def cached_entry(idx, storage, trg, dsp, size, last=1):
 
 
 def make_engine(capacity=64, storage_bytes=8192, policy="clampi-full", M=4):
-    idx = CuckooIndex(capacity, seed=2)
-    st = Storage(storage_bytes)
-    return idx, st, EvictionEngine(idx, st, policy, sample_size=M, seed=3)
+    cfg = Config(
+        index_entries=capacity,
+        storage_bytes=storage_bytes,
+        policy=policy,
+        sample_size=M,
+        seed=2,  # index seed 2, victim RNG seed 3
+    )
+    return CacheEngine(cfg, fetch=None)
+
+
+def at(engine, seq_index, avg_get_size):
+    """Put ``engine`` at get ``seq_index`` with average size ``avg_get_size``."""
+    engine.seq = seq_index
+    engine.size_sum = seq_index * avg_get_size
+    return engine
 
 
 class TestSampling:
     def test_empty_index_returns_none(self):
-        _idx, _st, ev = make_engine()
-        res = ev.sample_capacity_victim(seq_index=1, avg_get_size=100)
-        assert res.victim is None
-        assert res.visited == 64  # scanned the whole table
+        ev = at(make_engine(), 1, 100)
+        victim, visited, _nonempty, _score = ev.sample_capacity_victim()
+        assert victim is None
+        assert visited == 64  # scanned the whole table
 
     def test_finds_the_only_entry(self):
-        idx, st, ev = make_engine()
-        e = cached_entry(idx, st, 0, 0, 64)
-        res = ev.sample_capacity_victim(10, 64.0)
-        assert res.victim is e
-        assert res.nonempty >= 1
+        ev = make_engine()
+        e = cached_entry(ev, 0, 0, 64)
+        victim, _visited, nonempty, _score = at(ev, 10, 64.0).sample_capacity_victim()
+        assert victim is e
+        assert nonempty >= 1
 
     def test_visits_at_least_sample_size(self):
-        idx, st, ev = make_engine(M=8)
+        ev = make_engine(M=8)
         for i in range(16):
-            cached_entry(idx, st, 0, i * 64, 64)
-        res = ev.sample_capacity_victim(20, 64.0)
-        assert res.visited >= 8
+            cached_entry(ev, 0, i * 64, 64)
+        _victim, visited, _nonempty, _score = at(ev, 20, 64.0).sample_capacity_victim()
+        assert visited >= 8
 
     def test_sparse_index_visits_more(self):
-        idx, st, ev = make_engine(capacity=512, M=4)
-        cached_entry(idx, st, 0, 0, 64)  # single entry in a big table
-        res = ev.sample_capacity_victim(2, 64.0)
-        assert res.visited > 4  # had to scan past empties
+        ev = make_engine(capacity=512, M=4)
+        cached_entry(ev, 0, 0, 64)  # single entry in a big table
+        _victim, visited, _nonempty, _score = at(ev, 2, 64.0).sample_capacity_victim()
+        assert visited > 4  # had to scan past empties
 
     def test_pending_entries_not_evictable(self):
-        idx, st, ev = make_engine()
+        ev = make_engine()
         e = CacheEntry(0, 0, BYTE, 64)
         e.last = 1
-        idx.insert(e)
-        e.desc = st.allocate(64)
+        ev.index.insert(e)
+        e.desc = ev.storage.allocate(64)
         e.state = EntryState.PENDING
-        res = ev.sample_capacity_victim(5, 64.0)
-        assert res.victim is None
-        assert res.nonempty >= 1  # it was visited, just not evictable
+        victim, _visited, nonempty, _score = at(ev, 5, 64.0).sample_capacity_victim()
+        assert victim is None
+        assert nonempty >= 1  # it was visited, just not evictable
 
     def test_lowest_score_selected(self):
-        idx, st, ev = make_engine(capacity=32, M=32)  # sample everything
-        stale = cached_entry(idx, st, 0, 0, 64, last=1)
-        fresh = cached_entry(idx, st, 0, 64, 64, last=99)
-        res = ev.sample_capacity_victim(seq_index=100, avg_get_size=0.0)
+        ev = make_engine(capacity=32, M=32)  # sample everything
+        stale = cached_entry(ev, 0, 0, 64, last=1)
+        fresh = cached_entry(ev, 0, 64, 64, last=99)
+        victim, _visited, _nonempty, score = at(ev, 100, 0.0).sample_capacity_victim()
         # ags == 0 neutralises the positional part: pure LRU decision
-        assert res.victim is stale
-        assert res.victim is not fresh
+        assert victim is stale
+        assert victim is not fresh
+        assert score == ev.score(stale)
 
 
 class TestPolicies:
     def test_temporal_ignores_position(self):
-        idx, st, ev = make_engine(policy="clampi-temporal")
-        e = cached_entry(idx, st, 0, 0, 64, last=50)
-        assert ev.score(e, 100, 1e9) == pytest.approx(0.5)
+        ev = make_engine(policy="clampi-temporal")
+        e = cached_entry(ev, 0, 0, 64, last=50)
+        assert at(ev, 100, 1e9).score(e) == pytest.approx(0.5)
 
     def test_positional_ignores_time(self):
-        idx, st, ev = make_engine(policy="clampi-positional")
-        e = cached_entry(idx, st, 0, 0, 64, last=1)
-        s1 = ev.score(e, 10, 100.0)
+        ev = at(make_engine(policy="clampi-positional"), 10, 100.0)
+        e = cached_entry(ev, 0, 0, 64, last=1)
+        s1 = ev.score(e)
         e.last = 9
-        assert ev.score(e, 10, 100.0) == s1
+        assert ev.score(e) == s1
 
     def test_full_is_product(self):
-        idx, st, ev_full = make_engine(policy="clampi-full")
-        e = cached_entry(idx, st, 0, 0, 64, last=5)
-        ev_t = EvictionEngine(idx, st, "clampi-temporal", 4)
-        ev_p = EvictionEngine(idx, st, "clampi-positional", 4)
-        assert ev_full.score(e, 10, 100.0) == pytest.approx(
-            ev_t.score(e, 10, 100.0) * ev_p.score(e, 10, 100.0)
-        )
+        ev_full = at(make_engine(policy="clampi-full"), 10, 100.0)
+        e = cached_entry(ev_full, 0, 0, 64, last=5)
+        ev_t = at(make_engine(policy="clampi-temporal"), 10, 100.0)
+        ev_p = at(make_engine(policy="clampi-positional"), 10, 100.0)
+        # d_c is read off the entry's own descriptor links
+        assert ev_full.score(e) == pytest.approx(ev_t.score(e) * ev_p.score(e))
 
 
 class TestConflictVictim:
     def test_picks_lowest_score_on_path(self):
-        idx, st, ev = make_engine()
-        a = cached_entry(idx, st, 0, 0, 64, last=1)
-        b = cached_entry(idx, st, 0, 64, 64, last=90)
-        victim = ev.select_conflict_victim([a, b], 100, 0.0)
+        ev = make_engine()
+        a = cached_entry(ev, 0, 0, 64, last=1)
+        b = cached_entry(ev, 0, 64, 64, last=90)
+        victim, score = at(ev, 100, 0.0).select_conflict_victim([a, b])
         assert victim is a
+        assert score == ev.score(a)
 
     def test_excludes_requested_entry(self):
-        idx, st, ev = make_engine()
-        a = cached_entry(idx, st, 0, 0, 64, last=1)
-        b = cached_entry(idx, st, 0, 64, 64, last=90)
-        victim = ev.select_conflict_victim([a, b], 100, 0.0, exclude=a)
+        ev = make_engine()
+        a = cached_entry(ev, 0, 0, 64, last=1)
+        b = cached_entry(ev, 0, 64, 64, last=90)
+        victim, _score = at(ev, 100, 0.0).select_conflict_victim([a, b], exclude=a)
         assert victim is b
 
     def test_skips_non_cached(self):
-        idx, st, ev = make_engine()
+        ev = at(make_engine(), 10, 0.0)
         pending = CacheEntry(0, 0, BYTE, 64)
         pending.state = EntryState.PENDING
-        assert ev.select_conflict_victim([pending], 10, 0.0) is None
+        assert ev.select_conflict_victim([pending]) == (None, float("inf"))
 
     def test_empty_path(self):
-        _idx, _st, ev = make_engine()
-        assert ev.select_conflict_victim([], 10, 0.0) is None
+        ev = at(make_engine(), 10, 0.0)
+        assert ev.select_conflict_victim([])[0] is None

@@ -13,10 +13,8 @@ import pytest
 
 from repro import clampi, obs
 from repro.core import policy as pol
-from repro.core.cuckoo import CuckooIndex
+from repro.core.engine import CacheEngine, CacheGetRequest
 from repro.core.entry import CacheEntry
-from repro.core.eviction import EvictionEngine
-from repro.core.storage import Storage
 from repro.mpi.datatypes import BYTE
 from repro.mpi import SimMPI
 from repro.util import KiB
@@ -468,21 +466,38 @@ def _hook_log(policy_cls):
         win.get_blocking(buf, 1, 0)     # full hit
         win.get_blocking(buf, 1, 512)   # second miss
         win.unlock_all()
-        evictor = win._evictor
+        engine = win.engine
         return (
-            evictor.policy.log,
-            (evictor.wants_hit, evictor.wants_miss, evictor.wants_insert,
-             evictor.wants_admit),
+            engine.policy.log,
+            (engine.wants_hit, engine.wants_miss, engine.wants_insert,
+             engine.wants_admit),
             win.stats.snapshot(),
         )  # fmt: skip
 
     return SimMPI(nprocs=2).run(program)[0]
 
 
+def _engine(policy: str) -> CacheEngine:
+    """A standalone engine whose network is a zero-filled remote memory."""
+
+    def fetch(req):
+        req.origin.view(np.uint8)[: req.size] = 0
+        return req.size
+
+    cfg = clampi.Config(index_entries=16, storage_bytes=1 * KiB, policy=policy)
+    return CacheEngine(cfg, fetch)
+
+
+def _request(trg: int, dsp: int, nbytes: int) -> CacheGetRequest:
+    return CacheGetRequest(
+        np.empty(nbytes, np.uint8), trg, dsp, nbytes, BYTE, nbytes, (trg, dsp)
+    )
+
+
 class TestHookResolution:
     def test_builtin_default_overrides_nothing(self):
         def wants(policy):
-            ev = EvictionEngine(CuckooIndex(16), Storage(1024), policy, 4)
+            ev = _engine(policy)
             return ev.wants_hit, ev.wants_miss, ev.wants_insert, ev.wants_admit
 
         assert wants("clampi-full") == (False, False, False, False)
@@ -527,9 +542,15 @@ class TestHookResolution:
         policy = pol.make_policy("clampi-full")
         seen = []
         policy.on_miss = lambda key, nbytes, ctx: seen.append((key, nbytes))
-        ev = EvictionEngine(CuckooIndex(16), Storage(1024), policy, 4)
+        pol.register("test-instance-hook", lambda seed=0: policy)
+        try:
+            ev = _engine("test-instance-hook")
+        finally:
+            pol._REGISTRY.pop("test-instance-hook", None)
+        assert ev.policy is policy
         assert (ev.wants_hit, ev.wants_miss) == (False, True)
-        ev.notify_miss((1, 0), 64, 1, 64.0)
+        ev.seq += 1
+        ev.serve(_request(1, 0, 64))
         assert seen == [((1, 0), 64)]
 
     def test_on_free_can_be_replaced_at_any_time(self):
@@ -546,7 +567,7 @@ class TestHookResolution:
             win.lock_all()
             win.get_blocking(np.empty(64, np.uint8), 1, 0)
             freed = []
-            win._evictor.policy.on_free = lambda e, reason: freed.append(
+            win.engine.policy.on_free = lambda e, reason: freed.append(
                 (e.dsp, reason)
             )
             win.invalidate()

@@ -1,6 +1,6 @@
 """Epoch-consistent cache recovery after crash-stop failures.
 
-The crash check of ``serve_cached_get`` (docs/resilience.md) reacts to an
+The crash check of ``CachedWindow._serve`` (docs/resilience.md) reacts to an
 observed rank death under one of two modes: ``invalidate`` drops the dead rank's
 entries (gets then fail with ``TargetFailedError``), ``serve-stale`` pins
 epoch-consistent entries read-only so the data stays servable from cache.
@@ -322,11 +322,11 @@ class TestDyingRank:
         results = _run(program)
         assert results[VICTIM] is None  # died, did not fail
         (win,) = victims_window
-        assert len(win._pending) == 1  # not materialised by the dead rank
+        assert len(win.engine.pending) == 1  # not materialised by the dead rank
         assert clampi.stats(win).snapshot()["rank_failures"] == 0
 
     def test_crash_while_releasing_storage_is_not_a_double_free(self):
-        """Fuzz seed 17: the victim died inside ``_release_tracked`` (after
+        """Fuzz seed 17: the victim died inside ``_release_storage`` (after
         the storage release, before the descriptor was detached) and its
         unwinding ``unlock_all`` released the same descriptor again,
         masking the crash as a ``RankFailedError``."""

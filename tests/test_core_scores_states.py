@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.scores import full_score, positional_score, temporal_score
 from repro.core.states import EntryState, IllegalTransition, check_transition
-from repro.core.stats import AccessType, CacheStats, Counters
+from repro.core.stats import AccessType, CacheStats, Counters, merge_snapshots
 
 
 class TestPositionalScore:
@@ -149,3 +149,20 @@ class TestStats:
         snap = s.snapshot()
         assert snap["capacity"] == 1
         assert isinstance(snap, dict)
+
+    def test_merge_snapshots_mixed_keys(self):
+        a, b = CacheStats(policy="lru"), CacheStats(policy="lru")
+        a.record_access(AccessType.HIT_FULL)
+        b.record_access(AccessType.DIRECT)
+        merged = merge_snapshots(
+            [a.snapshot(), b.snapshot(), {"gets": 2, "block_hits": 5}]
+        )
+        assert "schema_version" not in merged and "policy" not in merged
+        assert list(merged)[: len(a.total.as_dict())] == list(a.total.as_dict())
+        assert list(merged)[-1] == "block_hits"  # first seen in the last rank
+        assert (merged["gets"], merged["hit_full"], merged["direct"]) == (4, 1, 1)
+        assert merged["block_hits"] == 5
+
+    def test_merge_snapshots_all_empty(self):
+        assert merge_snapshots([]) == {}
+        assert merge_snapshots([{}, {}]) == {}

@@ -141,7 +141,7 @@ class TestEpochCloseScan:
                 win.get(buf, 1, disp)
                 win.get(buf, 2, disp)
             win.flush(1)  # per-target close: rank 2's entries stay PENDING
-            after_one = (len(win.index), len(win._pending))
+            after_one = (len(win.index), len(win.engine.pending))
             win.flush_all()
             win.unlock_all()
             scanned = len(scans)  # the audit below is allowed to scan
@@ -183,7 +183,7 @@ def lifecycle_log(recovery_mode):
         if mpi.rank != 0:
             return None
         log = []
-        policy = win._evictor.policy
+        policy = win.engine.policy
         on_free = policy.on_free
 
         def spy(entry, reason):
@@ -295,7 +295,7 @@ class TestPerTargetMembership:
             win.put(np.zeros(100, np.uint8), 1, 200)  # overlaps (1, 256) only
             win.flush_all()
             scanned = len(scans)
-            live = sorted(e.key for e in win._live_entries())
+            live = sorted(e.key for e in win.engine.live_entries())
             win.unlock_all()
             win.check_invariants()
             return scanned, live
@@ -337,7 +337,7 @@ class TestPerTargetMembership:
                     win.flush_all()
             win.flush_all()
             win.check_invariants()
-            everything = win._live_entries()
+            everything = win.engine.live_entries()
             assert len(everything) > 100
             mismatches = 0
             for _ in range(300):
@@ -351,9 +351,9 @@ class TestPerTargetMembership:
                     and e.dsp * 4 < hi
                     and e.dsp * 4 + e.dtype.extent * e.count > lo
                 ]
-                mismatches += win._live_entries(trg, (lo, hi)) != want
+                mismatches += win.engine.live_entries(trg, (lo, hi)) != want
             whole = [
-                win._live_entries(t) == [e for e in everything if e.trg == t]
+                win.engine.live_entries(t) == [e for e in everything if e.trg == t]
                 for t in (1, 2, 3)
             ]
             win.unlock_all()

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.stats import merge_snapshots
 from repro.faults.chaos import (
     ChaosOutcome,
     default_plan,
     default_retry,
-    merge_stats,
     render,
     run_lcc,
     run_micro,
@@ -54,7 +54,7 @@ class TestLCC:
 
 class TestHarnessPlumbing:
     def test_merge_stats_sums_and_drops_schema(self):
-        merged = merge_stats(
+        merged = merge_snapshots(
             [
                 {"schema_version": 2, "gets": 3, "retries": 1},
                 {"schema_version": 2, "gets": 4},

@@ -147,7 +147,7 @@ class TestCrashVsDegradation:
             assert snap["failed_target_gets"] == 8
             assert snap["storage_faults"] == 0
             assert snap["quarantines"] == 0
-            assert win._fault_streak == 0
+            assert win.engine.fault_streak == 0
             assert not clampi.degraded(win)
             return True
 
