@@ -245,9 +245,13 @@ def _run_crash_app(
         and clean.makespan == unfired.makespan
     )
     # The real crash: mid-force/traversal-phase, after setup completed.
+    # Anchored to the victim's own phase time, not the slowest rank's: a
+    # victim whose phase is short would otherwise finish before it dies.
     setup = clean.makespan - clean.elapsed
     try:
-        crashed = run(crash_plan(seed, victim, setup + 0.45 * clean.elapsed))
+        crashed = run(
+            crash_plan(seed, victim, setup + 0.45 * clean.rank_times[victim])
+        )
     except Exception:
         # Deadlock, an escaped RankFailedError, a survivor dying on an
         # unhandled revocation -- exactly what this scenario guards against.

@@ -65,6 +65,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     budget = _parse_budget(args.budget) if args.budget else None
     t0 = time.monotonic()
     cases = cells = 0
+    workers = 1  # the most processes any case's matrix ran on
     out = Path(args.out)
     for i in range(args.cases):
         elapsed = time.monotonic() - t0
@@ -76,6 +77,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         report = run_matrix(spec, config)
         cases += 1
         cells += report.cells_run
+        workers = max(workers, report.workers)
         if not report.ok:
             finding = report.findings[0]
             print(f"case seed={seed}: {report.describe()}")
@@ -129,7 +131,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     rate = cases / elapsed if elapsed > 0 else float("inf")
     print(
         f"fuzz: {cases} cases, {cells} cells, 0 violations "
-        f"({elapsed:.1f}s, {rate:.2f} cases/s)"
+        f"({elapsed:.1f}s, {rate:.2f} cases/s, {workers} workers)"
     )
     if args.inject == "stale-read":
         print("self-test FAILED: seeded stale-read bug was never caught")

@@ -32,15 +32,23 @@ and asserts, per cell family:
 Any broken assertion becomes a :class:`Finding`; the shrinker minimises
 the spec against a reduced matrix that replays just the failing family
 (:func:`config_for_finding`).
+
+Cells other than the reference run in forked workers, one per allowed
+CPU (:func:`_run_cells`); checks and the virtual-time ledger stay in the
+parent, in serial order (docs/performance.md, invariant 9).
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro.core.policy import available_policies
 from repro.core.stats import conservation_violations
+from repro.obs import get_bus, virtual_time
 from repro.obs.events import CACHE_ADMIT, CACHE_EVICT
 from repro.verify.runner import Cell, RunResult, is_cached_impl, run_cell
 from repro.verify.workload import WorkloadSpec
@@ -111,6 +119,12 @@ class MatrixReport:
     findings: list[Finding] = field(default_factory=list)
     cells_run: int = 0
     reference: RunResult | None = None
+    _workers: int = field(default=1, repr=False, compare=False)
+
+    @property
+    def workers(self) -> int:
+        """Processes that ran the non-reference cells (1 = in-process)."""
+        return self._workers
 
     @property
     def ok(self) -> bool:
@@ -144,6 +158,8 @@ def run_matrix(
     crash_rank = spec.nprocs - 1
     crash_time = max(reference.makespan * config.crash_frac, 1e-9)
 
+    families: list[tuple[Cell, list[Cell]]] = []
+    cells: list[Cell] = []
     for impl in config.impls():
         for faults in config.fault_kinds:
             if faults == "crash" and impl == "block":
@@ -159,26 +175,81 @@ def run_matrix(
                 crash_rank=crash_rank if faults == "crash" else None,
                 crash_time=crash_time if faults == "crash" else None,
             )
-            if det_cell == REFERENCE_CELL:
-                det = reference  # already run and self-checked above
-            else:
-                det = run_cell(spec, det_cell)
-                report.cells_run += 1
-                report.findings.extend(_check_self(det, det_cell, config))
-            if det.error is None and faults != "crash" and impl != "buggy-stale":
-                report.findings.extend(
-                    _compare_results(det, reference, det_cell)
-                )
-            for seed in config.random_seeds:
-                rnd_cell = replace(
-                    det_cell, schedule="random", schedule_seed=seed
-                )
-                rnd = run_cell(spec, rnd_cell)
-                report.cells_run += 1
-                report.findings.extend(
-                    _compare_schedules(det, rnd, rnd_cell)
-                )
+            rnd_cells = [
+                replace(det_cell, schedule="random", schedule_seed=seed)
+                for seed in config.random_seeds
+            ]
+            families.append((det_cell, rnd_cells))
+            if det_cell != REFERENCE_CELL:  # already run and self-checked
+                cells.append(det_cell)
+            cells.extend(rnd_cells)
+
+    results, report._workers = _run_cells(spec, cells)
+    report.cells_run += len(cells)
+    ran = iter(results)
+    for det_cell, rnd_cells in families:
+        if det_cell == REFERENCE_CELL:
+            det = reference
+        else:
+            det = next(ran)
+            report.findings.extend(_check_self(det, det_cell, config))
+        if (det.error is None and det_cell.faults != "crash"
+                and det_cell.impl != "buggy-stale"):
+            report.findings.extend(_compare_results(det, reference, det_cell))
+        for rnd_cell in rnd_cells:
+            report.findings.extend(_compare_schedules(det, next(ran), rnd_cell))
     return report
+
+
+# ---------------------------------------------------------------------------
+# cell execution
+# ---------------------------------------------------------------------------
+def _run_cells(
+    spec: WorkloadSpec, cells: list[Cell]
+) -> tuple[list[RunResult], int]:
+    """Run ``cells`` over ``spec``: results in cell order, and worker count.
+
+    One forked worker per CPU of the caller's mask, or in-process when a
+    pool cannot pay (< 2 CPUs, no more cells than CPUs, no ``fork``) or
+    would change what is seen (an enabled bus must get every cell's
+    events; live threads must not be forked).  The parent replays each
+    world's makespan into the ledger in cell order: the serial float sum.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    serial = (len(cpus) < 2 or len(cells) <= len(cpus)
+              or get_bus().enabled or threading.active_count() > 1)
+    if not serial:
+        # imported here: ~1.4 MiB of modules an in-process matrix never uses
+        import multiprocessing
+
+        serial = "fork" not in multiprocessing.get_all_start_methods()
+    if serial:
+        return [run_cell(spec, cell) for cell in cells], 1
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", 0)
+    with ctx.Pool(len(cpus), _pin_worker, (cpus, counter)) as pool:
+        noted = pool.map(functools.partial(_run_noted, spec), cells, chunksize=1)
+        pool.close()
+        pool.join()
+    for _, makespan in noted:
+        if makespan is not None:
+            virtual_time.note_run(makespan)
+    return [result for result, _ in noted], len(cpus)
+
+
+def _pin_worker(cpus: list[int], counter: Any) -> None:
+    """Pool initializer: worker *k* runs on the *k*-th CPU of ``cpus``."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+
+
+def _run_noted(spec: WorkloadSpec, cell: Cell) -> tuple[RunResult, float | None]:
+    """Worker task: ``run_cell`` plus the makespan its world noted, if any."""
+    runs = virtual_time.runs
+    result = run_cell(spec, cell)
+    return result, virtual_time.last if virtual_time.runs > runs else None
 
 
 # ---------------------------------------------------------------------------

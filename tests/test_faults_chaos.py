@@ -133,6 +133,18 @@ class TestCrashScenario:
         assert o.survivors == o.nprocs - 1
         assert 0 <= o.victim < o.nprocs
 
+    def test_lcc_victim_dies_before_returning_at_seed_0(self):
+        # The CLI's default ranks and seed (8, 0) at a smaller scale: victim
+        # rank 4's LCC phase is shorter than 45 % of the slowest rank's, so
+        # a crash time taken from the makespan let it return its result
+        # before it died.
+        from repro.faults.chaos import run_crash_lcc
+
+        o = run_crash_lcc(seed=0, nprocs=8, scale=5)
+        assert o.victim == 4
+        assert o.survivors == o.nprocs - 1
+        assert o.ok
+
     def test_lcc_unfired_plan_is_bit_identical(self, lcc_outcome):
         assert lcc_outcome.unfired_identical
 
