@@ -290,15 +290,17 @@ def _bh_rank_program(
     node_buf = np.empty(NODE_FLOATS, dtype=np.float64)
     blk = node_part.block  # hoisted: fetch_node runs millions of times
 
-    def fetch_node(node_id: int) -> np.ndarray:
+    def fetch_node(node_id: int) -> list[float]:
+        # Python floats: the force loop indexes each record several times,
+        # and a numpy scalar per index costs more than the same arithmetic.
         owner = node_id // blk
         local = node_id - owner * blk
         if owner == mpi.rank:
             start = local * NODE_FLOATS
-            return local_nodes[start : start + NODE_FLOATS]
+            return local_nodes[start : start + NODE_FLOATS].tolist()
         win.get(node_buf, owner, local * NODE_BYTES)
         win.flush(owner)
-        return node_buf
+        return node_buf.tolist()
 
     t0 = mpi.time
     # Scoped epoch: unlock_all on exit completes every outstanding get.
@@ -309,7 +311,7 @@ def _bh_rank_program(
         advance = mpi.proc.advance  # bypass the compute() wrapper in the hot loop
         forces = np.zeros((bhi - blo, 3))
         for b in range(blo, bhi):
-            pbx, pby, pbz = pos[b]
+            pbx, pby, pbz = pos[b].tolist()
             mb = float(mass[b])
             ax = ay = az = 0.0
             stack = [tree.root]

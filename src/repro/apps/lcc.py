@@ -22,7 +22,11 @@ Implementation notes
 * The traversal completes (flushes) each remote get before the merge step
   that consumes it — the latency-bound pattern of the paper's LCC, which
   is what a cache hit short-circuits.  Every get keeps a private origin
-  buffer until its flush (MPI forbids touching origin buffers earlier).
+  buffer until its flush (MPI forbids touching origin buffers earlier):
+  the next slice of one per-vertex arena.
+* Host work is per neighbourhood (docs/performance.md invariant 10): one
+  vectorised location lookup and one triangle count per vertex.  Virtual
+  time is charged from merge step counts, not from how the host counts.
 """
 
 from __future__ import annotations
@@ -149,6 +153,17 @@ class LCCApp:
         )
 
 
+def count_links(mark: np.ndarray, adj_v: np.ndarray, arena: np.ndarray) -> int:
+    """How many elements of ``arena`` (neighbour lists back to back, -1
+    where one was lost) are in ``adj_v``: for sorted, duplicate-free lists
+    the sum of ``|adj(v) ∩ adj(u)|``.  ``mark`` is an all-False bool table
+    of ``nvertices + 1`` slots (the last takes the -1s), restored on return."""
+    mark[adj_v] = True
+    links = np.count_nonzero(mark[arena])
+    mark[adj_v] = False
+    return links
+
+
 def _lcc_rank_program(
     mpi: MPIProcess,
     csr: CSRGraph,
@@ -173,6 +188,9 @@ def _lcc_rank_program(
     t0 = mpi.time
     win.lock_all()
     lo, hi = graph.lo, graph.hi
+    rank = mpi.rank
+    local = graph.csr.adjacency[graph.csr.offsets[lo] : graph.csr.offsets[hi]]
+    mark = np.zeros(graph.nvertices + 1, dtype=bool)
     values = np.zeros(hi - lo)
     for v in range(lo, hi):
         adj_v = graph.local_adjacency(v)
@@ -186,30 +204,34 @@ def _lcc_rank_program(
         # so the get is completed (flushed) as soon as it is issued.  The
         # batched variant issues the whole neighbourhood through one
         # get_batch and flushes each owner once, overlapping the misses.
+        lost = []
         if batch:
-            bufs = graph.fetch_adjacencies(adj_v)
+            arena = np.concatenate(graph.fetch_adjacencies(adj_v))
         else:
-            bufs = []
-            for u in adj_v:
-                du = graph.degree(int(u))
-                buf = np.empty(du, dtype=np.int64)
-                try:
-                    owner, _ = graph.fetch_adjacency(int(u), buf)
-                    if owner != mpi.rank:
+            owners, disps, counts = graph.locate(adj_v)
+            ends = np.cumsum(counts)
+            arena = np.empty(int(ends[-1]), dtype=np.int64)
+            start = 0
+            for owner, disp, end in zip(owners.tolist(), disps.tolist(), ends.tolist()):
+                if owner == rank:
+                    disp >>= 3
+                    arena[start:end] = local[disp : disp + end - start]
+                else:
+                    try:
+                        win.get(arena[start:end], owner, disp)
                         win.flush(owner)
-                except TargetFailedError:
-                    # The owner crashed and its adjacency is unrecoverable
-                    # (or not cached under serve-stale): count only the
-                    # links still visible.
-                    buf = np.empty(0, dtype=np.int64)
-                bufs.append(buf)
-        # Triangle counting over the fetched lists.
-        links = 0
-        steps = 0
-        for u, adj_u in zip(adj_v, bufs):
-            links += np.intersect1d(adj_v, adj_u, assume_unique=True).size
-            steps += deg + adj_u.size
-        mpi.compute(steps * MERGE_STEP_TIME)
+                    except TargetFailedError:
+                        # The owner crashed and its adjacency is
+                        # unrecoverable (or not cached under serve-stale):
+                        # count only the links still visible.
+                        lost.append((start, end))
+                start = end
+        fetched = arena.size
+        for start, end in lost:
+            arena[start:end] = -1
+            fetched -= end - start
+        links = count_links(mark, adj_v, arena)
+        mpi.compute((deg * deg + fetched) * MERGE_STEP_TIME)
         values[v - lo] = links / (deg * (deg - 1))
     win.unlock_all()
     phase_time = mpi.time - t0

@@ -1,8 +1,10 @@
 """Compressed-sparse-row adjacency structure.
 
 The canonical static-graph layout: ``offsets`` (n+1 int64) and ``adjacency``
-(m int64, neighbour ids sorted per vertex).  Sorted adjacencies make the
-LCC triangle counting a linear merge / ``np.intersect1d`` per vertex pair.
+(m int64, neighbour ids sorted per vertex).  Sorted, duplicate-free
+adjacencies make the LCC triangle count of a vertex pair a linear merge
+(the step count the simulation charges); :meth:`local_clustering` is the
+single-node reference.
 """
 
 from __future__ import annotations

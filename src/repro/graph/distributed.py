@@ -107,6 +107,16 @@ class DistributedGraph:
         disp = int(self.csr.offsets[v] - self.csr.offsets[olo]) * ITEM.itemsize
         return owner, disp, self.csr.degree(v)
 
+    def locate(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vectorised :meth:`remote_location`: int64 arrays ``(owners,
+        byte_displacements, element_counts)``, one element per vertex."""
+        offsets = self.csr.offsets
+        v = np.asarray(vertices, dtype=np.int64)
+        owners = self.partition.owners(v)
+        starts = offsets[v]
+        disps = (starts - offsets[owners * self.partition.block]) * ITEM.itemsize
+        return owners, disps, offsets[v + 1] - starts
+
     def local_adjacency(self, v: int) -> np.ndarray:
         """adj(v) for a locally-owned vertex (plain memory access)."""
         if not self.lo <= v < self.hi:
@@ -137,21 +147,21 @@ class DistributedGraph:
         does.  Locally owned vertices are copied directly.  Returns one
         int64 adjacency buffer per requested vertex, in request order.
         """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        owners, disps, counts = self.locate(vertices)
         bufs: list[np.ndarray] = []
         requests: list[tuple] = []
-        owners: set[int] = set()
-        for v in vertices:
-            v = int(v)
-            owner, disp, count = self.remote_location(v)
+        for v, owner, disp, count in zip(
+            vertices.tolist(), owners.tolist(), disps.tolist(), counts.tolist()
+        ):
             buf = np.empty(count, dtype=ITEM)
             bufs.append(buf)
             if owner == self.comm.rank:
-                buf[:count] = self.local_adjacency(v)
+                buf[:] = self.csr.neighbors(v)
             else:
                 requests.append((buf, owner, disp))
-                owners.add(owner)
         if requests:
             self.window.get_batch(requests)
-            for owner in sorted(owners):
+            for owner in sorted(set(owners.tolist()) - {self.comm.rank}):
                 self.window.flush(owner)
         return bufs

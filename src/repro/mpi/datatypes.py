@@ -14,7 +14,7 @@ adjacent blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -93,14 +93,16 @@ class Predefined(Datatype):
 
     name: str
     np_dtype: np.dtype
+    # Stored, not properties: every get reads them.  The class-level
+    # defaults replace the base-class properties, which would otherwise
+    # take precedence over the instance values; out of eq/hash/repr.
+    size: int = field(default=0, init=False, compare=False, repr=False)
+    extent: int = field(default=0, init=False, compare=False, repr=False)
 
-    @property
-    def size(self) -> int:
-        return int(self.np_dtype.itemsize)
-
-    @property
-    def extent(self) -> int:
-        return int(self.np_dtype.itemsize)
+    def __post_init__(self) -> None:
+        itemsize = int(self.np_dtype.itemsize)
+        object.__setattr__(self, "size", itemsize)
+        object.__setattr__(self, "extent", itemsize)
 
     def blocks(self) -> list[Block]:
         return [(0, self.size)]

@@ -17,11 +17,16 @@ so the counts are the same on every supported interpreter.
 
 The engine is only standalone if nothing it imports reaches a window, a
 world or the telemetry bus; the last tests check that statically.
+
+The ``lcc_vertex`` row is the application side of the same discipline
+(docs/performance.md invariant 10): calls under ``apps`` and ``graph`` per
+local LCC vertex, whose neighbour gets are then only window calls.
 """
 
 import ast
 import os
 import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -29,8 +34,11 @@ import pytest
 
 import repro
 from repro import clampi
+from repro.apps import lcc
+from repro.apps.cachespec import CacheSpec
 from repro.core.config import Config, Mode
 from repro.core.engine import CacheEngine, CacheGetRequest
+from repro.graph import CSRGraph
 from repro.mpi import SimMPI
 from repro.mpi.datatypes import FLOAT64
 from repro.mpi.window import Window
@@ -38,15 +46,16 @@ from repro.net import PerfModel
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: calls per operation — (reached at this commit, at the parent a317525)
+#: calls per operation — (reached at this commit, at the parent c96db37)
 BUDGET = {
-    "cached_hit": (19, 20),          # full hit, CACHED entry
-    "cached_miss": (68, 69),         # direct miss into free space, new key
+    "cached_hit": (17, 19),          # full hit, CACHED entry
+    "cached_miss": (63, 68),         # direct miss into free space, new key
     "cached_flush_idle": (12, 12),   # nothing pending on the cached window
-    "engine_hit": (10, None),        # the same hit, standalone engine
-    "engine_miss": (37, None),       # the same miss, standalone engine
-    "plain_get": (20, 20),
+    "engine_hit": (10, 10),          # the same hit, standalone engine
+    "engine_miss": (35, 37),         # the same miss, standalone engine
+    "plain_get": (18, 20),
     "plain_flush": (10, 10),
+    "lcc_vertex": (5, 20),           # one local LCC vertex (parent: per degree)
 }
 
 
@@ -121,11 +130,49 @@ def engine_program():
     return out, engine.stats.snapshot()
 
 
+APP_DIRS = tuple(SRC + pkg + os.sep for pkg in ("apps", "graph"))
+
+
+def lcc_calls(nvertices: int, reach: int) -> Counter:
+    """Calls under apps/ and graph/ on the rank threads of one 2-rank LCC
+    run over a ring whose vertices link to the ``reach`` nearest on each
+    side (degree ``2 * reach``, every adjacency sorted and duplicate-free)."""
+    v = np.arange(nvertices)
+    steps = [s for s in range(-reach, reach + 1) if s]
+    src = np.repeat(v, len(steps))
+    dst = (src + np.tile(steps, nvertices)) % nvertices
+    csr = CSRGraph.from_edges(src, dst, nvertices)
+    calls: Counter = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            if path.startswith(APP_DIRS):
+                calls[path[len(SRC) :].split(os.sep)[0]] += 1
+
+    threading.setprofile(profiler)  # inherited by the rank threads only
+    try:
+        SimMPI(2, perf=PerfModel.spread(2)).run(
+            lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi(), False
+        )
+    finally:
+        threading.setprofile(None)
+    return calls
+
+
+def lcc_vertex_calls() -> Counter:
+    """App calls per local vertex: the growth from 16 to 32 ring vertices
+    (whatever the run does once cancels out), divided by 16."""
+    small, large = lcc_calls(16, 1), lcc_calls(32, 1)
+    return Counter({pkg: (large[pkg] - small[pkg]) / 16 for pkg in large})
+
+
 @pytest.fixture(scope="module")
 def measured():
     calls, snapshot = SimMPI(2, perf=PerfModel.spread(2)).run(program)[0]
     engine_calls, engine_snapshot = engine_program()
-    return {**calls, **engine_calls}, (snapshot, engine_snapshot)
+    calls = {**calls, **engine_calls, "lcc_vertex": lcc_vertex_calls()}
+    return calls, (snapshot, engine_snapshot)
 
 
 def test_the_counted_operations_are_what_they_claim(measured):
@@ -154,6 +201,12 @@ def test_a_hit_costs_about_a_plain_get(measured):
         sum(calls[op].values()) for op in ("cached_flush_idle", "plain_flush")
     )
     assert idle <= flush + 2
+
+
+def test_lcc_app_calls_follow_vertices_not_gets():
+    """Doubling every vertex's degree doubles the gets and leaves the
+    application's own calls where they were."""
+    assert lcc_calls(16, 2) == lcc_calls(16, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,21 @@ class TestDistributedGraph:
             for v, adj in fetched.items():
                 assert np.array_equal(adj, csr.neighbors(v))
 
+    def test_locate_is_remote_location_per_vertex(self):
+        """Uneven blocks (64 vertices on 3 ranks), every vertex at once."""
+        src, dst = rmat_graph(6, 600, seed=8)
+        csr = CSRGraph.from_edges(src, dst, 64)
+
+        def program(mpi):
+            g = DistributedGraph.build(
+                mpi.comm_world, src, dst, 64,
+                lambda comm, buf: CacheSpec.fompi().make_window(comm, buf), csr=csr,
+            )
+            located = zip(*(a.tolist() for a in g.locate(np.arange(64))))
+            return list(located) == [g.remote_location(v) for v in range(64)]
+
+        assert SimMPI(nprocs=3).run(program) == [True] * 3
+
     def test_local_vertices_partitioned(self):
         src, dst = rmat_graph(5, 100, seed=8)
         csr = CSRGraph.from_edges(src, dst, 32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import BYTE, FLOAT64, INT32, Contiguous, Indexed, Vector
-from repro.mpi.datatypes import from_numpy
+from repro.mpi.datatypes import Predefined, from_numpy
 from repro.mpi.errors import DatatypeError
 
 
@@ -35,6 +35,17 @@ class TestPredefined:
     def test_from_numpy_unknown_dtype(self):
         dt = from_numpy(np.float16)
         assert dt.size == 2
+
+    def test_size_and_extent_are_stored_values(self):
+        """Plain instance attributes, not the base-class properties."""
+        assert vars(FLOAT64)["size"] == vars(FLOAT64)["extent"] == 8
+        assert FLOAT64.size == 8 and FLOAT64.extent == 8
+
+    def test_identity_ignores_the_stored_values(self):
+        twin = Predefined("FLOAT64", np.dtype(np.float64))
+        assert twin == FLOAT64 and hash(twin) == hash(FLOAT64)
+        assert twin != Predefined("DOUBLE", np.dtype(np.float64))
+        assert repr(FLOAT64) == "MPI.FLOAT64"
 
 
 class TestContiguous:
