@@ -40,6 +40,8 @@ class CostModel:
 
     Charged several times per get, so each method is one add and one sink
     call; virtual time is a float sum in issue order: never merge charges.
+    A full hit makes its ``lookup`` and ``copy`` charges in line in
+    :meth:`CacheEngine.serve`, which must stay in step with them.
     """
 
     def __init__(

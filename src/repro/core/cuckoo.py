@@ -116,6 +116,7 @@ class CuckooIndex:
         """Return ``(entry, probes)``; entry is None on miss.
 
         Worst-case constant time: at most ``p`` probes.
+        :meth:`CacheEngine.serve` runs the same probe in line.
         """
         probes = 0
         slots = self._slots

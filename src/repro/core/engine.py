@@ -227,45 +227,89 @@ class CacheEngine:
 
         Sequence accounting (``seq``, ``size_sum``) is the caller's: it
         counts every classified get, including those never served here.
+
+        The full hit is the whole of this frame: the lookup charge, the
+        cuckoo probe over the candidate memo, the identity case of
+        :meth:`CacheEntry.covers`, the copy and its charge, and the
+        counters (each charge one add and one sink call, in this order).
+        Helpers run only off that path: a memo miss, another datatype, an
+        origin that cannot take the payload (which raises as a plain get
+        does), a policy with an ``on_hit`` hook.
         """
-        self.cost.lookup()
-        entry = self.index.lookup(req.key)[0]
-        if entry is not None and (entry.state is _CACHED or entry.state is _PENDING):
-            if entry.covers(req.dtype, req.count, req.size):
-                return self._serve_full_hit(entry, req.origin, req.size)
+        cost = self.cost
+        dt = cost.memory.lookup_time  # CostModel.lookup
+        cost.total += dt
+        cost._sink(dt)
+        key = req.key
+        index = self.index
+        slots = index._slots  # CuckooIndex.lookup
+        entry = None
+        for slot in index._cand_memo.get(key) or index._candidates(key):
+            e = slots[slot]
+            if e is not None and e.key == key:
+                entry = e
+                break
+        if entry is None:
+            return self._serve_miss(req)
+        state = entry.state
+        if state is not _CACHED and state is not _PENDING:
+            return self._serve_miss(req)
+        dtype, count, size = req.dtype, req.count, req.size
+        if not (
+            count <= entry.count
+            if dtype is entry.dtype and size <= entry.size
+            else entry.covers(dtype, count, size)
+        ):
             return self._serve_partial_hit(entry, req)
-        return self._serve_miss(req)
+        # -- full hit ----------------------------------------------------
+        origin = req.origin
+        if origin.flags.c_contiguous and origin.nbytes >= size:
+            obuf = origin.view(np.uint8).reshape(-1)
+        else:
+            obuf = origin_bytes(origin, size)  # raises, as the plain get's
+        entry.last = self.seq
+        if self.wants_hit:
+            self.policy.on_hit(entry, self._context(entry))
+        if state is _CACHED:
+            d = entry.desc
+            obuf[:size] = self.storage.data[d.offset : d.offset + size]
+            dt = cost._copy_times.get(size)  # CostModel.copy
+            if dt is None:
+                cost.copy(size)
+            else:
+                cost.total += dt
+                cost._sink(dt)
+            access = _HIT_FULL
+        else:  # PENDING: same data already in flight from an earlier get
+            assert entry.pending_source is not None
+            obuf[:size] = entry.pending_source[:size]
+            self._waiter_bytes.setdefault(entry, []).append(size)
+            access = _HIT_PENDING
+        # CacheStats.record_access + record_cache_bytes
+        stats = self.stats
+        name = access._value_
+        for c in (stats.total, stats.interval):
+            c.gets += 1
+            c.__dict__[name] += 1
+            c.bytes_from_cache += size
+        stats.last_access = access
+        return size
 
     def serve_hit(self, req: CacheGetRequest) -> int | None:
-        """Serve ``req`` if it is a full hit; None (no access recorded) if not."""
-        self.cost.lookup()
+        """Serve ``req`` if it is a full hit; None (no access recorded) if not.
+
+        A full hit goes through :meth:`serve`, the one hit implementation;
+        anything else is charged the lookup only.
+        """
         entry = self.index.lookup(req.key)[0]
         if (
             entry is not None
             and entry.state in (_CACHED, _PENDING)
             and entry.covers(req.dtype, req.count, req.size)
         ):
-            return self._serve_full_hit(entry, req.origin, req.size)
+            return self.serve(req)
+        self.cost.lookup()
         return None
-
-    def _serve_full_hit(
-        self, entry: CacheEntry, origin: np.ndarray, size: int
-    ) -> int:
-        entry.last = self.seq
-        if self.wants_hit:
-            self.policy.on_hit(entry, self._context(entry))
-        obuf = origin_bytes(origin)
-        if entry.state is _CACHED:
-            obuf[:size] = self.storage.read(entry.desc, size)
-            self.cost.copy(size)
-            self.stats.record_access(_HIT_FULL)
-        else:  # PENDING: same data already in flight from an earlier get
-            assert entry.pending_source is not None
-            obuf[:size] = entry.pending_source[:size]
-            self._waiter_bytes.setdefault(entry, []).append(size)
-            self.stats.record_access(_HIT_PENDING)
-        self.stats.record_cache_bytes(size)
-        return size
 
     def _serve_partial_hit(self, entry: CacheEntry, req: CacheGetRequest) -> int:
         """Partial hit: refetch everything; extend the entry if space allows."""

@@ -161,7 +161,8 @@ class CacheStats:
     def record_access(self, access: AccessType) -> None:
         # Once per get: plain arithmetic on both views.  ``_value_`` is the
         # member's stored value (``.value`` is a descriptor call) and names
-        # the ``Counters`` field to bump.
+        # the ``Counters`` field to bump.  A full hit bumps the same
+        # fields in line in CacheEngine.serve.
         name = access._value_
         total, interval = self.total, self.interval
         total.gets += 1

@@ -250,9 +250,11 @@ class CachedWindow(WindowProxy):
     ) -> int:
         """Cached one-sided get; returns payload bytes.
 
-        Semantically identical to :meth:`repro.mpi.Window.get` — including
-        the epoch rules, which are enforced by the wrapped window — but
-        served from ``S_w`` whenever possible.
+        Semantically identical to :meth:`repro.mpi.Window.get` — a hit
+        passes the wrapped window's liveness, rank and epoch checks
+        (:meth:`Window._admit_get`) before the cache is consulted, and
+        fails exactly as the plain get would — but served from ``S_w``
+        whenever possible.
 
         ``bypass_cache=True`` is the per-operation escape hatch the paper
         floats as a possible MPI-standard extension (Sec. III-A): the get
@@ -261,7 +263,7 @@ class CachedWindow(WindowProxy):
         """
         if bypass_cache:
             return self._win.get(origin, target_rank, target_disp, count, datatype)
-        dtype, count = self._win._resolve_dtype(origin, count, datatype)
+        dtype, count = self._win._admit_get(origin, target_rank, count, datatype)
         return self._serve(
             CacheGetRequest(  # once per get: positional, in field order
                 origin,
@@ -269,7 +271,7 @@ class CachedWindow(WindowProxy):
                 target_disp,
                 count,
                 dtype,
-                dtype.transfer_size(count),
+                dtype.size * count,  # transfer_size: count >= 0 by now
                 (target_rank, target_disp),
             )
         )
@@ -292,8 +294,9 @@ class CachedWindow(WindowProxy):
         results = []
         for req in requests:
             origin, target, disp = req[0], req[1], req[2]
-            dtype, count = self._win._resolve_dtype(
+            dtype, count = self._win._admit_get(
                 origin,
+                target,
                 req[3] if len(req) > 3 else None,
                 req[4] if len(req) > 4 else None,
             )
@@ -305,7 +308,7 @@ class CachedWindow(WindowProxy):
                         disp,
                         count,
                         dtype,
-                        dtype.transfer_size(count),
+                        dtype.size * count,
                         (target, disp),
                         True,
                         None,

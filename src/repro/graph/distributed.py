@@ -140,7 +140,7 @@ class DistributedGraph:
         """Batched adjacency fetch with flush-pipelined completion.
 
         All remote gets are issued through one ``window.get_batch`` call —
-        one epoch-bookkeeping pass and one batched accounting event — and
+        one validation pass and one batched accounting event — and
         each distinct remote owner is flushed exactly once afterwards, so
         the transfer latencies overlap instead of being paid serially as
         the get+flush-per-neighbour pattern of :meth:`fetch_adjacency`

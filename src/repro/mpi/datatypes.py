@@ -238,8 +238,12 @@ def from_numpy(dtype: np.dtype | type) -> Predefined:
     return Predefined(nd.name.upper(), nd)
 
 
-def origin_bytes(origin: np.ndarray) -> np.ndarray:
-    """Flat ``uint8`` view of an origin buffer (which must be C-contiguous)."""
+def origin_bytes(origin: np.ndarray, nbytes: int = 0) -> np.ndarray:
+    """Flat ``uint8`` view of an origin buffer, which must be C-contiguous
+    and hold at least ``nbytes`` bytes."""
     if not origin.flags["C_CONTIGUOUS"]:
         raise WindowError("origin buffer must be C-contiguous")
-    return origin.view(np.uint8).reshape(-1)
+    obuf = origin.view(np.uint8).reshape(-1)
+    if obuf.nbytes < nbytes:
+        raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")
+    return obuf

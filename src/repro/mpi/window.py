@@ -30,8 +30,8 @@ window's bound data or sync handler (:mod:`repro.rma.interceptors`), which
 owns retry/backoff, fault injection, the simulated transport (byte
 movement + cost pricing), telemetry emission and epoch closure.  The op
 methods below only validate, build the descriptor and manage epoch state;
-:meth:`Window.get_batch` issues N descriptors with one epoch-bookkeeping
-pass and one batched telemetry event.
+:meth:`Window.get_batch` validates N descriptors, then issues them with
+one batched telemetry event.
 """
 
 from __future__ import annotations
@@ -156,7 +156,10 @@ class Window:
 
     def __init__(self, comm: Communicator, group: _WindowGroup):
         self._comm = comm
+        self._proc = comm.proc
         self._group = group
+        #: ranks a get may target: the members of the window's group
+        self._targets = frozenset(comm.ranks)
         self.eph = 0  #: number of concluded epochs since creation (w.eph)
         self._locked: set[int] = set()
         self._locked_all = False
@@ -423,8 +426,18 @@ class Window:
         epoch``) we treat flush as an epoch-closure event for consistency
         purposes: ``eph`` is bumped and closure hooks fire.
         """
-        self._check_alive()
-        self._require_epoch(rank, "flush")
+        # The passing cases of _check_alive and _require_epoch in line;
+        # each helper runs only to raise.
+        group = self._group
+        if group.freed or group.revoked:
+            self._check_alive()
+        if not (
+            self._locked_all
+            or self._fence_active
+            or rank in self._locked
+            or rank in self._access_group
+        ):
+            self._require_epoch(rank, "flush")
         # Per-target memo: a flush descriptor is a pure function of the
         # target rank (its sets/attrs are read-only downstream), and tight
         # get+flush loops issue hundreds of thousands of them.  Only the
@@ -648,14 +661,15 @@ class Window:
         """Issue a batch of gets in one pass; returns per-op payload bytes.
 
         ``requests`` holds ``(origin, target_rank, target_disp[, count
-        [, datatype]])`` tuples.  The batch performs **one**
-        epoch-bookkeeping pass (liveness once, the epoch once per distinct
-        target) and emits **one** batched telemetry event
-        (``rma.get_batch``, carrying every op's sanitizer footprint)
-        instead of N per-op events.  Each element still flows through the
-        full data handler — fault injection fires, retries charge
-        their virtual-time backoff, transfers are priced per element — so
-        the resulting virtual time is bit-identical to N scalar gets.
+        [, datatype]])`` tuples.  The batch validates every element
+        before it issues any (liveness up front, then each element's rank
+        and epoch ahead of its datatype) and emits **one** batched
+        telemetry event (``rma.get_batch``, carrying every op's sanitizer
+        footprint) instead of N per-op events.  Each element still flows
+        through the full data handler — fault injection fires, retries
+        charge their virtual-time backoff, transfers are priced per
+        element — so the resulting virtual time is bit-identical to N
+        scalar gets.
         """
         descs = describe_get_batch(self, requests)
         for desc in descs:
@@ -748,6 +762,45 @@ class Window:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    def _admit_get(
+        self,
+        origin: np.ndarray,
+        rank: int,
+        count: int | None,
+        datatype: Datatype | None,
+    ) -> tuple[Datatype, int]:
+        """Resolve a get's ``(datatype, count)`` and check that it may go.
+
+        The front half every get shares, plain or cached, in one frame:
+        the dtype-memo hit of :meth:`_resolve_dtype`, then the passing
+        cases of :meth:`_check_alive`, :meth:`_check_rank` and
+        :meth:`_require_epoch`, in that order.  Each helper runs only when
+        its test here fails, so the helper alone raises, with its message.
+        """
+        dtype = self._dtype_memo.get(origin.dtype) if datatype is None else datatype
+        if dtype is not None and count is None:
+            size = dtype.size
+            count = origin.nbytes // size if size else 0
+        if dtype is None or count < 0:
+            dtype, count = self._resolve_dtype(origin, count, datatype)
+        group = self._group
+        if group.freed or group.revoked:
+            self._check_alive()
+        try:
+            member = rank in self._targets
+        except TypeError:  # unhashable: let _check_rank raise as it always did
+            member = False
+        if not member:
+            self._check_rank(rank)
+        if not (
+            self._locked_all
+            or self._fence_active
+            or rank in self._locked
+            or rank in self._access_group
+        ):
+            self._require_epoch(rank, "get")
+        return dtype, count
+
     def _resolve_dtype(
         self, origin: np.ndarray, count: int | None, datatype: Datatype | None
     ) -> tuple[Datatype, int]:
@@ -784,7 +837,7 @@ class Window:
 
     def _complete(self, targets: set[int] | None) -> None:
         """Advance the clock past completion of the selected pending ops."""
-        proc = self._comm.proc
+        proc = self._proc
         done_at = proc.clock
         remaining: list[_PendingOp] = []
         for op in self._pending:
@@ -796,11 +849,6 @@ class Window:
         if done_at > proc.clock:
             proc.advance(done_at - proc.clock)
         proc.advance(SYNC_OVERHEAD)
-
-    def _close_epoch(self, targets: set[int] | None) -> None:
-        for hook in self._epoch_close_hooks:
-            hook(self, targets)
-        self.eph += 1
 
     def _epoch_state(self) -> str:
         """Human-readable summary of this rank's current epoch state."""
@@ -817,6 +865,8 @@ class Window:
         return f"epoch state: {state}; {self.eph} epochs concluded"
 
     def _require_epoch(self, rank: int, what: str) -> None:
+        # _admit_get and flush test this predicate in line and call here
+        # only to raise: change all three together.
         if not (
             self._locked_all
             or self._fence_active

@@ -143,7 +143,6 @@ def describe_get(
     datatype: Datatype | None,
     *,
     quiet: bool = False,
-    validate_epoch: bool = True,
 ) -> OpDescriptor:
     """Validate and describe one get (checks ordered as the op method did)."""
     return describe_get_into(
@@ -155,7 +154,6 @@ def describe_get(
         count,
         datatype,
         quiet=quiet,
-        validate_epoch=validate_epoch,
     )
 
 
@@ -169,27 +167,31 @@ def describe_get_into(
     datatype: Datatype | None,
     *,
     quiet: bool = False,
-    validate_epoch: bool = True,
 ) -> OpDescriptor:
     """:func:`describe_get` into a caller-provided (pooled) descriptor.
 
     Every field a previous use may have set is re-assigned, so a recycled
     frame is indistinguishable from a fresh ``OpDescriptor(kind="get")``.
+    The checks are :meth:`Window._admit_get`'s, and the footprint-memo hit
+    of :func:`_footprint` is in line.
     """
-    dtype, count = window._resolve_dtype(origin, count, datatype)
-    window._check_alive()
-    window._check_rank(target_rank)
-    if validate_epoch:
-        window._require_epoch(target_rank, "get")
+    dtype, count = window._admit_get(origin, target_rank, count, datatype)
     if target_disp < 0:
         raise WindowError(f"negative displacement: {target_disp}")
-    base, span, blocks = _footprint(window, target_rank, target_disp, count, dtype)
+    fp = window._fp_memo.get((dtype, count))
+    if fp is None:
+        base, span, blocks = _footprint(
+            window, target_rank, target_disp, count, dtype
+        )
+    else:
+        span, blocks = fp
+        base = target_disp * window._group.disp_units[target_rank]
     desc.kind = "get"
     desc.target = target_rank
     desc.disp = target_disp
     desc.count = count
     desc.dtype = dtype
-    desc.nbytes = dtype.transfer_size(count)
+    desc.nbytes = dtype.size * count  # transfer_size: count >= 0 by now
     desc.base = base
     desc.span = span
     desc.blocks = blocks
@@ -220,10 +222,8 @@ def describe_put(
     ``WindowError`` even outside an epoch).
     """
     dtype, count = window._resolve_dtype(origin, count, datatype)
-    obuf = origin_bytes(origin)
     nbytes = dtype.transfer_size(count)
-    if obuf.nbytes < nbytes:
-        raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")
+    obuf = origin_bytes(origin, nbytes)
     window._check_alive()
     window._check_rank(target_rank)
     window._require_epoch(target_rank, "put")
@@ -347,25 +347,23 @@ def describe_lock(
 def describe_get_batch(
     window: "Window", requests: Sequence[tuple]
 ) -> list[OpDescriptor]:
-    """One epoch-bookkeeping pass over a batch of get requests.
+    """Validate and describe a batch of get requests, in request order.
 
     ``requests`` holds ``(origin, target_rank, target_disp[, count
-    [, datatype]])`` tuples.  Liveness is checked once, the epoch once per
-    *distinct* target; per-op checks (rank range, displacement, bounds)
-    still run because they differ per element.  All checks are clock-free,
-    so the batch stays bit-identical in virtual time to N scalar gets.
+    [, datatype]])`` tuples.  Liveness is checked up front (an empty batch
+    on a freed window still raises); each element's rank and epoch are
+    checked before its datatype is resolved, as the batch always did.  All
+    checks are clock-free, so the batch stays bit-identical in virtual
+    time to N scalar gets.
     """
     window._check_alive()
-    checked: set[int] = set()
     descs: list[OpDescriptor] = []
     for req in requests:
         origin, target_rank, target_disp = req[0], req[1], req[2]
         count = req[3] if len(req) > 3 else None
         datatype = req[4] if len(req) > 4 else None
         window._check_rank(target_rank)
-        if target_rank not in checked:
-            window._require_epoch(target_rank, "get")
-            checked.add(target_rank)
+        window._require_epoch(target_rank, "get")
         descs.append(
             describe_get(
                 window,
@@ -375,7 +373,6 @@ def describe_get_batch(
                 count,
                 datatype,
                 quiet=True,
-                validate_epoch=False,
             )
         )
     return descs

@@ -75,10 +75,8 @@ def _gather(desc: OpDescriptor, tbuf: np.ndarray) -> None:
     else:
         parts = [tbuf[base + o : base + o + s] for o, s in blocks]
         payload = np.concatenate(parts) if parts else np.empty(0, np.uint8)
-    obuf = origin_bytes(desc.origin)
     nbytes = len(payload)
-    if obuf.nbytes < nbytes:
-        raise WindowError(f"origin buffer too small: {obuf.nbytes} < {nbytes}")
+    obuf = origin_bytes(desc.origin, nbytes)
     obuf[:nbytes] = payload
     desc.obuf = obuf
     desc.nbytes = nbytes
@@ -193,17 +191,37 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
     links: dict[int, tuple] = {}
 
     def attempt(desc: OpDescriptor) -> OpDescriptor:
-        # -- move: bounds check + payload bytes (zero time) -------------
+        # -- move: bounds check + payload bytes (zero time).  A single-block
+        # get into a big-enough contiguous origin passes every check of
+        # _check_bounds / _gather in line; anything else (multi-block,
+        # out of bounds, a bad origin, puts, accumulates) takes the helpers,
+        # which raise in their usual order ------------------------------
         target = desc.target
         kind = desc.kind
         tbuf = group.buffers[target]
-        _check_bounds(desc, tbuf)
-        if kind == "accumulate":
-            _apply_accumulate(desc, tbuf)
-        elif kind == "get":
-            _gather(desc, tbuf)
-        else:
-            _scatter(desc, tbuf)
+        blocks = desc.blocks
+        moved = False
+        if kind == "get" and len(blocks) == 1:
+            off, size = blocks[0]
+            lo = desc.base + off
+            origin = desc.origin
+            if (
+                lo + size <= tbuf.nbytes
+                and origin.flags.c_contiguous
+                and origin.nbytes >= size
+            ):
+                obuf = desc.obuf = origin.view(np.uint8).reshape(-1)
+                obuf[:size] = tbuf[lo : lo + size]
+                desc.nbytes = size
+                moved = True
+        if not moved:
+            _check_bounds(desc, tbuf)
+            if kind == "accumulate":
+                _apply_accumulate(desc, tbuf)
+            elif kind == "get":
+                _gather(desc, tbuf)
+            else:
+                _scatter(desc, tbuf)
         nbytes = desc.result = desc.nbytes
         # -- fault injection: the bytes moved, the round trip is wasted --
         if faults is not None:
@@ -335,7 +353,9 @@ def build_sync_pipeline(window: "Window") -> BoundPipeline:
             )
         # -- epoch close, last: CLaMPI materialisation hooks, bump eph ---
         if desc.epoch_close:
-            window._close_epoch(desc.close_targets)
+            for hook in window._epoch_close_hooks:
+                hook(window, desc.close_targets)
+            window.eph += 1
         return desc
 
     return _with_resilience(window, attempt)

@@ -46,16 +46,17 @@ from repro.net import PerfModel
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: calls per operation — (reached at this commit, at the parent c96db37)
+#: calls per operation — (reached at this commit, at the parent bd3f316)
 BUDGET = {
-    "cached_hit": (17, 19),          # full hit, CACHED entry
-    "cached_miss": (63, 68),         # direct miss into free space, new key
-    "cached_flush_idle": (12, 12),   # nothing pending on the cached window
-    "engine_hit": (10, 10),          # the same hit, standalone engine
-    "engine_miss": (35, 37),         # the same miss, standalone engine
-    "plain_get": (18, 20),
-    "plain_flush": (10, 10),
-    "lcc_vertex": (5, 20),           # one local LCC vertex (parent: per degree)
+    "cached_hit": (7, 17),           # full hit, CACHED entry, under lock_all
+    "cached_hit_locked": (7, 17),    # the same hit under lock(1)
+    "cached_miss": (49, 63),         # direct miss into free space, new key
+    "cached_flush_idle": (8, 12),    # nothing pending on the cached window
+    "engine_hit": (1, 10),           # the same hit, standalone engine
+    "engine_miss": (33, 35),         # the same miss, standalone engine
+    "plain_get": (7, 18),
+    "plain_flush": (6, 10),
+    "lcc_vertex": (5, 5),            # one local LCC vertex
 }
 
 
@@ -93,7 +94,9 @@ def program(mpi):
         out["cached_flush_idle"] = count_calls(lambda: cached.flush(1))
         out["cached_miss"] = count_calls(lambda: cached.get(buf, 1, 128))
         cached.flush(1)
-        snapshot = cached.stats.snapshot()
+    with cached.lock_epoch(1):  # the epoch test's per-rank branch
+        out["cached_hit_locked"] = count_calls(lambda: cached.get(buf, 1, 0))
+    snapshot = cached.stats.snapshot()
     with plain.lock_all_epoch():
         plain.get(buf, 1, 0)
         plain.flush(1)
@@ -176,9 +179,9 @@ def measured():
 
 
 def test_the_counted_operations_are_what_they_claim(measured):
-    _calls, snapshots = measured
-    for snapshot in snapshots:
-        assert (snapshot["direct"], snapshot["hit_full"], snapshot["gets"]) == (2, 2, 4)
+    _calls, (cached, engine) = measured
+    assert (cached["direct"], cached["hit_full"], cached["gets"]) == (2, 3, 5)
+    assert (engine["direct"], engine["hit_full"], engine["gets"]) == (2, 2, 4)
 
 
 @pytest.mark.parametrize("op", BUDGET)
