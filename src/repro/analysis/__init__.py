@@ -102,7 +102,7 @@ __all__ = [
 ]
 
 _OP_KINDS = frozenset({RMA_GET, RMA_PUT, RMA_ACCUMULATE})
-_CLOSE_KINDS = frozenset({RMA_FLUSH, RMA_UNLOCK, RMA_FENCE})
+_SYNC_KINDS = frozenset({RMA_LOCK, RMA_FLUSH, RMA_UNLOCK, RMA_FENCE})
 
 
 class Sanitizer(Sink):
@@ -137,15 +137,14 @@ class Sanitizer(Sink):
                 return
             found.extend(self._epochs.on_op(rec))
             found.extend(self._races.on_op(rec))
-        elif kind in _CLOSE_KINDS:
+        elif kind in _SYNC_KINDS:
             target = event.attrs.get("target")
             targets = None if target is None else {int(target)}
             if kind == RMA_FENCE:
                 targets = None
-            self._races.on_close(event.win, event.rank, targets)
-            self._epochs.on_close(event, targets, unlock=kind == RMA_UNLOCK)
-        elif kind == RMA_LOCK:
-            self._epochs.on_lock(event)
+            if kind != RMA_LOCK:
+                self._races.on_close(event.win, event.rank, targets)
+            self._epochs.on_sync(event, targets)
         elif kind == CACHE_ACCESS:
             found.extend(self._races.on_cache_access(event, self._seq))
         elif kind == RMA_GET_BATCH:

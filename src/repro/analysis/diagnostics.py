@@ -145,9 +145,10 @@ RULES: dict[str, Rule] = dict(
         ),
         _rule(
             "ANL012", "op-outside-epoch", "typestate verify", SEV_ERROR,
-            "RMA ops are only callable where an epoch is provably open on "
-            "every path",
-            "open a lock/lock_all/fence epoch on every path reaching the op",
+            "RMA ops and flushes are only callable where an epoch that "
+            "allows them is provably open on every path",
+            "open a lock/lock_all/fence_epoch/start epoch that allows the "
+            "call on every path reaching it",
         ),
         _rule(
             "ANL013", "unused-suppression", "everywhere", SEV_WARNING,

@@ -16,48 +16,61 @@ wrong while structurally legal:
   scope ends (a ``lock``/``lock_all`` never paired with its unlock), the
   classic source of "works under MPICH, hangs under foMPI" reports.
 
-Lock bookkeeping consumes the ``rma.lock``/``rma.unlock`` events; pending
-gets retire on the closure events (flush/unlock/fence/complete), the same
-boundaries the race detector uses.
+Epoch state is the window's own table (:mod:`repro.mpi.epochs`), stepped
+on the ``rma.lock``/``rma.unlock``/``rma.flush``/``rma.fence`` events.
+``start`` emits no event, so a PSCW epoch stays invisible here: an event
+the table refuses in the tracked mode comes from one and changes nothing.
+Pending gets retire on the closure events (flush/unlock/fence/complete),
+the same boundaries the race detector uses.
 """
 
 from __future__ import annotations
 
 from repro.analysis.recorder import OpRecord, Violation, ViolationKind
-from repro.obs.events import Event
+from repro.mpi.epochs import CLOSED, LOCK_ALL, MODES, step
+from repro.obs.events import RMA_FENCE, RMA_FLUSH, RMA_LOCK, RMA_UNLOCK, Event
+
+
+#: (event kind, towards every rank?) -> the epoch-table call it reports;
+#: a flush event with ``pscw`` set reports ``complete``
+_SYNC_CALLS = {
+    (RMA_LOCK, False): "lock", (RMA_LOCK, True): "lock_all",
+    (RMA_UNLOCK, False): "unlock", (RMA_UNLOCK, True): "unlock_all",
+    (RMA_FLUSH, False): "flush", (RMA_FLUSH, True): "flush_all",
+    (RMA_FENCE, True): "fence",
+}
 
 
 class EpochTracker:
-    """Per-rank lock state and origin-buffer completion tracking."""
+    """Per-rank epoch mode and origin-buffer completion tracking."""
 
     def __init__(self) -> None:
-        #: (win, rank) -> {"all": opened-at-time | None, "ranks": {target: time}}
-        self._locks: dict[tuple, dict] = {}
+        #: (win, rank) -> (mode, {lock target, None for lock_all: taken at})
+        self._epochs: dict[tuple, tuple[str, dict]] = {}
         #: (win, rank) -> gets whose origin buffer is still in flight
         self._pending_gets: dict[tuple, list[OpRecord]] = {}
 
     # ------------------------------------------------------------------
-    def on_lock(self, event: Event) -> None:
-        state = self._locks.setdefault(
-            (event.win, event.rank), {"all": None, "ranks": {}}
-        )
-        target = event.attrs.get("target")
-        if target is None:
-            state["all"] = event.time
-        else:
-            state["ranks"][int(target)] = event.time
-
-    def on_close(self, event: Event, targets: set[int] | None, unlock: bool) -> None:
-        """An epoch-closure event: retire pending gets; update lock state."""
+    def on_sync(self, event: Event, targets: set[int] | None) -> None:
+        """Step the epoch table on a synchronisation event; a closure
+        event also retires the pending gets towards ``targets``."""
         key = (event.win, event.rank)
-        if unlock:
-            state = self._locks.get(key)
-            if state is not None:
-                if targets is None:
-                    state["all"] = None
-                else:
-                    for t in targets:
-                        state["ranks"].pop(t, None)
+        mode, held = self._epochs.get(key, (CLOSED, {}))
+        target = event.attrs.get("target")
+        call = _SYNC_CALLS[event.kind, target is None]
+        if event.attrs.get("pscw"):
+            call = "complete"
+        nxt = step(mode, call, target in held)
+        if nxt in MODES:
+            if event.kind == RMA_LOCK:
+                held = {**held, target: event.time}
+            elif event.kind == RMA_UNLOCK:
+                held = {t: at for t, at in held.items() if t != target}
+                if held:
+                    nxt = mode  # LOCK is left with its last lock
+            self._epochs[key] = (nxt, held)
+        if event.kind == RMA_LOCK:
+            return
         pending = self._pending_gets.get(key)
         if pending:
             self._pending_gets[key] = [
@@ -100,17 +113,14 @@ class EpochTracker:
     def finish(self) -> list[Violation]:
         """End-of-scope audit: report epochs never closed."""
         violations: list[Violation] = []
-        for (win, rank), state in sorted(
-            self._locks.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
+        for (win, rank), (mode, held) in sorted(
+            self._epochs.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])
         ):
-            leaks: list[str] = []
-            if state["all"] is not None:
-                leaks.append("lock_all")
-            leaks.extend(f"lock({t})" for t in sorted(state["ranks"]))
-            if not leaks:
+            if not held:
                 continue
-            last = max(
-                [state["all"] or 0.0, *state["ranks"].values()]
+            leaks = (
+                ["lock_all"] if mode == LOCK_ALL
+                else [f"lock({t})" for t in sorted(held)]
             )
             violations.append(
                 Violation(
@@ -121,7 +131,7 @@ class EpochTracker:
                         "(missing unlock/unlock_all)"
                     ),
                     rank=rank,
-                    time=last,
+                    time=max(held.values()),
                     win=win,
                 )
             )

@@ -5,10 +5,11 @@ misuse on an unexecuted branch ships silently.  This module proves epoch
 discipline *statically*: it abstractly interprets each function body over
 its CFG (:mod:`repro.analysis.cfg`), tracking
 
-* per-**window** epoch typestate — ``closed`` → ``lock``/``lock_all``/
-  ``fence``/PSCW ``start`` → open → ``unlock``/``unlock_all``/
-  ``complete``/scoped-``with`` exit → ``closed`` — joined over branches,
-  loops (to fixpoint) and exception edges;
+* per-**window** epoch typestate — the modes of the window's own epoch
+  table (:mod:`repro.mpi.epochs`), stepped through that table as the
+  transfer function of every window call and scoped ``with`` entry/exit,
+  plus ``unknown`` for "no information" — joined over branches, loops (to
+  fixpoint) and exception edges;
 * per-**buffer** completion state — a get's destination and a put's
   origin stay ``pending`` until a dominating ``flush``/``flush_all``/
   epoch close (or ``Request.wait()`` for ``rget``/``rput``).
@@ -21,7 +22,8 @@ Rules::
             is still in flight
     ANL011  a put/accumulate origin buffer is modified while the op is
             still in flight
-    ANL012  an RMA op is issued on a path where no epoch is provably open
+    ANL012  an RMA op or flush is issued on a path where no epoch that
+            allows it is provably open
 
 **Which names are tracked.**  A variable is a window either by
 *provenance* (assigned from ``Window.allocate``/``Window.create``/
@@ -62,44 +64,33 @@ from repro.analysis.diagnostics import (
     parse_file,
     sort_diagnostics,
 )
+from repro.mpi.epochs import (
+    CLOSED,
+    COMPLETES,
+    DATA_OPS,
+    EPOCHS,
+    MODES,
+    NEEDS_EPOCH,
+    OPEN_MODES,
+    PSCW,
+    SCOPES,
+    VERBS,
+    step,
+)
 
-# --- abstract statuses -----------------------------------------------------
-CLOSED = "closed"
-LOCK = "lock"
-LOCK_ALL = "lock_all"
-FENCE = "fence"
-PSCW = "pscw"
+#: the lattice's top: the window may be in any mode (a parameter, or a
+#: window an unknown callee touched)
 UNKNOWN = "unknown"
+_OPEN = frozenset(OPEN_MODES)
 
-#: statuses that license RMA ops
-_OPEN = frozenset({LOCK, LOCK_ALL, FENCE, PSCW})
-#: statuses whose leak at scope exit is a bug (fence epochs are closed by
-#: the *next* fence, so an open fence at exit is idiomatic, not a leak)
-_LEAKABLE = frozenset({LOCK, LOCK_ALL, PSCW})
 
-_OPEN_VERBS = {
-    "lock": LOCK,
-    "lock_all": LOCK_ALL,
-    "fence": FENCE,
-    "start": PSCW,
-}
-_CLOSE_VERBS = frozenset({"unlock", "unlock_all", "complete"})
-_FLUSH_VERBS = frozenset({"flush", "flush_all"})
-_EPOCH_CTX_VERBS = {
-    "lock_epoch": LOCK,
-    "lock_all_epoch": LOCK_ALL,
-    "fence_epoch": FENCE,
-}
-#: ops that require an open epoch; True = records pending state
-_OPS = {
-    "get": "get",
-    "rget": "get",
-    "put": "put",
-    "rput": "put",
-    "accumulate": "put",
-    "get_blocking": None,   # completes before returning
-    "get_batch": None,      # element buffers live in a list, not names
-}
+def _from_unknown(call: str) -> str:
+    """The step from UNKNOWN: the mode all legal steps agree on, or UNKNOWN."""
+    legal = {n for m in MODES if (n := step(m, call)) in MODES}
+    return legal.pop() if len(legal) == 1 else UNKNOWN
+
+
+_FROM_UNKNOWN = {call: _from_unknown(call) for _mode, call in EPOCHS}
 
 #: method names that are strong evidence the receiver is an RMA window
 #: (generic names like get/put/lock/flush alone are not — dict.get,
@@ -154,6 +145,7 @@ def _is_window_constructor(call: ast.Call) -> bool:
     )
 
 
+_ONE_TARGET = (ast.AnnAssign, ast.AugAssign, ast.For, ast.AsyncFor)
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
 
 
@@ -208,9 +200,6 @@ class State:
             and self.pend == other.pend
         )
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict key
-        return hash((frozenset(self.wins.items()), frozenset(self.pend.items())))
-
     # -- helpers -----------------------------------------------------------
     def statuses(self, var: str) -> frozenset:
         return frozenset(s for s, _l in self.wins.get(var, frozenset()))
@@ -220,8 +209,12 @@ class State:
 
     def complete(self, win: str) -> None:
         """An epoch-close/flush on ``win``: retire its pending buffers."""
+        self.retire(lambda entry: entry[1] == win)
+
+    def retire(self, done) -> None:
+        """Drop the pending entries ``done(entry)`` says completed."""
         for buf, entries in list(self.pend.items()):
-            kept = frozenset(e for e in entries if e[1] != win)
+            kept = frozenset(e for e in entries if not done(e))
             if kept:
                 self.pend[buf] = kept
             else:
@@ -276,7 +269,7 @@ class _FnAnalyzer:
         self.effects: dict[str, VarEffect] = {}
         #: request var -> (buffer var, window var, op line)
         self._requests: dict[str, tuple] = {}
-        #: With node id -> [(window var, alias or None, status, line)]
+        #: With node id -> [((window var, alias...), scope verb, line)]
         self._with_epochs: dict[int, list] = {}
         self._classify_vars()
 
@@ -286,25 +279,17 @@ class _FnAnalyzer:
         assigned: set[str] = set(self.params)
         evidence: set[str] = set()
         for node in _shallow_walk(ast.Module(body=self.body, type_ignores=[])):
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for t in targets:
-                    for n in ast.walk(t):
-                        if isinstance(n, ast.Name):
-                            assigned.add(n.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for n in ast.walk(node.target):
-                    if isinstance(n, ast.Name):
-                        assigned.add(n.id)
+            targets: list = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, _ONE_TARGET):
+                targets = [node.target]
             elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        for n in ast.walk(item.optional_vars):
-                            if isinstance(n, ast.Name):
-                                assigned.add(n.id)
+                targets = [i.optional_vars for i in node.items]
+            for t in filter(None, targets):
+                assigned.update(
+                    n.id for n in ast.walk(t) if isinstance(n, ast.Name)
+                )
             if isinstance(node, ast.Call):
                 func = node.func
                 if (
@@ -337,11 +322,8 @@ class _FnAnalyzer:
     def run(self) -> list[Diagnostic]:
         cfg = build_cfg(self.body)
         entry_state = State()
-        for p in self.params:
-            if self.var_class.get(p) == "param":
-                entry_state.set_win(p, UNKNOWN)
         for name, cls in self.var_class.items():
-            if cls == "free":
+            if cls in ("param", "free"):
                 entry_state.set_win(name, UNKNOWN)
 
         block_in: dict[int, State] = {cfg.entry: entry_state}
@@ -357,10 +339,16 @@ class _FnAnalyzer:
                 continue
             state = block_in[bid].copy()
             block = cfg.block(bid)
-            exc_acc = state.copy()
+            # An atom may raise before or after its effect, except that a
+            # `with` entry that raises opened nothing (its body's exceptions
+            # leave through the cleanup) and a with's cleanup runs whole.
+            exc_acc = State()
             for atom in block.atoms:
+                if not isinstance(atom, WithExit):
+                    exc_acc = exc_acc.join(state)
                 self._atom(atom, state)
-                exc_acc = exc_acc.join(state)
+                if not isinstance(atom, (ast.With, ast.AsyncWith)):
+                    exc_acc = exc_acc.join(state)
             for target in block.exc:
                 self._flow(cfg, target, exc_acc, "raise", block, block_in,
                            worklist, exit_states)
@@ -389,12 +377,11 @@ class _FnAnalyzer:
 
     # ------------------------------------------------------------------
     def _record_exit_effects(self, state: State) -> None:
-        for name, cls in self.var_class.items():
-            eff = self.effects.setdefault(name, VarEffect())
+        for name in self.var_class:
+            eff = self._effect(name)
             eff.exit_states = eff.exit_states | state.wins.get(
                 name, frozenset()
             )
-        # provenance-tracked locals are invisible to callers: no summary
 
     def _effect(self, name: str) -> VarEffect:
         return self.effects.setdefault(name, VarEffect())
@@ -423,7 +410,7 @@ class _FnAnalyzer:
             if not self._reports_for(name):
                 continue
             for status, line in sorted(states):
-                if status in _LEAKABLE and line > 0:
+                if status in _OPEN and line > 0:
                     verb = "start" if status == PSCW else status
                     related = (
                         Related(self.path, exit_line or line,
@@ -441,14 +428,10 @@ class _FnAnalyzer:
     # ------------------------------------------------------------------
     def _atom(self, atom, state: State) -> None:
         if isinstance(atom, WithExit):
-            for win, alias, _status, _line in self._with_epochs.get(
-                id(atom.node), ()
-            ):
-                state.set_win(win, CLOSED)
-                state.complete(win)
-                self._effect(win).may_flush = True
-                if alias is not None:
-                    state.set_win(alias, CLOSED)
+            for names, verb, line in self._with_epochs.get(id(atom.node), ()):
+                for name in names:
+                    self._step_window(name, (SCOPES[verb][1],), verb, line,
+                                      state)
             return
         if isinstance(atom, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Import, ast.ImportFrom,
@@ -519,10 +502,8 @@ class _FnAnalyzer:
             if isinstance(value, ast.Call):
                 if _is_window_constructor(value):
                     state.set_win(name, CLOSED)
-                    self.var_class.setdefault(name, "local")
-                    self.var_class[name] = self.var_class.get(name, "local")
                     # provenance upgrades evidence: full checking
-                    if self.var_class[name] == "free":
+                    if self.var_class.get(name) != "param":
                         self.var_class[name] = "local"
                     return
                 func = value.func
@@ -560,8 +541,8 @@ class _FnAnalyzer:
         """
         for n in _shallow_walk(t):
             if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name):
-                self._flag_get_use(state, n.value.id, n.lineno, "overwritten")
-                self._flag_put_write(state, n.value.id, n.lineno)
+                self._flag(state, "get", n.value.id, n.lineno, "overwritten")
+                self._flag(state, "put", n.value.id, n.lineno)
             elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
                 state.kill(n.id)
 
@@ -582,18 +563,19 @@ class _FnAnalyzer:
                     isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
                     and self._tracked(state, func.value.id)
-                    and func.attr in _EPOCH_CTX_VERBS
+                    and func.attr in SCOPES
                 ):
-                    win = func.value.id
-                    status = _EPOCH_CTX_VERBS[func.attr]
-                    state.set_win(win, status, expr.lineno)
+                    win, verb = func.value.id, func.attr
+                    self._step_window(win, (SCOPES[verb][0],), verb,
+                                      expr.lineno, state)
+                    names = (win,)
                     if alias is not None:
                         state.wins[alias] = state.wins[win]
                         self.var_class.setdefault(
-                            name := alias, self.var_class.get(win, "local")
+                            alias, self.var_class.get(win, "local")
                         )
-                        del name
-                    epochs.append((win, alias, status, expr.lineno))
+                        names = (win, alias)
+                    epochs.append((names, verb, expr.lineno))
                     handled = True
                 elif _is_window_constructor(expr) and alias is not None:
                     state.set_win(alias, CLOSED)
@@ -615,35 +597,27 @@ class _FnAnalyzer:
             self._apply_call(call, state)
 
     # -- pending-buffer uses ------------------------------------------------
-    def _pending_kinds(self, state: State, name: str):
-        return state.pend.get(name, frozenset())
-
-    def _flag_get_use(self, state: State, name: str, line: int,
-                      how: str) -> None:
-        entries = [e for e in self._pending_kinds(state, name)
-                   if e[0] == "get"]
-        if entries and self.collect_diags:
-            _kind, win, op_line = sorted(entries)[0]
-            self._report(
-                "ANL010", line,
+    def _flag(self, state: State, kind: str, name: str, line: int,
+              how: str = "") -> None:
+        """A use of ``name`` while a ``kind`` op on it is in flight: ANL010
+        for a get's destination, ANL011 for a put's origin."""
+        entries = sorted(e for e in state.pend.get(name, ()) if e[0] == kind)
+        if not entries or not self.collect_diags:
+            return
+        _kind, win, op_line = entries[0]
+        if kind == "get":
+            rule, message = "ANL010", (
                 f"buffer `{name}` is {how} while a get into it is still in "
-                f"flight; its contents are undefined until `{win}` is flushed",
-                related=(Related(self.path, op_line,
-                                 "pending get issued here"),),
+                f"flight; its contents are undefined until `{win}` is flushed"
             )
-
-    def _flag_put_write(self, state: State, name: str, line: int) -> None:
-        entries = [e for e in self._pending_kinds(state, name)
-                   if e[0] == "put"]
-        if entries and self.collect_diags:
-            _kind, win, op_line = sorted(entries)[0]
-            self._report(
-                "ANL011", line,
+        else:
+            rule, message = "ANL011", (
                 f"origin buffer `{name}` is modified while a put from it is "
-                f"still in flight; flush `{win}` first",
-                related=(Related(self.path, op_line,
-                                 "pending put issued here"),),
+                f"still in flight; flush `{win}` first"
             )
+        self._report(rule, line, message, related=(
+            Related(self.path, op_line, f"pending {kind} issued here"),
+        ))
 
     def _scan_uses(self, expr, state: State, iter_read: bool = False,
                    aug_target: bool = False) -> None:
@@ -651,11 +625,11 @@ class _FnAnalyzer:
             return
 
         def reads(name: str, line: int, how: str) -> None:
-            self._flag_get_use(state, name, line, how)
+            self._flag(state, "get", name, line, how)
 
         def writes(name: str, line: int) -> None:
-            self._flag_get_use(state, name, line, "overwritten")
-            self._flag_put_write(state, name, line)
+            self._flag(state, "get", name, line, "overwritten")
+            self._flag(state, "put", name, line)
 
         if aug_target and isinstance(expr, ast.Name):
             reads(expr.id, expr.lineno, "read")
@@ -717,16 +691,8 @@ class _FnAnalyzer:
             # request completion: r.wait() retires the rget/rput buffer
             req = self._requests.get(func.value.id)
             if req is not None and func.attr == "wait":
-                buf, _win, op_line = req
-                entries = state.pend.get(buf)
-                if entries:
-                    kept = frozenset(
-                        e for e in entries if e[2] != op_line
-                    )
-                    if kept:
-                        state.pend[buf] = kept
-                    else:
-                        state.pend.pop(buf)
+                _buf, win, op_line = req
+                state.retire(lambda entry: entry[1:] == (win, op_line))
         # 2. bound epoch/flush methods passed as arguments are assumed
         #    invoked: recovery.retrying(win.flush_all) completes, etc.
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
@@ -735,7 +701,8 @@ class _FnAnalyzer:
                 and isinstance(arg.value, ast.Name)
                 and self._tracked(state, arg.value.id)
             ):
-                self._bound_method_effect(arg.value.id, arg.attr, call, state)
+                self._step_window(arg.value.id, VERBS.get(arg.attr, ()),
+                                  arg.attr, call.lineno, state)
         # 3. known callee: apply its one-level summary; unknown callee:
         #    havoc any window passed as a plain argument
         if isinstance(func, ast.Name):
@@ -793,81 +760,71 @@ class _FnAnalyzer:
             state.set_win(win, UNKNOWN)
             return
         state.wins[win] = frozenset(
-            (s, call.lineno if s in _LEAKABLE else 0)
-            for s, _l in eff.exit_states
+            (s, call.lineno if s in _OPEN else 0) for s, _l in eff.exit_states
         )
 
-    def _bound_method_effect(self, win: str, verb: str, call: ast.Call,
-                             state: State) -> None:
+    def _step_window(self, win: str, calls: tuple, verb: str, line: int,
+                     state: State) -> None:
+        """Step ``win``'s typestate through the epoch table, call by call:
+        for a method call, a scoped ``with`` entry or exit, and a bound
+        method passed as an argument (assumed invoked).  A refused step
+        leaves that path's mode alone, as the window's raise does."""
         eff = self._effect(win)
-        if verb in _FLUSH_VERBS:
-            state.complete(win)
-            eff.may_flush = True
-        elif verb in _CLOSE_VERBS:
-            state.set_win(win, CLOSED)
-            state.complete(win)
-            eff.may_flush = True
-        elif verb in _OPEN_VERBS:
-            status = _OPEN_VERBS[verb]
-            state.set_win(win, status, call.lineno)
-            if status == FENCE:
+        for call in calls:
+            statuses = state.statuses(win)
+            if call in NEEDS_EPOCH and UNKNOWN in statuses:
+                eff.needs_epoch = True
+            elif call in NEEDS_EPOCH and self._reports_for(win):
+                refused = {s for s in statuses if step(s, call) not in MODES}
+                if refused:
+                    path = "on a path " if refused != statuses else ""
+                    self._report(
+                        "ANL012", line,
+                        f"{win}.{verb}() {path}outside an epoch that allows it",
+                    )
+            state.wins[win] = frozenset(
+                self._next(status, opened, call, line)
+                for status, opened in state.wins[win]
+            )
+            if call in COMPLETES:
                 state.complete(win)
                 eff.may_flush = True
+
+    @staticmethod
+    def _next(status: str, opened: int, call: str, line: int) -> tuple:
+        if status == UNKNOWN:
+            nxt = _FROM_UNKNOWN[call]
+        else:
+            nxt = step(status, call)
+            if nxt not in MODES:  # refused: the window raises, mode stays
+                return status, opened
+        if nxt == status:
+            return status, opened
+        return nxt, line if nxt in _OPEN else 0
 
     def _window_verb(self, win: str, verb: str, call: ast.Call,
                      state: State) -> None:
-        eff = self._effect(win)
-        if verb in _OPEN_VERBS:
-            status = _OPEN_VERBS[verb]
-            if status == FENCE:
-                state.complete(win)
-                eff.may_flush = True
-            state.set_win(win, status, call.lineno)
-            return
-        if verb in _CLOSE_VERBS:
-            state.set_win(win, CLOSED)
-            state.complete(win)
-            eff.may_flush = True
-            return
-        if verb in _FLUSH_VERBS:
-            state.complete(win)
-            eff.may_flush = True
-            return
-        if verb == "free":
-            state.set_win(win, CLOSED)
-            state.complete(win)
-            return
-        if verb in _OPS:
-            statuses = state.statuses(win)
-            if UNKNOWN in statuses:
-                eff.needs_epoch = True
-            elif CLOSED in statuses and self._reports_for(win):
-                where = (
-                    "on a path where no epoch is provably open"
-                    if statuses & _OPEN
-                    else "with no epoch open"
-                )
-                self._report(
-                    "ANL012", call.lineno,
-                    f"{win}.{verb}() {where}; lock/lock_all/fence first",
-                )
-            kind = _OPS[verb]
-            if kind is not None and call.args:
-                first = call.args[0]
-                if isinstance(first, ast.Name):
-                    buf = first.id
-                    if kind == "put":
-                        self._flag_get_use(state, buf, call.lineno,
-                                           "used as a put origin")
-                    else:
-                        self._flag_get_use(
-                            state, buf, call.lineno,
-                            "reused as a get destination",
-                        )
-                        self._flag_put_write(state, buf, call.lineno)
-                    state.pend[buf] = state.pend.get(buf, frozenset()) | {
-                        (kind, win, call.lineno)
-                    }
+        calls = VERBS.get(verb, ())
+        self._step_window(win, calls, verb, call.lineno, state)
+        # a get leaves its destination pending, a put or accumulate its
+        # origin; get_blocking completes first, and a batch's buffers
+        # live in a list, not in names
+        if (
+            len(calls) == 1 and calls[0] in DATA_OPS and verb != "get_batch"
+            and call.args and isinstance(call.args[0], ast.Name)
+        ):
+            buf, line = call.args[0].id, call.lineno
+            if calls == ("get",):
+                kind = "get"
+                self._flag(state, "get", buf, line,
+                                   "reused as a get destination")
+                self._flag(state, "put", buf, line)
+            else:
+                kind = "put"
+                self._flag(state, "get", buf, line, "used as a put origin")
+            state.pend[buf] = state.pend.get(buf, frozenset()) | {
+                (kind, win, line)
+            }
 
 
 # ---------------------------------------------------------------------------

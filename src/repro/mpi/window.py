@@ -46,9 +46,9 @@ import numpy as np
 from repro.faults import DEFAULT_RETRY_POLICY
 from repro.mpi.comm import Communicator
 from repro.mpi.datatypes import Datatype, from_numpy
+from repro.mpi.epochs import CLOSED, FENCE, LOCK, LOCK_ALL, MODES, PSCW, step
 from repro.mpi.errors import (
     EpochError,
-    TargetFailedError,
     WindowError,
     WindowRevokedError,
 )
@@ -161,11 +161,11 @@ class Window:
         #: ranks a get may target: the members of the window's group
         self._targets = frozenset(comm.ranks)
         self.eph = 0  #: number of concluded epochs since creation (w.eph)
-        self._locked: set[int] = set()
-        self._locked_all = False
-        self._access_group: set[int] = set()    #: PSCW start() targets
-        self._fence_active = False              #: inside a fence_epoch block
-        self._exposure_group: set[int] = set()  #: PSCW post() origins
+        #: access-epoch mode (see repro.mpi.epochs) and the ranks the open
+        #: epoch covers: the locked ranks, the started group, or every
+        #: member under lock_all and fence_epoch
+        self._mode = CLOSED
+        self._access: frozenset[int] = frozenset()
         self._pending: list[_PendingOp] = []
         self._epoch_close_hooks: list[Callable[["Window", set[int] | None], None]] = []
         self._bytes_transferred = 0  #: diagnostic: payload bytes moved by gets/puts
@@ -253,7 +253,7 @@ class Window:
 
     def free(self) -> None:
         """Collectively free the window."""
-        self._require_no_epoch("free")
+        self._step("free")
         self._comm.barrier()
         self._group.freed = True
 
@@ -355,68 +355,35 @@ class Window:
         self._check_rank(rank)
         if lock_type not in (LOCK_SHARED, LOCK_EXCLUSIVE):
             raise EpochError(f"unknown lock type: {lock_type}")
-        if self._locked_all or rank in self._locked:
-            raise EpochError(f"rank {rank} is already locked")
-        if self._fence_active:
-            raise EpochError("lock inside a fence epoch")
-        self._locked.add(rank)
-        try:
-            self._sync_pipe.issue(describe_lock(self, rank, lock_type))
-        except TargetFailedError:
-            # Refused fail-fast (dead target): the epoch never opened.
-            self._locked.discard(rank)
-            raise
+        mode = self._step("lock", rank)
+        self._sync_pipe.issue(describe_lock(self, rank, lock_type))
+        self._mode, self._access = mode, self._access | {rank}
 
     def lock_all(self) -> None:
         """Open a passive-target access epoch towards every rank."""
         self._check_alive()
-        if self._locked_all or self._locked or self._fence_active:
-            raise EpochError("lock_all inside an existing epoch")
-        self._locked_all = True
+        mode = self._step("lock_all")
         self._sync_pipe.issue(describe_lock(self, None, LOCK_SHARED))
+        self._mode, self._access = mode, self._targets
 
     def unlock(self, rank: int) -> None:
         """Complete outstanding ops to ``rank`` and close its epoch."""
         self._check_alive()
-        if rank not in self._locked:
-            raise EpochError(
-                f"unlock({rank}): rank {rank} is not locked by rank "
-                f"{self._comm.rank} ({self._epoch_state()})"
-            )
-        self._sync_pipe.issue(
-            describe_sync(
-                self,
-                "unlock",
-                target=rank,
-                targets={rank},
-                close_targets={rank},
-                finalize=lambda: self._locked.discard(rank),
-                emit_attrs={"target": rank},
-            )
-        )
+        mode = self._step("unlock", rank)
+
+        def finalize() -> None:
+            self._access -= {rank}
+            if not self._access:
+                self._mode = mode
+
+        self._sync_pipe.issue(self._describe_sync("unlock", rank, finalize))
 
     def unlock_all(self) -> None:
         """Complete all outstanding ops and close the lock_all epoch."""
         self._check_alive()
-        if not self._locked_all:
-            raise EpochError(
-                f"unlock_all on rank {self._comm.rank} without a lock_all "
-                f"epoch ({self._epoch_state()})"
-            )
-
-        def finalize() -> None:
-            self._locked_all = False
-
+        self._step("unlock_all")
         self._sync_pipe.issue(
-            describe_sync(
-                self,
-                "unlock_all",
-                target=None,
-                targets=None,
-                close_targets=None,
-                finalize=finalize,
-                emit_attrs={"target": None},
-            )
+            self._describe_sync("unlock_all", None, self._close)
         )
 
     def flush(self, rank: int) -> None:
@@ -426,56 +393,48 @@ class Window:
         epoch``) we treat flush as an epoch-closure event for consistency
         purposes: ``eph`` is bumped and closure hooks fire.
         """
-        # The passing cases of _check_alive and _require_epoch in line;
-        # each helper runs only to raise.
+        # The passing cases of _check_alive and _step in line; each
+        # helper runs only to raise.
         group = self._group
         if group.freed or group.revoked:
             self._check_alive()
-        if not (
-            self._locked_all
-            or self._fence_active
-            or rank in self._locked
-            or rank in self._access_group
-        ):
-            self._require_epoch(rank, "flush")
+        if rank not in self._access:
+            self._step("flush", rank)
         # Per-target memo: a flush descriptor is a pure function of the
         # target rank (its sets/attrs are read-only downstream), and tight
         # get+flush loops issue hundreds of thousands of them.  Only the
         # measured completion extent changes per issue; reset it.
         desc = self._flush_descs.get(rank)
         if desc is None:
-            desc = self._flush_descs[rank] = describe_sync(
-                self,
-                "flush",
-                target=rank,
-                targets={rank},
-                close_targets={rank},
-                emit_attrs={"target": rank},
-            )
+            desc = self._flush_descs[rank] = self._describe_sync("flush", rank)
         desc.duration = 0.0
         self._sync_pipe.issue(desc)
 
     def flush_all(self) -> None:
         """Complete all outstanding ops without releasing any lock."""
         self._check_alive()
-        if not (self._locked_all or self._locked):
-            raise EpochError("flush_all outside an access epoch")
-        self._sync_pipe.issue(
-            describe_sync(
-                self,
-                "flush_all",
-                target=None,
-                targets=None,
-                close_targets=None,
-                emit_attrs={"target": None},
-            )
+        self._step("flush_all")
+        self._sync_pipe.issue(self._describe_sync("flush_all", None))
+
+    def _describe_sync(
+        self, kind: str, target: int | None, finalize: Callable | None = None
+    ) -> OpDescriptor:
+        """A flush or unlock completing ``target``'s ops (None: all)."""
+        targets = None if target is None else {target}
+        return describe_sync(
+            self,
+            kind,
+            target=target,
+            targets=targets,
+            close_targets=targets,
+            finalize=finalize,
+            emit_attrs={"target": target},
         )
 
     def fence(self) -> None:
         """Active-target synchronisation: collective epoch boundary."""
         self._check_alive()
-        if self._locked_all or self._locked or self._access_group:
-            raise EpochError("fence inside another access epoch")
+        self._step("fence")
         self._sync_pipe.issue(
             describe_sync(
                 self,
@@ -523,12 +482,15 @@ class Window:
         :meth:`fence` stays a pure synchronisation/completion boundary, so
         the epoch can never be left open by accident.
         """
-        self.fence()
-        self._fence_active = True
+        self.fence()  # leaves CLOSED or FENCE, both of which may enter
+        self._mode, self._access = self._step("fence_enter"), self._targets
         try:
             yield self
         finally:
-            self._fence_active = False
+            # Leave FENCE before the closing fence can raise (on a revoked
+            # window, say): the epoch ends with the block either way.
+            if step(self._mode, "fence_exit") == CLOSED:
+                self._close()
             self.fence()
 
     # -- generalised active target (PSCW) ------------------------------
@@ -541,17 +503,11 @@ class Window:
         latency per target.
         """
         self._check_alive()
-        if (
-            self._locked_all
-            or self._locked
-            or self._access_group
-            or self._fence_active
-        ):
-            raise EpochError("start inside an existing access epoch")
+        mode = self._step("start")
         targets = set(group)
         for r in targets:
             self._check_rank(r)
-        self._access_group = targets
+        self._mode, self._access = mode, frozenset(targets)
         perf = self._comm.perf
         for r in targets:
             self._comm.proc.advance(perf.issue_time(self._comm.rank, r, 0))
@@ -559,13 +515,8 @@ class Window:
     def complete(self) -> None:
         """Close the PSCW access epoch (MPI_Win_complete)."""
         self._check_alive()
-        if not self._access_group:
-            raise EpochError("complete without a matching start")
-        group = set(self._access_group)
-
-        def finalize() -> None:
-            self._access_group = set()
-
+        self._step("complete")
+        group = set(self._access)
         # Completion is an epoch-closure event like flush; telemetry
         # consumers (the repro.analysis sanitizer in particular) rely on
         # seeing the flush event to retire this origin's outstanding ops.
@@ -575,7 +526,7 @@ class Window:
                 "complete",
                 targets=None,
                 close_targets=group,
-                finalize=finalize,
+                finalize=self._close,
                 fault_site=None,
                 emit_attrs={"target": None, "pscw": True},
             )
@@ -589,10 +540,8 @@ class Window:
         notification latency.
         """
         self._check_alive()
-        targets = set(group)
-        for r in targets:
+        for r in set(group):
             self._check_rank(r)
-        self._exposure_group = targets
 
     def wait(self) -> None:
         """Wait for all access epochs on the local window (MPI_Win_wait).
@@ -602,7 +551,6 @@ class Window:
         phases with a barrier, which dominates its cost anyway.
         """
         self._check_alive()
-        self._exposure_group = set()
         self._comm.barrier()
 
     def add_epoch_close_hook(
@@ -774,8 +722,10 @@ class Window:
         The front half every get shares, plain or cached, in one frame:
         the dtype-memo hit of :meth:`_resolve_dtype`, then the passing
         cases of :meth:`_check_alive`, :meth:`_check_rank` and
-        :meth:`_require_epoch`, in that order.  Each helper runs only when
-        its test here fails, so the helper alone raises, with its message.
+        :meth:`_step`, in that order.  Each helper runs only when its test
+        here fails, so the helper alone raises, with its message.  One
+        test covers rank and epoch: every rank the open epoch covers is a
+        member of the window's group.
         """
         dtype = self._dtype_memo.get(origin.dtype) if datatype is None else datatype
         if dtype is not None and count is None:
@@ -787,18 +737,12 @@ class Window:
         if group.freed or group.revoked:
             self._check_alive()
         try:
-            member = rank in self._targets
+            covered = rank in self._access
         except TypeError:  # unhashable: let _check_rank raise as it always did
-            member = False
-        if not member:
+            covered = False
+        if not covered:
             self._check_rank(rank)
-        if not (
-            self._locked_all
-            or self._fence_active
-            or rank in self._locked
-            or rank in self._access_group
-        ):
-            self._require_epoch(rank, "get")
+            self._step("get", rank)
         return dtype, count
 
     def _resolve_dtype(
@@ -852,40 +796,36 @@ class Window:
 
     def _epoch_state(self) -> str:
         """Human-readable summary of this rank's current epoch state."""
-        parts = []
-        if self._locked_all:
-            parts.append("lock_all held")
-        if self._locked:
-            parts.append(f"locked ranks {sorted(self._locked)}")
-        if self._access_group:
-            parts.append(f"PSCW access group {sorted(self._access_group)}")
-        if self._fence_active:
-            parts.append("inside a fence epoch")
-        state = ", ".join(parts) if parts else "no epoch open"
+        mode, access = self._mode, sorted(self._access)
+        state = {
+            CLOSED: "no epoch open",
+            LOCK: f"locked ranks {access}",
+            LOCK_ALL: "lock_all held",
+            FENCE: "inside a fence epoch",
+            PSCW: f"PSCW access group {access}",
+        }[mode]
         return f"epoch state: {state}; {self.eph} epochs concluded"
 
-    def _require_epoch(self, rank: int, what: str) -> None:
-        # _admit_get and flush test this predicate in line and call here
-        # only to raise: change all three together.
-        if not (
-            self._locked_all
-            or self._fence_active
-            or rank in self._locked
-            or rank in self._access_group
-        ):
-            raise EpochError(
-                f"{what} towards rank {rank} outside an access epoch "
-                "(call lock/lock_all/start first)"
-            )
+    def _step(self, call: str, rank: int | None = None) -> str:
+        """The mode ``call`` towards ``rank`` leaves this window in.
 
-    def _require_no_epoch(self, what: str) -> None:
-        if (
-            self._locked_all
-            or self._locked
-            or self._access_group
-            or self._fence_active
-        ):
-            raise EpochError(f"{what} called inside an open access epoch")
+        Raises the epoch table's :class:`EpochError` when the open epoch
+        does not allow the call; the caller applies the mode.
+        """
+        mode = step(self._mode, call, rank in self._access)
+        if mode not in MODES:
+            raise EpochError(
+                mode.format(
+                    call=call,
+                    rank=rank,
+                    me=self._comm.rank,
+                    state=self._epoch_state(),
+                )
+            )
+        return mode
+
+    def _close(self) -> None:
+        self._mode, self._access = CLOSED, frozenset()
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self._comm.proc.nprocs:
@@ -988,15 +928,5 @@ class WindowProxy:
         with self._win.fence_epoch():
             yield self
 
-    def get_blocking(
-        self,
-        origin: np.ndarray,
-        target_rank: int,
-        target_disp: int,
-        count: int | None = None,
-        datatype: Datatype | None = None,
-    ) -> int:
-        """Convenience: ``get`` + ``flush(target_rank)``."""
-        n = self.get(origin, target_rank, target_disp, count, datatype)
-        self.flush(target_rank)
-        return n
+    #: ``get`` + ``flush``, through the layered window's own ``get``
+    get_blocking = Window.get_blocking

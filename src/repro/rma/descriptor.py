@@ -226,7 +226,7 @@ def describe_put(
     obuf = origin_bytes(origin, nbytes)
     window._check_alive()
     window._check_rank(target_rank)
-    window._require_epoch(target_rank, "put")
+    window._step("put", target_rank)
     if target_disp < 0:
         raise WindowError(f"negative displacement: {target_disp}")
     base, span, blocks = _footprint(window, target_rank, target_disp, count, dtype)
@@ -262,7 +262,7 @@ def describe_accumulate(
         raise WindowError("accumulate requires a contiguous datatype")
     window._check_alive()
     window._check_rank(target_rank)
-    window._require_epoch(target_rank, "accumulate")
+    window._step("accumulate", target_rank)
     if target_disp < 0:
         raise WindowError(f"negative displacement: {target_disp}")
     nbytes = dtype.transfer_size(count)
@@ -363,7 +363,7 @@ def describe_get_batch(
         count = req[3] if len(req) > 3 else None
         datatype = req[4] if len(req) > 4 else None
         window._check_rank(target_rank)
-        window._require_epoch(target_rank, "get")
+        window._step("get", target_rank)
         descs.append(
             describe_get(
                 window,

@@ -48,10 +48,12 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.mpi.epochs import FENCE, LOCK, LOCK_ALL, MODES, OPEN_MODES, PSCW, step
+
 #: data-movement op kinds an :class:`Op` may carry
 OP_KINDS = ("get", "put", "accumulate", "get_batch", "flush")
-#: per-phase epoch disciplines
-EPOCH_KINDS = ("lock", "lock_all", "fence", "pscw")
+#: per-phase epoch disciplines: the open modes of the window's epoch table
+EPOCH_KINDS = OPEN_MODES
 #: element dtypes ops may use (numpy codes; all contiguous basics)
 DTYPES = ("u1", "i4", "f8")
 #: element dtypes *generated* accumulates use: integers only, so that a
@@ -156,7 +158,7 @@ class Phase:
             "epoch": self.epoch,
             "ops": [[op.to_dict() for op in rank_ops] for rank_ops in self.ops],
         }
-        if self.epoch == "lock":
+        if self.epoch == LOCK:
             d["lock_targets"] = list(self.lock_targets)
         return d
 
@@ -274,7 +276,7 @@ def _phase_errors(spec: WorkloadSpec, phase: Phase) -> list[str]:
         return [f"unknown epoch kind {phase.epoch!r}"]
     if len(phase.ops) != n:
         return [f"ops lists for {len(phase.ops)} ranks, job has {n}"]
-    if phase.epoch == "lock":
+    if phase.epoch == LOCK:
         if len(phase.lock_targets) != n:
             return [f"lock phase needs {n} lock_targets"]
         for r, t in enumerate(phase.lock_targets):
@@ -290,9 +292,9 @@ def _phase_errors(spec: WorkloadSpec, phase: Phase) -> list[str]:
 
     for r, rank_ops in enumerate(phase.ops):
         lock_t = (
-            phase.lock_targets[r] if phase.epoch == "lock" else None
+            phase.lock_targets[r] if phase.epoch == LOCK else None
         )
-        if phase.epoch == "lock" and lock_t is None and rank_ops:
+        if phase.epoch == LOCK and lock_t is None and rank_ops:
             errors.append(f"rank {r}: ops without a lock target")
             continue
         # current flush-delimited segment id per target
@@ -305,17 +307,14 @@ def _phase_errors(spec: WorkloadSpec, phase: Phase) -> list[str]:
                 errors.append(f"{where}: unknown kind {op.kind!r}")
                 continue
             if op.kind == "flush":
+                call = "flush_all" if op.target is None else "flush"
                 if op.target is not None and not 0 <= op.target < n:
                     errors.append(f"{where}: bad flush target {op.target}")
-                elif lock_t is not None and op.target not in (None, lock_t):
+                elif not _allows(phase.epoch, call, lock_t, r, op.target):
                     errors.append(
-                        f"{where}: flush({op.target}) under lock({lock_t})"
+                        f"{where}: {call}({op.target}) refused under "
+                        f"{phase.epoch}"
                     )
-                elif op.target is None and phase.epoch in ("fence", "pscw"):
-                    # MPI: flush_all needs a passive-target epoch
-                    errors.append(f"{where}: flush_all under {phase.epoch}")
-                elif phase.epoch == "pscw" and op.target == r:
-                    errors.append(f"{where}: flush(self) under pscw")
                 elif op.target is None:
                     seg = {t: s + 1 for t, s in seg.items()}
                 else:
@@ -346,15 +345,9 @@ def _phase_errors(spec: WorkloadSpec, phase: Phase) -> list[str]:
                 if t is None or not 0 <= t < n:
                     errors.append(f"{where}: bad target {t}")
                     continue
-                if lock_t is not None and t != lock_t:
-                    errors.append(
-                        f"{where}: target {t} under lock({lock_t})"
-                    )
-                    continue
-                if phase.epoch == "pscw" and t == r:
-                    # the PSCW access epoch covers the started group,
-                    # which never includes the origin itself
-                    errors.append(f"{where}: self-target under pscw")
+                call = op.kind if is_write else "get"
+                if not _allows(phase.epoch, call, lock_t, r, t):
+                    errors.append(f"{where}: target {t} outside the epoch")
                     continue
                 if not 0 <= s < spec.total_slots:
                     errors.append(f"{where}: slot {s} out of range")
@@ -391,10 +384,20 @@ def _phase_errors(spec: WorkloadSpec, phase: Phase) -> list[str]:
     return errors
 
 
+def _allows(
+    epoch: str, call: str, lock_t: int | None, rank: int, target: int | None
+) -> bool:
+    """Does ``rank``'s epoch, opened as the runner opens it, allow ``call``
+    towards ``target``?  ``lock`` covers ``lock_t``, ``start`` every other
+    rank, and ``lock_all`` or ``fence_epoch`` the whole group."""
+    covered = {LOCK: target == lock_t, PSCW: target != rank}.get(epoch, True)
+    return step(epoch, call, covered) in MODES
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
-_EPOCH_WEIGHTS = (("lock_all", 45), ("lock", 25), ("fence", 20), ("pscw", 10))
+_EPOCH_WEIGHTS = ((LOCK_ALL, 45), (LOCK, 25), (FENCE, 20), (PSCW, 10))
 _KIND_WEIGHTS = (
     ("get", 52),
     ("put", 16),
@@ -462,7 +465,7 @@ def generate(
     epochs = [_weighted(rng, _EPOCH_WEIGHTS) for _ in range(phases_n)]
     lock_targets: list[tuple[int | None, ...]] = []
     for ek in epochs:
-        if ek == "lock":
+        if ek == LOCK:
             lock_targets.append(
                 tuple(
                     rng.choice([x for x in range(n) if x != r])
@@ -493,32 +496,33 @@ def generate(
         p_write = rng.randint(1, phases_n - 2)
         probe_get = Op("get", target=t, slot=s, nbytes=spec.slot_bytes)
         probe_put = Op("put", target=t, slot=s, nbytes=spec.slot_bytes)
-        placed = (
-            _probe_placement_ok(epochs, lock_targets, 0, r, t)
-            and _probe_placement_ok(epochs, lock_targets, p_write, w, t)
-            and _probe_placement_ok(epochs, lock_targets, phases_n - 1, r, t)
-        )
-        if not placed:
-            # force friendly epochs for the probe's three phases
-            for pi in (0, p_write, phases_n - 1):
-                epochs[pi] = "lock_all"
-                lock_targets[pi] = ()
-        for pi, who, op in (
+        probes = (
             (0, r, probe_get),
             (p_write, w, probe_put),
             (phases_n - 1, r, probe_get),
+        )
+        if not all(
+            _allows(epochs[pi], "get",
+                    lock_targets[pi][who] if epochs[pi] == LOCK else None,
+                    who, t)
+            for pi, who, _op in probes
         ):
+            # force friendly epochs for the probe's three phases
+            for pi, _who, _op in probes:
+                epochs[pi] = LOCK_ALL
+                lock_targets[pi] = ()
+        for pi, who, op in probes:
             if not try_add(pi, who, op):  # pragma: no cover - generator bug
                 raise AssertionError("stale probe placement rejected")
 
     for pi in range(phases_n):
         for r in range(n):
-            if epochs[pi] == "lock" and lock_targets[pi][r] is None:
+            if epochs[pi] == LOCK and lock_targets[pi][r] is None:
                 continue
             budget = rng.randint(*ops_per_rank)
             for _ in range(budget):
                 op = _propose(rng, spec, pools[r], r, epochs[pi],
-                              lock_targets[pi][r] if epochs[pi] == "lock"
+                              lock_targets[pi][r] if epochs[pi] == LOCK
                               else None)
                 if op is not None and not try_add(pi, r, op):
                     # fall back to a hot-pool read, the always-safe op
@@ -538,20 +542,6 @@ def generate(
     if errors:  # pragma: no cover - generator bug guard
         raise AssertionError(f"generator produced invalid spec: {errors}")
     return spec
-
-
-def _probe_placement_ok(
-    epochs: list[str],
-    lock_targets: list[tuple[int | None, ...]],
-    pi: int,
-    rank: int,
-    target: int,
-) -> bool:
-    if epochs[pi] == "lock":
-        return lock_targets[pi][rank] == target
-    if epochs[pi] == "pscw":
-        return target != rank
-    return True
 
 
 def _propose(
@@ -574,7 +564,7 @@ def _propose(
             if rng.random() < 0.8 and any(pt == t for pt, _ in pool):
                 return rng.choice([(pt, ps) for pt, ps in pool if pt == t])
             return t, rng.randrange(spec.total_slots)
-        if epoch == "pscw":
+        if epoch == PSCW:
             # the access epoch never covers self: foreign targets only
             foreign = [(pt, ps) for pt, ps in pool if pt != rank]
             if rng.random() < 0.8 and foreign:
@@ -592,7 +582,7 @@ def _propose(
     if kind == "flush":
         if lock_t is not None:
             return Op("flush", target=lock_t)
-        if epoch in ("fence", "pscw"):
+        if not _allows(epoch, "flush_all", None, rank, None):
             return Op("flush", target=rng.choice(others))
         return Op("flush", target=None if rng.random() < 0.5
                   else rng.choice(others))

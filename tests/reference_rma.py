@@ -3,7 +3,8 @@
 ``repro.rma.descriptor.describe_get_into`` as it stood before the passing
 checks of a get were folded into one frame (commit ``bd3f316``): one call
 each to ``_resolve_dtype``, ``_check_alive``, ``_check_rank``,
-``_require_epoch``, ``_footprint`` and ``Datatype.transfer_size``.  The
+``_require_epoch`` (now ``_step``, the epoch table's check), ``_footprint``
+and ``Datatype.transfer_size``.  The
 rewritten describe must fill the same descriptor fields and raise the same
 exception, with the same message, for every argument and window state
 (``tests/test_rma_error_parity.py``).
@@ -30,7 +31,7 @@ def describe_get_into(
     dtype, count = window._resolve_dtype(origin, count, datatype)
     window._check_alive()
     window._check_rank(target_rank)
-    window._require_epoch(target_rank, "get")
+    window._step("get", target_rank)
     if target_disp < 0:
         raise WindowError(f"negative displacement: {target_disp}")
     base, span, blocks = _footprint(window, target_rank, target_disp, count, dtype)

@@ -123,15 +123,31 @@ class TestEpochLeak:
         )
         assert "ANL009" in rules_of(diags)
 
-    def test_fence_epoch_at_exit_is_not_a_leak(self):
-        # fence epochs are closed by the *next* fence; an open fence at
-        # scope exit is idiomatic
+    def test_bare_fence_opens_no_epoch(self):
+        # a bare fence is a completion boundary, as the window treats it:
+        # the get between two fences raises EpochError at run time
         diags = verify_snippet(
             """
-            def f(win):
+            def f(mpi, buf):
+                win = Window.allocate(mpi.comm_world, 64)
                 win.fence()
                 win.get(buf, 0, 0)
                 win.fence()
+            """
+        )
+        assert [(d.rule, d.line) for d in diags] == [("ANL012", 5)]
+
+    def test_fence_epoch_at_exit_is_not_a_leak(self):
+        # only fence_epoch opens an active-target epoch, and it closes on
+        # every edge out of its block
+        diags = verify_snippet(
+            """
+            def f(mpi, buf):
+                win = Window.allocate(mpi.comm_world, 64)
+                with win.fence_epoch():
+                    win.get(buf, 0, 0)
+                    win.flush(0)
+                return buf[0]
             """
         )
         assert diags == []

@@ -69,6 +69,24 @@ class TestPSCW:
         with pytest.raises(RankFailedError):
             run(1, program)
 
+    def test_lock_inside_pscw_rejected(self):
+        def program(m):
+            win = Window.allocate(m.comm_world, 64)
+            win.start([0])
+            win.lock(0)
+
+        with pytest.raises(RankFailedError, match="lock inside a PSCW epoch"):
+            run(1, program)
+
+    def test_lock_all_inside_pscw_rejected(self):
+        def program(m):
+            win = Window.allocate(m.comm_world, 64)
+            win.start([0])
+            win.lock_all()
+
+        with pytest.raises(RankFailedError, match="lock_all inside an existing"):
+            run(1, program)
+
     def test_epoch_close_hooks_fire_on_complete(self):
         def program(m):
             win = Window.allocate(m.comm_world, 64)
