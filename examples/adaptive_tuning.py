@@ -13,9 +13,8 @@ Run with:  python examples/adaptive_tuning.py
 from repro import clampi
 from repro.apps.cachespec import CacheSpec
 from repro.bench import make_micro_workload, run_micro
-from repro.bench.reporting import format_table
 from repro.core.stats import snapshot_hits
-from repro.util import KiB, format_bytes, format_time
+from repro.util import KiB, format_bytes, format_table, format_time
 
 
 def main():

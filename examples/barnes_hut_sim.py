@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.apps import BarnesHutApp
 from repro.apps.cachespec import CacheSpec
-from repro.bench.reporting import format_table
 from repro.core.stats import snapshot_hits
-from repro.util import KiB, format_bytes, format_time
+from repro.util import KiB, format_bytes, format_table, format_time
 
 
 def main():

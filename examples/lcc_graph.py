@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.apps import LCCApp
 from repro.apps.cachespec import CacheSpec
-from repro.bench.reporting import format_table
 from repro.core.stats import snapshot_hits
-from repro.util import format_bytes, format_time
+from repro.util import format_bytes, format_table, format_time
 
 
 def main():

@@ -19,14 +19,13 @@ import numpy as np
 
 from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
-from repro.bench.reporting import format_table
 from repro.trace import (
     reuse_histogram,
     size_distribution,
     working_set_sizes,
 )
 from repro.trace.analysis import reuse_fraction, working_set_bytes
-from repro.util import format_bytes
+from repro.util import format_bytes, format_table
 
 
 def main():

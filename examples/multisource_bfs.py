@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.apps.bfs import BFSApp
 from repro.apps.cachespec import CacheSpec
-from repro.bench.reporting import format_table
 from repro.core.stats import snapshot_hits
-from repro.util import format_time
+from repro.util import format_table, format_time
 
 
 def main():

@@ -110,7 +110,7 @@ RULES: dict[str, Rule] = dict(
         _rule(
             "ANL006", "pipeline-purity", "everywhere", SEV_ERROR,
             "Window/CachedWindow op methods must not inline pipeline concerns",
-            "move the concern into the repro.rma handler or CachedWindow._serve",
+            "move the concern into its repro.mpi.ops handler or CachedWindow._serve",
         ),
         _rule(
             "ANL007", "deterministic-policies", "everywhere", SEV_ERROR,
@@ -157,7 +157,7 @@ RULES: dict[str, Rule] = dict(
             "delete the allow comment (the finding it silenced is gone)",
         ),
         _rule(
-            "ANL014", "gated-event-construction", "repro.core/mpi/rma/runtime",
+            "ANL014", "gated-event-construction", "repro.core/mpi/runtime",
             SEV_ERROR,
             "hot-path modules may only construct Event() inside a kind-gated "
             "_emit* helper",

@@ -27,10 +27,10 @@ Rules
 ``ANL006`` **pipeline-purity** — the RMA op entry points of
     :class:`repro.mpi.window.Window` and
     :class:`repro.core.window.CachedWindow` (``get``/``put``/``flush``/…)
-    must describe + issue through the :mod:`repro.rma` pipeline only: no
+    must describe + issue through the :mod:`repro.mpi.ops` handlers only: no
     inlined cost, fault, retry or telemetry logic (``self.cost``,
     ``self._faults``, ``self._emit`` and friends) in their bodies.  Each
-    cross-cutting concern lives once: in a :mod:`repro.rma` handler, or —
+    cross-cutting concern lives once: in a :mod:`repro.mpi.ops` handler, or —
     for the cached get — in the adapter's ``CachedWindow._serve``.
 ``ANL007`` **deterministic-policies** — cache policy implementations
     (classes with a base ending in ``Policy``, i.e. anything pluggable
@@ -41,7 +41,7 @@ Rules
     ``entry.last`` for recency and the seed handed to ``bind()`` for
     randomness.
 ``ANL014`` **gated-event-construction** — inside the hot-path packages
-    (``repro.core``, ``repro.mpi``, ``repro.rma``, ``repro.runtime``)
+    (``repro.core``, ``repro.mpi``, ``repro.runtime``)
     telemetry :class:`~repro.obs.Event` objects may only be constructed
     inside a ``_emit*`` helper, the convention for call sites that check
     ``bus.wants(kind)`` first.  A raw ``Event(...)`` on an op path
@@ -91,7 +91,7 @@ RESTRICTED_PACKAGES = ("core", "mpi", "net")
 
 #: Packages in which ANL014 applies: the RMA data plane, where per-op
 #: Event construction must stay behind a kind-gated ``_emit*`` helper.
-HOT_PATH_PACKAGES = ("core", "mpi", "rma", "runtime")
+HOT_PATH_PACKAGES = ("core", "mpi", "runtime")
 
 #: Resilience-layer internals of repro.mpi.window.Window (ANL003).
 RESILIENCE_INTERNALS = frozenset(
@@ -129,8 +129,8 @@ PIPELINE_OP_METHODS = frozenset(
     }
 )
 
-#: Cross-cutting concern attributes owned by the repro.rma pipeline (ANL006):
-#: accessing them from an op method re-inlines a concern a repro.rma
+#: Cross-cutting concern attributes owned by the op handlers (ANL006):
+#: accessing them from an op method re-inlines a concern a repro.mpi.ops
 #: handler already owns.
 PIPELINE_CONCERNS = frozenset(
     {
@@ -411,8 +411,8 @@ def _check_pipeline_purity(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
                 ):
                     yield node.lineno, "ANL006", (
                         f"op method {cls.name}.{fn.name}() touches "
-                        f"{node.attr!r}; that concern belongs to a repro.rma "
-                        "handler — describe + issue only"
+                        f"{node.attr!r}; that concern belongs to an op handler "
+                        "in repro.mpi.ops — describe + issue only"
                     )
 
 

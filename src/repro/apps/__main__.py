@@ -19,10 +19,9 @@ import argparse
 from repro import clampi
 from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
-from repro.bench.reporting import format_table
 from repro.core.stats import snapshot_hits
 from repro.trace import recommend_parameters, reuse_histogram
-from repro.util import KiB, format_bytes, format_time
+from repro.util import KiB, format_bytes, format_table, format_time
 
 
 def _spec(args, footprint: int, index_hint: int, mode) -> CacheSpec:

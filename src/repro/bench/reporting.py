@@ -8,29 +8,9 @@ documents are exactly the numbers the harness produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
-
-def _fmt(value: Any) -> str:
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3g}"
-        return f"{value:.3f}".rstrip("0").rstrip(".")
-    return str(value)
-
-
-def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """Render a monospaced table with aligned columns."""
-    cells = [[_fmt(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    for j, row in enumerate(cells):
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if j == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+from repro.util.units import format_cell, format_table
 
 
 @dataclass
@@ -144,7 +124,7 @@ class FigureResult:
         out.append("| " + " | ".join(self.headers) + " |")
         out.append("|" + "|".join("---" for _ in self.headers) + "|")
         for row in self.rows:
-            out.append("| " + " | ".join(_fmt(c) for c in row) + " |")
+            out.append("| " + " | ".join(format_cell(c) for c in row) + " |")
         if self.notes:
             out.append("")
             out.extend(f"- {n}" for n in self.notes)

@@ -22,24 +22,7 @@ Subpackage map (paper section in brackets):
   op methods, epoch closure, operational modes, crash and fault handling
   (Sec. III-A).
 
-The user-facing facade lives in :mod:`repro.clampi`.
+The user-facing facade lives in :mod:`repro.clampi`.  Import the
+submodules directly; the package itself loads nothing, so importing the
+engine does not load the MPI adapter.
 """
-
-from repro.core.config import Config, Mode
-from repro.core.engine import CacheEngine
-from repro.core.policy import CachePolicy, PolicyContext
-from repro.core.stats import AccessType, CacheStats
-from repro.core.states import EntryState
-from repro.core.window import CachedWindow
-
-__all__ = [
-    "AccessType",
-    "CacheEngine",
-    "CachePolicy",
-    "CacheStats",
-    "CachedWindow",
-    "Config",
-    "EntryState",
-    "Mode",
-    "PolicyContext",
-]

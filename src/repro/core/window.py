@@ -48,6 +48,7 @@ from repro.core.engine import CacheEngine, CacheGetRequest
 from repro.core.stats import AccessType
 from repro.mpi.datatypes import Datatype
 from repro.mpi.errors import TargetFailedError
+from repro.mpi.ops import describe_get, emit_get_batch
 from repro.mpi.window import Window, WindowProxy
 from repro.obs import (
     CACHE_ACCESS,
@@ -64,8 +65,6 @@ from repro.obs import (
     EventBus,
     get_bus,
 )
-from repro.rma.descriptor import describe_get
-from repro.rma.interceptors import emit_get_batch
 
 _FAILING = AccessType.FAILING
 #: the engine's event kinds, as published on the bus

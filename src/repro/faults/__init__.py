@@ -12,11 +12,10 @@ can be proven correct and gracefully degrading under failure:
   :class:`~repro.mpi.simmpi.SimMPI` when a plan is passed to a job;
 * :class:`RetryPolicy` — exponential backoff with jitter (charged in
   virtual time) and per-op timeouts, consumed by the
-  :class:`~repro.mpi.window.Window` resilience layer;
-* :mod:`repro.faults.chaos` — the chaos harness running micro-benchmarks
-  and the LCC / Barnes-Hut applications under fault plans and checking
-  results stay bit-identical to the fault-free run
-  (``python -m repro.faults``).
+  :class:`~repro.mpi.window.Window` resilience layer.
+
+The chaos harness that runs the applications under these plans sits
+above them, in :mod:`repro.verify.chaos` (``python -m repro.verify chaos``).
 
 Typical chaos run::
 
@@ -28,9 +27,7 @@ Typical chaos run::
 
 Layering: this package is a leaf — the MPI layer imports it, never the
 other way around (the one exception, the ``StorageFault`` raise, is a
-lazy import); the chaos harness, which needs the application layer, is
-imported lazily — mirroring how ``repro.obs`` keeps its report CLI out of
-the package import surface.
+lazy import).
 """
 
 from __future__ import annotations

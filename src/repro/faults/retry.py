@@ -9,7 +9,7 @@ per-rank :class:`~repro.faults.plan.FaultInjector` stream), never by wall
 clocks or global RNG state.
 
 Single owner: the retry *loop* consuming this policy lives in exactly one
-place — the resilience wrapper :mod:`repro.rma.interceptors` binds around
+place — the resilience wrapper :mod:`repro.mpi.ops` binds around
 both the data and the sync handler.  Nothing else re-issues failed
 operations; lint rule ANL003 keeps callers from reaching around it.
 """

@@ -19,9 +19,14 @@ Timing: every operation charges virtual time through the job's
 :class:`repro.net.PerfModel`; non-blocking gets charge injection cost at
 issue time and complete (clock-wise) at the next synchronisation, which is
 what makes the overlap study (Fig. 8) reproducible.
+
+Importing the package loads only its value types (datatypes, errors);
+the launcher, communicator and window load on first use of their names
+(PEP 562), so a layer that needs a datatype does not load the world.
 """
 
-from repro.mpi.comm import Communicator, ReduceOp
+import importlib
+
 from repro.mpi.datatypes import (
     BYTE,
     FLOAT32,
@@ -45,8 +50,26 @@ from repro.mpi.errors import (
     TransientNetworkError,
     WindowError,
 )
-from repro.mpi.simmpi import MPIProcess, SimMPI
-from repro.mpi.window import LOCK_EXCLUSIVE, LOCK_SHARED, Request, Window
+
+#: names served on first access, with the module that defines them
+_LAZY = {
+    "Communicator": "repro.mpi.comm",
+    "ReduceOp": "repro.mpi.comm",
+    "MPIProcess": "repro.mpi.simmpi",
+    "SimMPI": "repro.mpi.simmpi",
+    "LOCK_EXCLUSIVE": "repro.mpi.window",
+    "LOCK_SHARED": "repro.mpi.window",
+    "Request": "repro.mpi.window",
+    "Window": "repro.mpi.window",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value
 
 __all__ = [
     "BYTE",

@@ -82,7 +82,7 @@ class StorageFault(FaultError):
 class TargetFailedError(MPIError):
     """An RMA operation targeted a rank that crashed permanently.
 
-    Raised fail-fast by the resilience wrapper of the :mod:`repro.rma`
+    Raised fail-fast by the resilience wrapper of the :mod:`repro.mpi.ops`
     handlers — no time is charged and no retry happens,
     because crash-stop failures (unlike :class:`TransientNetworkError`)
     never heal.  The caching engine may still satisfy reads from

@@ -25,8 +25,8 @@ epoch, payloads are copied at issue time; only the clocks honour the
 asynchronous completion model.
 
 Every operation is *described* as an
-:class:`repro.rma.descriptor.OpDescriptor` and *issued* through the
-window's bound data or sync handler (:mod:`repro.rma.interceptors`), which
+:class:`repro.mpi.ops.OpDescriptor` and *issued* through the
+window's bound data or sync handler (:mod:`repro.mpi.ops`), which
 owns retry/backoff, fault injection, the simulated transport (byte
 movement + cost pricing), telemetry emission and epoch closure.  The op
 methods below only validate, build the descriptor and manage epoch state;
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -52,12 +51,12 @@ from repro.mpi.errors import (
     WindowError,
     WindowRevokedError,
 )
-from repro.obs import WINDOW_REVOKED, Event, get_bus
-
-# Submodule imports (not the package) keep the repro.mpi <-> repro.rma
-# import graph acyclic regardless of which package is imported first.
-from repro.rma.descriptor import (
+from repro.mpi.ops import (
+    SYNC_OVERHEAD,
     OpDescriptor,
+    _PendingOp,
+    build_data_pipeline,
+    build_sync_pipeline,
     describe_accumulate,
     describe_get,
     describe_get_batch,
@@ -65,29 +64,14 @@ from repro.rma.descriptor import (
     describe_lock,
     describe_put,
     describe_sync,
-)
-from repro.rma.interceptors import (
-    build_data_pipeline,
-    build_sync_pipeline,
     emit_get_batch,
 )
+from repro.obs import WINDOW_REVOKED, Event, get_bus
 
 LOCK_SHARED = "shared"
 LOCK_EXCLUSIVE = "exclusive"
 
-#: Fixed CPU cost of a flush/unlock synchronisation call.
-SYNC_OVERHEAD = 50e-9
-
 _window_ids = itertools.count()
-
-
-@dataclass
-class _PendingOp:
-    """A posted but (time-wise) incomplete RMA operation."""
-
-    target: int
-    issue_clock: float
-    duration: float
 
 
 class _WindowGroup:
@@ -180,7 +164,7 @@ class Window:
         self.faults_injected = 0  #: injected faults that raised on this window
         self.retries = 0          #: retry attempts performed on this window
         #: (span, blocks) footprint memo keyed on (dtype, count) — see
-        #: repro.rma.descriptor._footprint
+        #: repro.mpi.ops._footprint
         self._fp_memo: dict = {}
         #: numpy dtype -> predefined Datatype memo (see :meth:`_resolve_dtype`)
         self._dtype_memo: dict = {}
@@ -192,7 +176,7 @@ class Window:
         self._scalar_desc: OpDescriptor | None = OpDescriptor(kind="get")
         #: memoized per-target flush descriptors (see :meth:`flush`)
         self._flush_descs: dict[int, OpDescriptor] = {}
-        #: the bound handlers every op is issued through (repro.rma)
+        #: the bound handlers every op is issued through (repro.mpi.ops)
         self._data_pipe = build_data_pipeline(self)
         self._sync_pipe = build_sync_pipeline(self)
         # Failure-report diagnostic: the scheduler appends each rank's open

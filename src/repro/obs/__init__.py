@@ -23,10 +23,10 @@ stays disabled and instrumented hot paths pay a single boolean check —
 cache decisions and virtual-time results are bit-identical either way,
 which the test suite asserts.
 
-Layering note: this package imports nothing from the rest of ``repro``
-(the report module, which needs :class:`repro.core.stats.AccessType`,
-is imported lazily by the CLI) so every layer may instrument itself
-without import cycles.
+Layering note: this package imports nothing above ``repro.util`` (the
+report module holds the cache's access vocabulary by value, as
+:data:`~repro.obs.events.ACCESS_TYPES`), so every layer may instrument
+itself without import cycles.
 """
 
 from __future__ import annotations

@@ -53,6 +53,18 @@ RANK_CRASHED = "rank.crashed"        #: a rank died permanently (crash-stop)
 WINDOW_REVOKED = "window.revoked"    #: a window was revoked after a failure
 CACHE_RECOVERED = "cache.recovered"  #: the cache recovered a dead rank's entries
 
+#: the ``access`` values a ``cache.access`` event carries, in the order of
+#: :class:`repro.core.stats.AccessType` (a tier-1 test holds them equal)
+ACCESS_TYPES = (
+    "hit_full",
+    "hit_partial",
+    "hit_pending",
+    "direct",
+    "conflicting",
+    "capacity",
+    "failing",
+)
+
 ALL_KINDS = frozenset(
     {
         ANALYSIS_VIOLATION,

@@ -15,10 +15,9 @@ reconstructs the paper's measurement views without re-running anything:
 * :func:`render_report` — the human-readable report the
   ``python -m repro.obs report`` CLI prints.
 
-This module intentionally lives outside ``repro.obs.__init__``'s import
-surface: it imports :class:`repro.core.stats.AccessType` (for the stable
-breakdown key set) while ``repro.core`` instruments itself through
-``repro.obs`` — keeping the CLI import lazy avoids the cycle.
+The breakdown keys are :data:`repro.obs.events.ACCESS_TYPES`, the cache's
+access vocabulary held by value, so this module imports nothing above
+``repro.obs``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.core.stats import AccessType
 from repro.obs.events import (
+    ACCESS_TYPES,
     CACHE_ACCESS,
     CACHE_EPOCH,
     NET_TRANSFER,
@@ -67,7 +66,7 @@ def access_counts(
     events: Iterable[Event], rank: int | None = None, win: int | None = None
 ) -> dict[str, int]:
     """Raw per-classification counts of ``cache.access`` events."""
-    counts = {a.value: 0 for a in AccessType}
+    counts = dict.fromkeys(ACCESS_TYPES, 0)
     for e in events:
         if e.kind != CACHE_ACCESS:
             continue
@@ -84,7 +83,7 @@ def access_counts(
 def access_breakdown(
     events: Iterable[Event], rank: int | None = None, win: int | None = None
 ) -> dict[str, float]:
-    """Normalised access breakdown, keyed exactly like ``AccessType``.
+    """Normalised access breakdown, keyed by :data:`ACCESS_TYPES`.
 
     Uses the same integer-count / integer-total division as
     :meth:`repro.core.stats.CacheStats.breakdown`, so for a capture that
@@ -202,7 +201,7 @@ def render_report(events: list[Event], top: int = 10) -> str:
 
     if any(e.kind == CACHE_ACCESS for e in events):
         lines.append("== access breakdown (fraction of gets, per rank) ==")
-        keys = [a.value for a in AccessType]
+        keys = ACCESS_TYPES
         lines.append(f"{'rank':>4}  " + "  ".join(f"{k:>11}" for k in keys))
         for r in ranks_of(events):
             bd = access_breakdown(events, rank=r)

@@ -17,6 +17,7 @@ from repro.util.units import (
     MiB,
     align_up,
     format_bytes,
+    format_table,
     format_time,
 )
 
@@ -29,6 +30,7 @@ __all__ = [
     "align_up",
     "confidence_interval_median",
     "format_bytes",
+    "format_table",
     "format_time",
     "median",
     "repeat_until_confident",

@@ -1,4 +1,4 @@
-"""Byte/time unit constants and alignment arithmetic.
+"""Byte/time unit constants, alignment arithmetic and plain-text tables.
 
 The storage layer (:mod:`repro.core.storage`) aligns every allocation to the
 CPU cache-line size, mirroring the paper's Sec. III-C2 ("We allocate memory
@@ -6,6 +6,8 @@ regions of size as multiple of the CPU cache line size").
 """
 
 from __future__ import annotations
+
+from typing import Any, Sequence
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -57,3 +59,27 @@ def format_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds:.3f} s"
+
+
+def format_cell(value: Any) -> str:
+    """One table cell: floats to at most 3 significant decimals."""
+    if isinstance(value, float):
+        if value == 0:
+            return "0"
+        if abs(value) >= 1000 or abs(value) < 0.001:
+            return f"{value:.3g}"
+        return f"{value:.3f}".rstrip("0").rstrip(".")
+    return str(value)
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Render a monospaced table with aligned columns."""
+    cells = [[format_cell(h) for h in headers]]
+    cells += [[format_cell(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for j, row in enumerate(cells):
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        if j == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)

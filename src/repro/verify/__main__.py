@@ -15,10 +15,15 @@ Subcommands
 ``corpus``
     Replay every ``*.json`` under a corpus directory (default:
     ``tests/fixtures/verify_corpus``).
+``chaos``
+    Run the chaos harness (:mod:`repro.verify.chaos`): each workload
+    clean vs under a fault plan (``--scenario transparent``, the default)
+    or with one rank crashing (``--scenario crash``).
 
 Exit codes: 0 = expectation met / no violations, 1 = usage or self-test
-miss, 2 = transparency violation found (fuzz) or expectation broken
-(replay/corpus).  See ``docs/testing.md`` for the triage workflow.
+miss or a failed chaos suite, 2 = transparency violation found (fuzz) or
+expectation broken (replay/corpus).  See ``docs/testing.md`` for the
+triage workflow.
 
 The wall-clock budget (``--budget``) lives here in the CLI, outside the
 virtual-time hot paths the ANL001 lint rule patrols.
@@ -31,6 +36,8 @@ import sys
 import time
 from pathlib import Path
 
+from repro import obs
+from repro.verify import chaos
 from repro.verify.oracle import MatrixConfig, run_matrix, config_for_finding
 from repro.verify.reprofile import Repro, load_repro, replay, save_repro
 from repro.verify.shrink import shrink
@@ -170,6 +177,31 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0 if broken == 0 else 2
 
 
+def cmd_chaos(args: argparse.Namespace) -> int:
+    sink = None
+    if args.obs is not None:
+        sink = obs.get_bus().attach(obs.JSONLSink(args.obs))
+    try:
+        if args.scenario == "crash":
+            outcomes = chaos.run_crash_suite(seed=args.seed)
+            rendered = chaos.render_crash(outcomes)
+        else:
+            outcomes = chaos.run_suite(seed=args.seed)
+            rendered = chaos.render(outcomes)
+    finally:
+        if sink is not None:
+            obs.get_bus().detach(sink)
+            sink.close()
+
+    print(f"chaos suite (scenario={args.scenario}, seed={args.seed})")
+    print(rendered)
+    if all(o.ok for o in outcomes):
+        print("chaos suite PASSED")
+        return 0
+    print("chaos suite FAILED", file=sys.stderr)
+    return 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.verify",
@@ -205,6 +237,25 @@ def main(argv: list[str] | None = None) -> int:
     corp = sub.add_parser("corpus", help="replay a corpus directory")
     corp.add_argument("dir", nargs="?", default=str(DEFAULT_CORPUS))
     corp.set_defaults(fn=cmd_corpus)
+
+    ch = sub.add_parser(
+        "chaos", help="fault-injected runs must stay bit-identical"
+    )
+    ch.add_argument("--seed", type=int, default=0, help="fault-plan seed")
+    ch.add_argument(
+        "--scenario",
+        choices=("transparent", "crash"),
+        default="transparent",
+        help="'transparent' = fault-transparency suite (default); "
+        "'crash' = permanent rank failure + survivor recovery",
+    )
+    ch.add_argument(
+        "--obs",
+        metavar="PATH",
+        default=None,
+        help="stream all telemetry events of the runs to a JSONL file",
+    )
+    ch.set_defaults(fn=cmd_chaos)
 
     args = parser.parse_args(argv)
     return args.fn(args)

@@ -1,6 +1,6 @@
 """The helper-chain get description, kept as a differential-test reference.
 
-``repro.rma.descriptor.describe_get_into`` as it stood before the passing
+``repro.mpi.ops.describe_get_into`` as it stood before the passing
 checks of a get were folded into one frame (commit ``bd3f316``): one call
 each to ``_resolve_dtype``, ``_check_alive``, ``_check_rank``,
 ``_require_epoch`` (now ``_step``, the epoch table's check), ``_footprint``
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.mpi.errors import WindowError
 from repro.obs import RMA_GET
-from repro.rma.descriptor import OpDescriptor, _footprint
+from repro.mpi.ops import OpDescriptor, _footprint
 
 
 def describe_get_into(

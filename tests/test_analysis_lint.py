@@ -457,7 +457,7 @@ class TestGatedEventConstruction:
     FIXTURE = Path(__file__).resolve().parent / "fixtures" / "buggy_lint"
 
     def test_raw_event_flagged_in_hot_path_packages(self, tmp_path):
-        for pkg in ("core", "mpi", "rma", "runtime"):
+        for pkg in ("core", "mpi", "runtime"):
             findings = lint_snippet(
                 tmp_path,
                 f"repro/{pkg}/x.py",
@@ -473,7 +473,7 @@ class TestGatedEventConstruction:
     def test_emit_helper_exempt(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
-            "repro/rma/x.py",
+            "repro/mpi/x.py",
             """
             from repro.obs import RMA_GET, Event
             class W:
@@ -490,7 +490,7 @@ class TestGatedEventConstruction:
     def test_nested_function_inside_helper_exempt(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
-            "repro/rma/x.py",
+            "repro/mpi/x.py",
             """
             from repro.obs import RMA_GET, Event
             def _emit_batch(bus, ops):
@@ -555,7 +555,7 @@ class TestGatedEventConstruction:
     def test_suppression_comment(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
-            "repro/rma/x.py",
+            "repro/mpi/x.py",
             """
             from repro.obs import RMA_GET, Event
             def issue(bus, rank, clock):

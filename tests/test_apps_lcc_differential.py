@@ -20,7 +20,7 @@ from reference_lcc import lcc_rank_program as reference_program
 from repro import obs
 from repro.apps import LCCApp, lcc
 from repro.apps.cachespec import CacheSpec
-from repro.faults.chaos import crash_plan
+from repro.verify.chaos import crash_plan
 from repro.util import KiB
 
 NPROCS = 4

@@ -8,7 +8,7 @@ operation enters can: ``sys.setprofile`` ``call`` events for code under
 
 The budgets are the counts actually reached, so the next change cannot
 silently give them back.  When one fails, the message splits the count by
-package: the plain-window rows move with ``mpi`` / ``rma`` / ``runtime``,
+package: the plain-window rows move with ``mpi`` / ``runtime``,
 the cached rows additionally with ``core``.  The ``engine_*`` rows are the
 same hit and miss served by a standalone :class:`CacheEngine` (no window,
 no world), so ``cached_*`` minus ``engine_*`` is the adapter's share.  The
@@ -221,6 +221,7 @@ FORBIDDEN = (
     "repro.mpi.window",
     "repro.mpi.comm",
     "repro.mpi.simmpi",
+    "repro.mpi.ops",
     "repro.rma",
     "repro.runtime",
     "repro.obs",
@@ -253,18 +254,27 @@ def imports_of(module: str) -> set[str]:
     return out
 
 
+def _packages_of(module: str) -> list[str]:
+    """The package ``__init__``s that importing ``module`` runs first."""
+    parts = module.split(".")
+    return [".".join(parts[:i]) for i in range(1, len(parts))]
+
+
 def reached_from(module: str) -> dict[str, set[str]]:
-    """Imports of ``module`` and of every ``repro.core`` module it reaches."""
+    """Imports of ``module``, of every ``repro.core`` module it reaches and
+    of every package ``__init__`` on the way: importing
+    ``repro.mpi.datatypes`` runs ``repro/mpi/__init__.py`` first."""
     reached: dict[str, set[str]] = {}
-    todo = [module]
+    todo = [module, *_packages_of(module)]
     while todo:
         mod = todo.pop()
         if mod in reached:
             continue
         reached[mod] = imports_of(mod)
-        todo.extend(
-            m for m in reached[mod] if m == "repro.core" or m.startswith("repro.core.")
-        )
+        for imp in reached[mod]:
+            if imp == "repro.core" or imp.startswith("repro.core."):
+                todo.append(imp)
+            todo.extend(p for p in _packages_of(imp) if p.startswith("repro"))
     return reached
 
 
@@ -286,5 +296,8 @@ def test_the_boundary_check_sees_the_adapter():
     assert {imp for _mod, imp in forbidden_imports("repro.core.window")} >= {
         "repro.mpi.window",
         "repro.obs",
-        "repro.rma.descriptor",
+        "repro.mpi.ops",
     }
+    # the package __init__s an engine import runs are read too
+    engine = set(reached_from("repro.core.engine"))
+    assert {"repro", "repro.core", "repro.mpi"} <= engine

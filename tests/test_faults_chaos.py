@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.stats import merge_snapshots
-from repro.faults.chaos import (
+from repro.verify.chaos import (
     ChaosOutcome,
     default_plan,
     default_retry,
@@ -82,13 +82,13 @@ class TestHarnessPlumbing:
         assert "2.00x" in text
 
     def test_cli_reports_failure_on_mismatch(self, monkeypatch, capsys):
-        from repro.faults import __main__ as cli
+        from repro.verify import __main__ as cli
 
         bad = ChaosOutcome(
             name="micro", identical=False, clean_elapsed=1.0, faulty_elapsed=1.0
         )
-        monkeypatch.setattr(cli, "run_suite", lambda seed: [bad])
-        assert cli.main(["--seed", "1"]) == 1
+        monkeypatch.setattr(cli.chaos, "run_suite", lambda seed: [bad])
+        assert cli.main(["chaos", "--seed", "1"]) == 1
         good = ChaosOutcome(
             name="micro",
             identical=True,
@@ -96,14 +96,14 @@ class TestHarnessPlumbing:
             faulty_elapsed=1.0,
             stats={"faults_injected": 3},
         )
-        monkeypatch.setattr(cli, "run_suite", lambda seed: [good])
-        assert cli.main(["--seed", "1"]) == 0
+        monkeypatch.setattr(cli.chaos, "run_suite", lambda seed: [good])
+        assert cli.main(["chaos", "--seed", "1"]) == 0
         assert "PASSED" in capsys.readouterr().out
 
     def test_cli_obs_capture_writes_jsonl(self, tmp_path, monkeypatch):
         import json
 
-        from repro.faults import __main__ as cli
+        from repro.verify import __main__ as cli
 
         path = tmp_path / "chaos.jsonl"
 
@@ -111,8 +111,8 @@ class TestHarnessPlumbing:
             plan = default_plan(seed)
             return [run_micro(plan, default_retry(), nprocs=2)]
 
-        monkeypatch.setattr(cli, "run_suite", tiny_suite)
-        assert cli.main(["--seed", "0", "--obs", str(path)]) == 0
+        monkeypatch.setattr(cli.chaos, "run_suite", tiny_suite)
+        assert cli.main(["chaos", "--seed", "0", "--obs", str(path)]) == 0
         lines = path.read_text().strip().splitlines()
         assert lines
         kinds = {json.loads(line)["kind"] for line in lines}
@@ -122,7 +122,7 @@ class TestHarnessPlumbing:
 class TestCrashScenario:
     @pytest.fixture(scope="class")
     def lcc_outcome(self):
-        from repro.faults.chaos import run_crash_lcc
+        from repro.verify.chaos import run_crash_lcc
 
         return run_crash_lcc(seed=0, nprocs=4, scale=5)
 
@@ -138,7 +138,7 @@ class TestCrashScenario:
         # rank 4's LCC phase is shorter than 45 % of the slowest rank's, so
         # a crash time taken from the makespan let it return its result
         # before it died.
-        from repro.faults.chaos import run_crash_lcc
+        from repro.verify.chaos import run_crash_lcc
 
         o = run_crash_lcc(seed=0, nprocs=8, scale=5)
         assert o.victim == 4
@@ -153,7 +153,7 @@ class TestCrashScenario:
         assert lcc_outcome.stats["rank_failures"] > 0
 
     def test_barnes_hut_survives_a_crash(self):
-        from repro.faults.chaos import run_crash_barnes_hut
+        from repro.verify.chaos import run_crash_barnes_hut
 
         o = run_crash_barnes_hut(seed=0, nprocs=4, nbodies=96)
         assert o.ok
@@ -162,7 +162,7 @@ class TestCrashScenario:
         assert o.stats["rank_failures"] > 0
 
     def test_render_crash_mentions_survivors_and_counters(self):
-        from repro.faults.chaos import CrashOutcome, render_crash
+        from repro.verify.chaos import CrashOutcome, render_crash
 
         o = CrashOutcome(
             name="lcc-crash",

@@ -7,7 +7,7 @@ LCC runs under seeded fault plans, and the canonicalised event stream,
 per-rank phase times, makespan and stats snapshots must match
 ``tests/fixtures/obs_parity_faulted_golden.json`` byte for byte.  The
 golden was captured from the pre-rewrite interceptor onion, so the
-straight-line handlers of :mod:`repro.rma.interceptors` are held to the
+straight-line handlers of :mod:`repro.mpi.ops` are held to the
 onion's exact statement order.
 
 Regenerate (event-schema changes only!) with::

@@ -30,7 +30,7 @@ from repro import clampi
 from repro.mpi import SimMPI
 from repro.mpi.datatypes import FLOAT64, Vector
 from repro.mpi.window import Window
-from repro.rma.descriptor import OpDescriptor, describe_get_into
+from repro.mpi.ops import OpDescriptor, describe_get_into
 
 NBYTES = 256  #: window bytes per rank
 STATES = ("none", "lock0", "lock1", "lock_all", "fence", "freed", "revoked")

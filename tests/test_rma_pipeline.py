@@ -1,6 +1,6 @@
 """Descriptors, the bound op handlers and batched gets.
 
-Pins the tentpole contracts of the ``repro.rma`` refactor:
+Pins the contracts of the op path (``repro.mpi.ops``):
 
 * ``get_batch`` of N same-target gets is **bit-identical in virtual
   time** to N scalar gets followed by the same flush (every element is
@@ -20,11 +20,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro import rma
 from repro.apps.cachespec import CacheSpec
 from repro.faults import FaultPlan, FaultRule
-from repro.mpi import EpochError, SimMPI, Window
-from repro.rma.descriptor import describe_get
+from repro.mpi import EpochError, SimMPI, Window, ops
+from repro.mpi.ops import describe_get
 from repro.obs import CACHE_ACCESS, CACHE_ACCESS_BATCH, RMA_GET, RMA_GET_BATCH
 
 N_OPS = 6
@@ -271,8 +270,8 @@ class TestBindShape:
             for pipe in (
                 win._data_pipe,
                 win._sync_pipe,
-                rma.build_data_pipeline(win),
-                rma.build_sync_pipeline(win),
+                ops.build_data_pipeline(win),
+                ops.build_sync_pipeline(win),
             ):
                 out.append((pipe.fused, pipe.issue.__name__))
             return out
