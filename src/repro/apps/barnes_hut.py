@@ -14,6 +14,11 @@ remote block is a one-sided get of one fixed-size node record.  During the
 force phase the tree is read-only, so CLaMPI runs in *user-defined* mode
 and the cache is invalidated after each force phase (paper Listing 1).
 
+Which nodes a body visits depends on the tree alone, so :func:`visit_sets`
+computes every body's visit list once, in numpy, before the ranks start.
+A rank walks each local body's list: local records by one fancy index,
+each remote one by a ``get`` + ``flush``, then the body's forces in numpy.
+
 Node record layout (16 float64 = 128 bytes, cache-line aligned)::
 
     [0:3]  centre of mass (or body position at leaves)
@@ -27,8 +32,8 @@ Node record layout (16 float64 = 128 bytes, cache-line aligned)::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 
@@ -48,6 +53,9 @@ NODE_BYTES = NODE_FLOATS * 8
 INTERACTION_TIME = 25e-9
 #: CPU cost of deciding whether to open a cell.
 VISIT_TIME = 8e-9
+#: Bodies per step of :func:`visit_sets`: its temporaries are a few
+#: ``VISIT_CHUNK x nnodes`` arrays, so no dense bodies x nodes matrix forms.
+VISIT_CHUNK = 64
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +159,69 @@ def morton_order(pos: np.ndarray, bits: int = 10) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+@dataclass(frozen=True)
+class VisitSets:
+    """Every body's force-phase walk, as data (CSR over bodies).
+
+    ``order`` lists node ids in the preorder of a stack DFS that pushes
+    children 0..n-1 and pops the last first, and ``end[p]`` is the
+    exclusive end of position ``p``'s subtree, so a pruned subtree is the
+    range ``[p, end[p])``.  Body ``b`` visits the preorder positions
+    ``positions[offsets[b]:offsets[b + 1]]``, ascending, which is its
+    walk's order.
+    """
+
+    order: np.ndarray      #: (nnodes,) int64 node id per preorder position
+    end: np.ndarray        #: (nnodes,) int64 subtree end per position
+    offsets: np.ndarray    #: (nbodies + 1,) int64
+    positions: np.ndarray  #: (visits,) int32
+
+
+def visit_sets(tree: Octree, pos: np.ndarray, theta: float, eps: float) -> VisitSets:
+    """The nodes each body's force walk visits, in visit order.
+
+    A body visits a node iff every ancestor is opened: internal, and not
+    far, where far is ``size*size < theta2*(dx*dx + dy*dy + dz*dz + eps2)``
+    evaluated elementwise in that order (the scalar walk's float test, bit
+    for bit).  Swept one depth level at a time over ``VISIT_CHUNK`` bodies.
+    """
+    nodes = tree.nodes
+    order, parent, depth = [], [], []
+    stack = [(tree.root, -1, 0)]
+    while stack:
+        node, up, d = stack.pop()
+        order.append(node)
+        parent.append(up)
+        depth.append(d)
+        kids = nodes[node, 8 : 8 + int(nodes[node, 5])].astype(np.int64).tolist()
+        stack.extend((c, len(order) - 1, d + 1) for c in kids)
+    size = [1] * len(order)
+    for p in range(len(order) - 1, 0, -1):
+        size[parent[p]] += size[p]
+    parent, depth = np.array(parent), np.array(depth)
+    levels = [np.flatnonzero(depth == d) for d in range(1, depth.max() + 1)]
+    rec = nodes[order]
+    internal = rec[:, 5] != 0
+    size2 = rec[:, 4] * rec[:, 4]
+    theta2, eps2 = theta * theta, eps * eps
+    counts, parts = [], []
+    for lo in range(0, pos.shape[0], VISIT_CHUNK):
+        pb = pos[lo : lo + VISIT_CHUNK, :, None]
+        dx, dy, dz = rec[:, 0] - pb[:, 0], rec[:, 1] - pb[:, 1], rec[:, 2] - pb[:, 2]
+        opened = internal & ~(size2 < theta2 * (dx * dx + dy * dy + dz * dz + eps2))
+        seen = np.zeros(opened.shape, dtype=bool)
+        seen[:, 0] = True
+        for lvl in levels:
+            up = parent[lvl]
+            seen[:, lvl] = seen[:, up] & opened[:, up]
+        counts.append(seen.sum(axis=1))
+        parts.append(np.nonzero(seen)[1].astype(np.int32))
+    offsets = np.zeros(pos.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=offsets[1:])
+    end = np.arange(len(order)) + np.array(size)
+    return VisitSets(np.array(order), end, offsets, np.concatenate(parts))
+
+
 # ----------------------------------------------------------------------
 # Distributed force computation
 # ----------------------------------------------------------------------
@@ -193,6 +264,14 @@ class BarnesHutApp:
         self.pos = self.pos[order]
         self.mass = self.mass[order]
         self.tree = Octree.build(self.pos, self.mass)
+        self._visits: dict[tuple[float, float], VisitSets] = {}
+
+    def visits(self, eps: float = 1e-3) -> VisitSets:
+        """:func:`visit_sets` at this app's ``theta``, computed once."""
+        key = (self.theta, eps)
+        if key not in self._visits:
+            self._visits[key] = visit_sets(self.tree, self.pos, self.theta, eps)
+        return self._visits[key]
 
     # ------------------------------------------------------------------
     def reference_forces(self, eps: float = 1e-3) -> np.ndarray:
@@ -235,7 +314,7 @@ class BarnesHutApp:
         )
         results = mpi.run(
             _bh_rank_program, self.tree, self.pos, self.mass, self.theta, spec,
-            trace, eps,
+            trace, eps, self.visits(eps),
         )
         forces = np.zeros((self.nbodies, 3))
         rank_times: list[float] = []
@@ -276,6 +355,7 @@ def _bh_rank_program(
     spec: CacheSpec,
     trace: bool,
     eps: float,
+    walk: VisitSets,
 ):
     recorder = TraceRecorder() if trace else None
     node_part = BlockPartition(tree.nnodes, mpi.size)
@@ -287,72 +367,58 @@ def _bh_rank_program(
     blo, bhi = body_part.range_of(mpi.rank)
     recovery.barrier(mpi.comm_world)
 
-    node_buf = np.empty(NODE_FLOATS, dtype=np.float64)
-    blk = node_part.block  # hoisted: fetch_node runs millions of times
-
-    def fetch_node(node_id: int) -> list[float]:
-        # Python floats: the force loop indexes each record several times,
-        # and a numpy scalar per index costs more than the same arithmetic.
-        owner = node_id // blk
-        local = node_id - owner * blk
-        if owner == mpi.rank:
-            start = local * NODE_FLOATS
-            return local_nodes[start : start + NODE_FLOATS].tolist()
-        win.get(node_buf, owner, local * NODE_BYTES)
-        win.flush(owner)
-        return node_buf.tolist()
-
+    records = local_nodes.reshape(-1, NODE_FLOATS)
+    blk, rank = node_part.block, mpi.rank
+    eps2, theta2 = eps * eps, theta * theta
+    offsets = walk.offsets.tolist()
+    get, flush = win.get, win.flush
     t0 = mpi.time
     # Scoped epoch: unlock_all on exit completes every outstanding get.
     with win.lock_all_epoch():
-        eps2 = eps * eps
-        theta2 = theta * theta
-        sqrt = math.sqrt
         advance = mpi.proc.advance  # bypass the compute() wrapper in the hot loop
         forces = np.zeros((bhi - blo, 3))
         for b in range(blo, bhi):
-            pbx, pby, pbz = pos[b].tolist()
-            mb = float(mass[b])
-            ax = ay = az = 0.0
-            stack = [tree.root]
-            visits = 0
-            interactions = 0
-            while stack:
+            at = walk.positions[offsets[b] : offsets[b + 1]]
+            owner, disp = np.divmod(walk.order[at], blk)
+            here = owner == rank
+            arena = np.empty((at.size, NODE_FLOATS))
+            arena[here] = records[disp[here]]
+            far = np.flatnonzero(~here)
+            fetched = np.empty((far.size, NODE_FLOATS))
+            byte_disp = (disp[far] * NODE_BYTES).tolist()
+            rows = zip(count(), fetched, owner[far].tolist(), byte_disp)
+            keep = np.ones(at.size, dtype=bool)
+            for i, row, target, offset in rows:
                 try:
-                    rec = fetch_node(stack.pop())
+                    get(row, target, offset)
+                    flush(target)
                 except TargetFailedError:
-                    # The node's owner crashed and its record is not
-                    # recoverable from the cache: the whole subtree is
-                    # lost; sum the forces still reachable.
-                    continue
-                visits += 1
-                nchildren = int(rec[5])
-                dx = rec[0] - pbx
-                dy = rec[1] - pby
-                dz = rec[2] - pbz
-                r2 = dx * dx + dy * dy + dz * dz + eps2
-                if nchildren == 0:
-                    if int(rec[6]) == b:
-                        continue  # the body itself
-                    f = mb * rec[3] / (r2 * sqrt(r2))
-                    ax += f * dx
-                    ay += f * dy
-                    az += f * dz
-                    interactions += 1
-                elif rec[4] * rec[4] < theta2 * r2:
-                    # size/dist < theta: far enough, use the centre of mass
-                    f = mb * rec[3] / (r2 * sqrt(r2))
-                    ax += f * dx
-                    ay += f * dy
-                    az += f * dz
-                    interactions += 1
-                else:
-                    for c in range(nchildren):
-                        stack.append(int(rec[8 + c]))
-            advance(visits * VISIT_TIME + interactions * INTERACTION_TIME)
-            forces[b - blo, 0] = ax
-            forces[b - blo, 1] = ay
-            forces[b - blo, 2] = az
+                    # The owner crashed and the record is not recoverable
+                    # from the cache: its subtree, a preorder range, is
+                    # lost (no gets, no visits); sum the forces still
+                    # reachable.
+                    lo = far[i]
+                    hi = np.searchsorted(at, walk.end[at[lo]])
+                    keep[lo:hi] = False
+                    skip = np.searchsorted(far, hi) - i - 1
+                    next(islice(rows, skip, skip), None)
+            arena[far] = fetched
+            arena = arena[keep]
+            # Each term elementwise in the scalar expression's order, and
+            # each sum from 0.0 one interaction at a time (accumulate; a
+            # pairwise np.sum rounds differently): the forces are the
+            # scalar walk's (tests/reference_bh.py) bit for bit.
+            dxyz = arena[:, :3] - pos[b]
+            sq = dxyz * dxyz
+            r2 = sq[:, 0] + sq[:, 1] + sq[:, 2] + eps2
+            size2 = arena[:, 4] * arena[:, 4]
+            acts = np.where(arena[:, 5] == 0, arena[:, 6] != b, size2 < theta2 * r2)
+            r2 = r2[acts]
+            f = float(mass[b]) * arena[acts, 3] / (r2 * np.sqrt(r2))
+            terms = np.zeros((f.size + 1, 3))
+            terms[1:] = f[:, None] * dxyz[acts]
+            forces[b - blo] = np.add.accumulate(terms)[-1]
+            advance(len(arena) * VISIT_TIME + f.size * INTERACTION_TIME)
         if hasattr(win, "invalidate"):
             win.invalidate()  # paper Listing 1: invalidate before the epoch ends
     phase_time = mpi.time - t0

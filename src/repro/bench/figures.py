@@ -22,6 +22,7 @@ from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.micro import make_micro_workload, run_micro
 from repro.bench.overlap import measure_overlap_curve
+from repro.bench.policies import record_bh_trace
 from repro.bench.reporting import FigureResult
 from repro.core.stats import snapshot_hits
 from repro.mpi.simmpi import SimMPI
@@ -113,10 +114,7 @@ def fig02_reuse(nbodies: int = 1000, nprocs: int = 4) -> FigureResult:
     Paper: 4 processes, 4,000 bodies; the same remote data is fetched up to
     ~3,500 times.
     """
-    app = BarnesHutApp(nbodies=nbodies, seed=11)
-    run = app.run(nprocs, CacheSpec.fompi(), trace=True)
-    records = [r for t in run.traces for r in t.records]
-    hist = reuse_histogram(records)
+    hist = reuse_histogram(record_bh_trace(nbodies, nprocs))
     fig = FigureResult(
         "Fig. 2",
         f"N-body get-reuse histogram (P={nprocs}, N={nbodies} bodies)",

@@ -28,10 +28,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.apps import BarnesHutApp, LCCApp
+from repro.apps.barnes_hut import NODE_BYTES
 from repro.apps.cachespec import CacheSpec
 from repro.bench.reporting import FigureResult
 from repro.core.policy import available_policies
 from repro.core.stats import snapshot_hits
+from repro.graph.partition import BlockPartition
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
 from repro.trace import GetRecord
@@ -49,10 +51,24 @@ REPLAY_INDEX_ENTRIES = 256
 # fig02-reuse: record the BH trace once, replay it per policy
 # ---------------------------------------------------------------------------
 def record_bh_trace(nbodies: int, nprocs: int = 4) -> list[GetRecord]:
-    """The Fig. 2 get trace: every remote get of an uncached BH run."""
+    """The Fig. 2 get trace: every remote get of an uncached BH run.
+
+    Rank by rank, in issue order, as a traced run on ``nprocs`` ranks
+    records them; taken from the app's visit sets, so no world runs.
+    """
     app = BarnesHutApp(nbodies=nbodies, seed=11)
-    run = app.run(nprocs, CacheSpec.fompi(), trace=True)
-    return [r for t in run.traces for r in t.records]
+    walk = app.visits()
+    blk = BlockPartition(app.tree.nnodes, nprocs).block
+    owner, disp = np.divmod(walk.order[walk.positions], blk)
+    bodies = BlockPartition(nbodies, nprocs)
+    records: list[GetRecord] = []
+    for rank in range(nprocs):
+        lo, hi = bodies.range_of(rank)
+        sl = slice(walk.offsets[lo], walk.offsets[hi])
+        far = owner[sl] != rank
+        targets, disps = owner[sl][far].tolist(), (disp[sl][far] * NODE_BYTES).tolist()
+        records += map(GetRecord, targets, disps, [NODE_BYTES] * len(targets))
+    return records
 
 
 def _flatten_trace(

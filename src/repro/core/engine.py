@@ -60,7 +60,7 @@ from repro.core.policy import CachePolicy, PolicyContext, make_policy
 from repro.core.states import EntryState
 from repro.core.stats import AccessType, CacheStats
 from repro.core.storage import Descriptor, Storage
-from repro.mpi.datatypes import Datatype, origin_bytes
+from repro.mpi.datatypes import COPY_KINDS, Datatype, origin_bytes
 from repro.mpi.errors import StorageFault
 from repro.net.model import MemoryModel
 
@@ -263,16 +263,27 @@ class CacheEngine:
             return self._serve_partial_hit(entry, req)
         # -- full hit ----------------------------------------------------
         origin = req.origin
-        if origin.flags.c_contiguous and origin.nbytes >= size:
-            obuf = origin.view(np.uint8).reshape(-1)
-        else:
-            obuf = origin_bytes(origin, size)  # raises, as the plain get's
+        obuf = None
+        if origin.dtype.kind in COPY_KINDS:
+            omv = memoryview(origin)
+            if (
+                omv.c_contiguous
+                and not omv.readonly
+                and omv.ndim
+                and omv.nbytes >= size
+            ):
+                obuf = omv.cast("B")
+        if obuf is None:  # numpy's idiom: it raises as the plain get's does
+            if origin.flags.c_contiguous and origin.nbytes >= size:
+                obuf = origin.view(np.uint8).reshape(-1)
+            else:
+                obuf = origin_bytes(origin, size)
         entry.last = self.seq
         if self.wants_hit:
             self.policy.on_hit(entry, self._context(entry))
         if state is _CACHED:
             d = entry.desc
-            obuf[:size] = self.storage.data[d.offset : d.offset + size]
+            obuf[:size] = self.storage.view[d.offset : d.offset + size]
             dt = cost._copy_times.get(size)  # CostModel.copy
             if dt is None:
                 cost.copy(size)
@@ -282,7 +293,7 @@ class CacheEngine:
             access = _HIT_FULL
         else:  # PENDING: same data already in flight from an earlier get
             assert entry.pending_source is not None
-            obuf[:size] = entry.pending_source[:size]
+            obuf[:size] = memoryview(entry.pending_source)[:size]
             self._waiter_bytes.setdefault(entry, []).append(size)
             access = _HIT_PENDING
         # CacheStats.record_access + record_cache_bytes

@@ -84,6 +84,9 @@ class Storage:
         self.alignment = alignment
         self._fault_hook = fault_hook
         self.data = np.zeros(capacity, dtype=np.uint8)
+        #: ``data``'s bytes, bound once: the hit and materialisation copies
+        #: slice it, which costs a fraction of a numpy slice and setitem
+        self.view = memoryview(self.data)
         self._free_tree = AVLTree()
         head = Descriptor(0, capacity, free=True)
         self._head: Descriptor = head
@@ -183,13 +186,14 @@ class Storage:
 
     # ------------------------------------------------------------------
     def write(self, desc: Descriptor, payload: np.ndarray) -> None:
-        """Copy payload bytes into the descriptor's region."""
+        """Copy a C-contiguous payload's bytes into the descriptor's region."""
         if desc.free:
             raise ValueError("write into a free region")
-        n = payload.nbytes
+        src = memoryview(payload).cast("B")
+        n = src.nbytes
         if n > desc.size:
             raise ValueError(f"payload {n} B exceeds region {desc.size} B")
-        self.data[desc.offset : desc.offset + n] = payload.view(np.uint8).reshape(-1)
+        self.view[desc.offset : desc.offset + n] = src
 
     def read(self, desc: Descriptor, nbytes: int) -> np.ndarray:
         """View of the first ``nbytes`` cached bytes of the region."""

@@ -238,6 +238,16 @@ def from_numpy(dtype: np.dtype | type) -> Predefined:
     return Predefined(nd.name.upper(), nd)
 
 
+#: dtype kinds (bool, int, uint, float, complex) of the origins a get's
+#: payload may reach through ``memoryview(origin).cast("B")``: for these,
+#: when C-contiguous, writeable, at least 1-d and big enough, the bytes land
+#: exactly where :func:`origin_bytes`' view puts them.  Any other origin
+#: takes ``origin_bytes``, which raises what it always raised (a memoryview
+#: would fill an object array's pointers or a 0-d array, cannot export
+#: datetime64, and raises TypeError on read-only memory).
+COPY_KINDS = "biufc"
+
+
 def origin_bytes(origin: np.ndarray, nbytes: int = 0) -> np.ndarray:
     """Flat ``uint8`` view of an origin buffer, which must be C-contiguous
     and hold at least ``nbytes`` bytes."""

@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.mpi.datatypes import Datatype, origin_bytes
+from repro.mpi.datatypes import COPY_KINDS, Datatype, origin_bytes
 from repro.mpi.errors import (
     RMATimeoutError,
     TargetFailedError,
@@ -118,7 +118,9 @@ class OpDescriptor:
     span: int = 0            #: extent of the flattened datatype at the target
     blocks: list | None = None  #: flattened (offset, size) block list, computed once
     origin: np.ndarray | None = None   #: caller's origin array
-    obuf: np.ndarray | None = None     #: flat uint8 view of ``origin``
+    #: flat uint8 view of ``origin`` (puts, accumulates, multi-block gets;
+    #: a single-block get writes ``origin`` through a memoryview instead)
+    obuf: np.ndarray | None = None
     acc_op: str | None = None          #: accumulate reduction op
     # -- sync-op completion -------------------------------------------
     completes: bool = False            #: complete pending ops (False: locks)
@@ -145,14 +147,14 @@ class OpDescriptor:
 
     def footprint(self) -> dict[str, int]:
         """Sanitizer-facing attrs of a data op (one entry of a batch event)."""
-        assert self.obuf is not None
+        assert self.origin is not None
         return {
             "target": self.target,
             "disp": self.disp,
             "nbytes": self.nbytes,
             "base": self.base,
             "span": self.span,
-            "origin": int(self.obuf.__array_interface__["data"][0]),
+            "origin": int(self.origin.__array_interface__["data"][0]),
             "onbytes": self.nbytes,
         }
 
@@ -576,13 +578,16 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
     # (alpha, bandwidth) are pure functions of the rank pair, so caching
     # them per window cannot change any charged time.
     links: dict[int, tuple] = {}
+    # The group's buffers are fixed at creation: their bytes, bound once.
+    views = [memoryview(buf) for buf in group.buffers]
 
     def attempt(desc: OpDescriptor) -> OpDescriptor:
         # -- move: bounds check + payload bytes (zero time).  A single-block
-        # get into a big-enough contiguous origin passes every check of
-        # _check_bounds / _gather in line; anything else (multi-block,
-        # out of bounds, a bad origin, puts, accumulates) takes the helpers,
-        # which raise in their usual order ------------------------------
+        # get into an origin that a memoryview fills as numpy's byte view
+        # does (COPY_KINDS) passes every check of _check_bounds / _gather
+        # in line; anything else (multi-block, out of bounds, any other
+        # origin, puts, accumulates) takes the helpers, which raise in
+        # their usual order ---------------------------------------------
         target = desc.target
         kind = desc.kind
         tbuf = group.buffers[target]
@@ -592,15 +597,17 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
             off, size = blocks[0]
             lo = desc.base + off
             origin = desc.origin
-            if (
-                lo + size <= tbuf.nbytes
-                and origin.flags.c_contiguous
-                and origin.nbytes >= size
-            ):
-                obuf = desc.obuf = origin.view(np.uint8).reshape(-1)
-                obuf[:size] = tbuf[lo : lo + size]
-                desc.nbytes = size
-                moved = True
+            if lo + size <= tbuf.nbytes and origin.dtype.kind in COPY_KINDS:
+                omv = memoryview(origin)
+                if (
+                    omv.c_contiguous
+                    and not omv.readonly
+                    and omv.ndim
+                    and omv.nbytes >= size
+                ):
+                    omv.cast("B")[:size] = views[target][lo : lo + size]
+                    desc.nbytes = size
+                    moved = True
         if not moved:
             _check_bounds(desc, tbuf)
             if kind == "accumulate":
@@ -686,7 +693,7 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
                 attrs["op"] = desc.acc_op
             attrs["base"] = desc.base
             attrs["span"] = desc.span
-            attrs["origin"] = int(desc.obuf.__array_interface__["data"][0])
+            attrs["origin"] = int(desc.origin.__array_interface__["data"][0])
             attrs["onbytes"] = nbytes
             window._emit(desc.emit_kind, **attrs)
         return desc

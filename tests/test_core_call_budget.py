@@ -18,9 +18,10 @@ so the counts are the same on every supported interpreter.
 The engine is only standalone if nothing it imports reaches a window, a
 world or the telemetry bus; the last tests check that statically.
 
-The ``lcc_vertex`` row is the application side of the same discipline
-(docs/performance.md invariant 10): calls under ``apps`` and ``graph`` per
-local LCC vertex, whose neighbour gets are then only window calls.
+The ``lcc_vertex`` and ``bh_body`` rows are the application side of the
+same discipline (docs/performance.md invariant 10): calls under ``apps``
+and ``graph`` per local LCC vertex or Barnes-Hut body, whose gets are then
+only window calls.
 """
 
 import ast
@@ -34,7 +35,7 @@ import pytest
 
 import repro
 from repro import clampi
-from repro.apps import lcc
+from repro.apps import barnes_hut, lcc
 from repro.apps.cachespec import CacheSpec
 from repro.core.config import Config, Mode
 from repro.core.engine import CacheEngine, CacheGetRequest
@@ -57,6 +58,7 @@ BUDGET = {
     "plain_get": (7, 18),
     "plain_flush": (6, 10),
     "lcc_vertex": (5, 5),            # one local LCC vertex
+    "bh_body": (0, 91),              # one Barnes-Hut body (parent: 3927825)
 }
 
 
@@ -136,15 +138,9 @@ def engine_program():
 APP_DIRS = tuple(SRC + pkg + os.sep for pkg in ("apps", "graph"))
 
 
-def lcc_calls(nvertices: int, reach: int) -> Counter:
-    """Calls under apps/ and graph/ on the rank threads of one 2-rank LCC
-    run over a ring whose vertices link to the ``reach`` nearest on each
-    side (degree ``2 * reach``, every adjacency sorted and duplicate-free)."""
-    v = np.arange(nvertices)
-    steps = [s for s in range(-reach, reach + 1) if s]
-    src = np.repeat(v, len(steps))
-    dst = (src + np.tile(steps, nvertices)) % nvertices
-    csr = CSRGraph.from_edges(src, dst, nvertices)
+def app_calls(program, *args) -> Counter:
+    """Calls under apps/ and graph/ on the rank threads of one 2-rank run
+    of ``program``."""
     calls: Counter = Counter()
 
     def profiler(frame, event, _arg):
@@ -155,12 +151,37 @@ def lcc_calls(nvertices: int, reach: int) -> Counter:
 
     threading.setprofile(profiler)  # inherited by the rank threads only
     try:
-        SimMPI(2, perf=PerfModel.spread(2)).run(
-            lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi(), False
-        )
+        SimMPI(2, perf=PerfModel.spread(2)).run(program, *args)
     finally:
         threading.setprofile(None)
     return calls
+
+
+def lcc_calls(nvertices: int, reach: int) -> Counter:
+    """App calls of one 2-rank LCC run over a ring whose vertices link to
+    the ``reach`` nearest on each side (degree ``2 * reach``, every
+    adjacency sorted and duplicate-free)."""
+    v = np.arange(nvertices)
+    steps = [s for s in range(-reach, reach + 1) if s]
+    src = np.repeat(v, len(steps))
+    dst = (src + np.tile(steps, nvertices)) % nvertices
+    csr = CSRGraph.from_edges(src, dst, nvertices)
+    return app_calls(lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi(), False)
+
+
+def bh_calls(app: barnes_hut.BarnesHutApp) -> Counter:
+    """App calls of one 2-rank Barnes-Hut force phase, its visit lists
+    computed beforehand (as ``BarnesHutApp.run`` does, off the ranks)."""
+    return app_calls(
+        barnes_hut._bh_rank_program, app.tree, app.pos, app.mass, app.theta,
+        CacheSpec.fompi(), False, 1e-3, app.visits(),
+    )
+
+
+def bh_body_calls() -> Counter:
+    """App calls per body: the growth from 32 to 64 bodies, divided by 32."""
+    small, large = (bh_calls(barnes_hut.BarnesHutApp(n, seed=3)) for n in (32, 64))
+    return Counter({pkg: (large[pkg] - small[pkg]) / 32 for pkg in large})
 
 
 def lcc_vertex_calls() -> Counter:
@@ -174,7 +195,12 @@ def lcc_vertex_calls() -> Counter:
 def measured():
     calls, snapshot = SimMPI(2, perf=PerfModel.spread(2)).run(program)[0]
     engine_calls, engine_snapshot = engine_program()
-    calls = {**calls, **engine_calls, "lcc_vertex": lcc_vertex_calls()}
+    calls = {
+        **calls,
+        **engine_calls,
+        "lcc_vertex": lcc_vertex_calls(),
+        "bh_body": bh_body_calls(),
+    }
     return calls, (snapshot, engine_snapshot)
 
 
@@ -210,6 +236,14 @@ def test_lcc_app_calls_follow_vertices_not_gets():
     """Doubling every vertex's degree doubles the gets and leaves the
     application's own calls where they were."""
     assert lcc_calls(16, 2) == lcc_calls(16, 1)
+
+
+def test_bh_app_calls_follow_bodies_not_visits():
+    """A wider opening angle visits fewer nodes and issues fewer gets; the
+    application's own calls stay where they were."""
+    near, far = (barnes_hut.BarnesHutApp(48, seed=3, theta=t) for t in (0.3, 1.0))
+    assert near.visits().positions.size > 2 * far.visits().positions.size
+    assert bh_calls(near) == bh_calls(far)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ The same states drive a differential check of the get description: the
 one-frame ``describe_get_into`` against the helper chain it replaced
 (``tests/reference_rma.py``) — identical descriptor fields, or the
 identical exception.
+
+A payload moves through memoryviews only for origins that numpy's byte
+view fills the same way; the last tests hold read-only, 0-d, object,
+``datetime64``, non-contiguous and too-small origins, on a plain get, a
+miss, a CACHED hit and a PENDING hit, to what numpy's idiom does.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+import pytest
 import reference_rma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import clampi
 from repro.mpi import SimMPI
-from repro.mpi.datatypes import FLOAT64, Vector
+from repro.mpi.datatypes import FLOAT64, Vector, origin_bytes
 from repro.mpi.window import Window
 from repro.mpi.ops import OpDescriptor, describe_get_into
 
@@ -51,7 +57,8 @@ MODES = (clampi.Mode.TRANSPARENT, clampi.Mode.ALWAYS_CACHE, clampi.Mode.USER_DEF
 
 @dataclasses.dataclass(frozen=True)
 class Get:
-    """One get's arguments; ``stride`` > 1 makes a non-contiguous origin."""
+    """One get's arguments; ``stride`` > 1 makes a non-contiguous origin,
+    and ``origin`` names another kind of float64-sized origin array."""
 
     elems: int
     target: int
@@ -59,9 +66,16 @@ class Get:
     count: int | None = None
     vector: bool = False
     stride: int = 1
+    origin: str = "float64"
 
     def args(self) -> tuple:
         origin = np.full(self.elems * self.stride, -1.0)[:: self.stride]
+        if self.origin == "read-only":
+            origin.flags.writeable = False
+        elif self.origin == "0-d":
+            origin = np.full((), -1.0)
+        elif self.origin != "float64":  # "object", "datetime64[ns]"
+            origin = np.full(self.elems, -1).astype(self.origin)
         dtype = Vector(2, 1, 2, FLOAT64) if self.vector else None
         return origin, self.target, self.disp, self.count, dtype
 
@@ -216,3 +230,62 @@ def test_a_warm_entry_does_not_bypass_the_window_checks():
         want, got, _ = SimMPI(2).run(program, state, "cached", good, good)[0]
         assert want[0].__name__ == error
         assert got == [want] * len(MODES)
+
+
+# ---------------------------------------------------------------------------
+# origins: a get's payload moves through memoryviews only where numpy's
+# byte view would move it the same way
+# ---------------------------------------------------------------------------
+#: (name, the bad get, a good get of the same key warming the cache)
+ORIGINS = (
+    ("read-only", Get(3, 1, 16, origin="read-only"), Get(3, 1, 16)),
+    ("0-d", Get(1, 1, 16, origin="0-d"), Get(1, 1, 16)),
+    ("object", Get(3, 1, 16, origin="object"), Get(3, 1, 16)),
+    ("datetime64", Get(3, 1, 16, origin="datetime64[ns]"), Get(3, 1, 16)),
+    ("non-contiguous", Get(3, 1, 16, stride=2), Get(3, 1, 16)),
+    ("too small", Get(2, 1, 16, count=3), Get(3, 1, 16, count=3)),
+)
+
+
+def numpy_move(get: Get, payload: np.ndarray):
+    """What the move of one get did before memoryviews: numpy's flat byte
+    view of the origin, then a slice assignment; ``outcome``-shaped, as
+    the plain get's is."""
+
+    def move():
+        origin, _target, _disp, count, _dtype = get.args()
+        nbytes = 8 * (count if count is not None else origin.size)
+        obuf = origin_bytes(origin, nbytes)
+        obuf[:nbytes] = payload[:nbytes]
+        return nbytes, origin.tobytes()
+
+    return outcome(move)
+
+
+@pytest.mark.parametrize("warm", ["cold", "cached", "pending"])
+@pytest.mark.parametrize("name, bad, good", ORIGINS, ids=[o[0] for o in ORIGINS])
+def test_an_origin_fails_as_numpy_made_it_fail(name, bad, good, warm):
+    """Each origin raises the exception numpy's idiom raises (or moves the
+    same bytes), on a plain get and on a cached one served as a miss
+    ("cold"), a CACHED hit or a PENDING hit."""
+    want, got, _ = SimMPI(2).run(program, "lock_all", warm, good, bad)[0]
+    pattern = ((np.arange(NBYTES) * 7 + 3) % 251).astype(np.uint8)  # rank 1
+    assert want == numpy_move(bad, pattern[bad.disp :]), name
+    assert got == [want] * len(MODES), name
+    if name != "datetime64":
+        assert want[0] != "ok", name
+
+
+def test_the_origin_cases_reach_the_hit_paths():
+    """Not vacuous: the warm key is a full hit (CACHED or PENDING) for a
+    good origin, so the bad origins above reach the hit's copy."""
+
+    def hits(mpi, warm):
+        comm = mpi.comm_world
+        win = clampi.window_allocate(comm, NBYTES, mode=clampi.Mode.ALWAYS_CACHE)
+        comm.barrier()
+        scenario(win, "lock_all", warm, Get(3, 1, 16), Get(3, 1, 16), (), None)
+        return win.stats.snapshot()
+
+    for warm, access in (("cached", "hit_full"), ("pending", "hit_pending")):
+        assert SimMPI(2).run(hits, warm)[0][access] == 1, warm

@@ -136,7 +136,7 @@ class TestCrashScheduleInvariance:
             )
             results = mpi.run(
                 _bh_rank_program, app.tree, app.pos, app.mass, app.theta,
-                spec, False, 1e-3,
+                spec, False, 1e-3, app.visits(1e-3),
             )
             forces = [None if r is None else r[2].copy() for r in results]
             return forces, list(mpi.clocks), mpi.crashed, mpi.elapsed
