@@ -83,14 +83,31 @@ def _rebalance(n: _Node) -> _Node:
 
 def _relink(path: list[tuple[_Node, bool]], child: _Node | None) -> _Node | None:
     """Hang ``child`` below the last node of a root-to-leaf ``path`` of
-    ``(node, went_left)`` steps and rebalance every node on the way back
-    up; returns the new root."""
-    for node, went_left in reversed(path):
+    ``(node, went_left)`` steps and rebalance the nodes on the way back
+    up; returns the new root.
+
+    The climb stops at the first node that keeps its place and its height:
+    every node above it sees the same child heights as before, so it
+    neither changes nor rotates (shape and step counts are those of the
+    full climb).  A node that stays balanced is handled in line; only a
+    rotation calls :func:`_rebalance`."""
+    for i in range(len(path) - 1, -1, -1):
+        node, went_left = path[i]
         if went_left:
             node.left = child
         else:
             node.right = child
-        child = _rebalance(node)
+        left, right = node.left, node.right
+        lh = left.height if left else 0
+        rh = right.height if right else 0
+        if -1 <= lh - rh <= 1:
+            height = 1 + (lh if lh > rh else rh)
+            if height == node.height:
+                return path[0][0]
+            node.height = height
+            child = node
+        else:
+            child = _rebalance(node)
     return child
 
 

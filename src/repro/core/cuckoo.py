@@ -43,14 +43,19 @@ def _mix_key(key: tuple[int, int]) -> int:
     return x
 
 
-@dataclass
+@dataclass(slots=True)
 class InsertResult:
-    """Outcome of one insertion attempt."""
+    """Outcome of one insertion attempt.
+
+    A placement that displaced nobody returns the index's one shared
+    ``placed`` result (read-only: ``path`` is an empty tuple); only a walk
+    builds its own.
+    """
 
     success: bool
     probes: int = 0
     #: entries visited along the insertion path (for conflict eviction)
-    path: list = field(default_factory=list)
+    path: list | tuple = field(default_factory=list)
     #: the entry left homeless on failure (the displaced chain's tail)
     homeless: object | None = None
 
@@ -69,6 +74,8 @@ class CuckooIndex:
             raise ValueError("capacity must be >= 1")
         if num_hashes < 2:
             raise ValueError("need at least 2 hash functions")
+        if max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         self.capacity = capacity
         self.num_hashes = num_hashes
         self.max_iterations = max_iterations
@@ -88,6 +95,10 @@ class CuckooIndex:
         # streams cannot grow it without limit.
         self._cand_memo: dict[tuple[int, int], tuple[int, ...]] = {}
         self._memo_limit = max(1024, 8 * capacity)
+        #: the result of every insert that found a free candidate slot at
+        #: once: it always probed the key's p candidates, so one immutable
+        #: result serves them all and a direct miss allocates nothing
+        self.placed = InsertResult(True, num_hashes, ())
 
     # ------------------------------------------------------------------
     def _candidates(self, key: tuple[int, int]) -> tuple[int, ...]:
@@ -97,11 +108,11 @@ class CuckooIndex:
             if len(self._cand_memo) >= self._memo_limit:
                 self._cand_memo.clear()
             mix = _mix_key(key)
-            c = tuple(
-                ((a * mix + b) % _PRIME) % self.capacity
-                for a, b in self._coeffs
-            )
-            self._cand_memo[key] = c
+            cap = self.capacity
+            cands = []
+            for a, b in self._coeffs:
+                cands.append(((a * mix + b) % _PRIME) % cap)
+            c = self._cand_memo[key] = tuple(cands)
         return c
 
     def _hash(self, key: tuple[int, int], i: int) -> int:
@@ -131,38 +142,50 @@ class CuckooIndex:
         """Random-walk insertion; never rehashes.
 
         On success the entry (and any displaced entries) have valid
-        ``slot`` fields.  On failure the table is left *consistent* —
-        every stored entry is reachable — and ``homeless`` carries the
-        entry that could not be placed (it may be ``entry`` itself or a
-        displaced occupant); ``path`` lists the distinct entries visited,
-        i.e. the candidates for a conflict eviction.  A key that is already
-        stored raises ``ValueError`` before anything moves.
+        ``slot`` fields.  An entry that finds a free candidate slot at once
+        gets the shared :attr:`placed` result: no result and no ``path``
+        are built unless the walk displaces an occupant.  On failure the
+        table is left *consistent* — every stored entry is reachable — and
+        ``homeless`` carries the entry that could not be placed (it may be
+        ``entry`` itself or a displaced occupant); ``path`` lists the
+        distinct entries visited, i.e. the candidates for a conflict
+        eviction.  A key that is already stored raises ``ValueError``
+        before anything moves.
         """
         key = entry.key
         slots = self._slots
-        probes = 0
+        # The first step, for the new entry: one scan of its candidate
+        # slots finds the first free one and a duplicate of its key (which
+        # can only sit in one of exactly these slots).
+        cands = self._cand_memo.get(key) or self._candidates(key)
+        free = -1
+        for s in cands:
+            occupant = slots[s]
+            if occupant is None:
+                if free < 0:
+                    free = s
+            elif occupant.key == key:
+                raise ValueError(f"duplicate key {key}")
+        if free >= 0:
+            slots[free] = entry  # _place
+            entry.slot = free
+            self._count += 1
+            return self.placed
+        # Every candidate is taken: the random walk, from the scan above.
+        probes = len(cands)
         path: list[Indexable] = []
         current = entry
         last_slot = -1  # slot we were just displaced from (avoid ping-pong)
-        for _ in range(self.max_iterations):
-            # One scan of the current item's candidate slots finds its
-            # first free one and, for the new entry, a duplicate of its key
-            # (which can only sit in one of exactly these slots).
-            ckey = current.key
-            cands = self._cand_memo.get(ckey) or self._candidates(ckey)
-            probes += len(cands)
-            free = -1
-            for s in cands:
-                occupant = slots[s]
-                if occupant is None:
-                    if free < 0:
-                        free = s
-                elif current is entry and occupant.key == key:
-                    raise ValueError(f"duplicate key {key}")
-            if free >= 0:
-                self._place(current, free)
-                self._count += 1  # net effect of the whole walk: one new entry
-                return InsertResult(True, probes, path)
+        for step in range(self.max_iterations):
+            if step:  # the displaced occupant's turn to find a free slot
+                ckey = current.key
+                cands = self._cand_memo.get(ckey) or self._candidates(ckey)
+                probes += len(cands)
+                for s in cands:
+                    if slots[s] is None:
+                        self._place(current, s)
+                        self._count += 1  # net effect of the walk: one new entry
+                        return InsertResult(True, probes, path)
             # No free slot: displace a random occupant (not the slot we
             # came from, when avoidable).
             choices = [s for s in cands if s != last_slot] or cands
@@ -206,7 +229,7 @@ class CuckooIndex:
 
     # ------------------------------------------------------------------
     def entry_at(self, slot: int) -> Indexable | None:
-        """Direct slot access (victim sampling walks the table this way)."""
+        """Direct slot access (the structural audit reads slots this way)."""
         return self._slots[slot]
 
     def __len__(self) -> int:

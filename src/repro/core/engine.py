@@ -47,6 +47,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -59,7 +60,7 @@ from repro.core.entry import CacheEntry
 from repro.core.policy import CachePolicy, PolicyContext, make_policy
 from repro.core.states import EntryState
 from repro.core.stats import AccessType, CacheStats
-from repro.core.storage import Descriptor, Storage
+from repro.core.storage import Storage
 from repro.mpi.datatypes import COPY_KINDS, Datatype, origin_bytes
 from repro.mpi.errors import StorageFault
 from repro.net.model import MemoryModel
@@ -332,13 +333,28 @@ class CacheEngine:
         nbytes = self._fetch(req)
         self.stats.record_network_bytes(nbytes)
         # Extension: allocate the larger region *first* so a failure leaves
-        # the existing (smaller but valid) entry untouched.
-        new_desc = self._allocate(size)
+        # the existing (smaller but valid) entry untouched.  No eviction:
+        # the allocation and its fault accounting are the miss's first
+        # attempt.
+        storage, cost = self.storage, self.cost
+        s0 = storage.steps
+        try:
+            new_desc = storage.allocate(size)
+        except StorageFault:
+            cost.avl_steps(storage.steps - s0)
+            self.fault_streak += 1
+            self.stats.record_storage_fault()
+            return nbytes
+        cost.avl_steps(storage.steps - s0)
         if new_desc is None:
             return nbytes
+        self.fault_streak = 0
         was_pending = entry.state is _PENDING
-        if entry.desc is not None:
-            self._release_storage(entry)
+        if entry.desc is not None:  # _release's storage steps
+            s0 = storage.steps
+            storage.release(entry.desc)
+            cost.avl_steps(storage.steps - s0)
+            cost.descriptor_updates(1)
         entry.desc = new_desc
         new_desc.entry = entry
         entry.relayout(dtype, count)
@@ -347,25 +363,39 @@ class CacheEngine:
         if not was_pending:
             entry.transition(_PENDING)
             self.pending.append(entry)
-        self.cost.descriptor_updates(2)
+        cost.descriptor_updates(2)
         return nbytes
 
     def _serve_miss(self, req: CacheGetRequest) -> int:
-        origin, dtype, count, size = req.origin, req.dtype, req.count, req.size
+        """A miss: fetch, index, allocate (evicting if need be), go PENDING.
+
+        A direct miss is this one frame besides the structures it touches
+        (``fetch``, the cuckoo insert, the allocation, the state check):
+        each charge one add and one sink call, in the order the steps run,
+        and the counters bumped in line.  The first allocation attempt and
+        the capacity evictions after it are one loop.
+        """
+        origin, size = req.origin, req.size
         # Issue the remote get immediately: its flight time overlaps all the
         # cache-management work below (Sec. III-B2).
         nbytes = self._fetch(req)
-        self.stats.record_network_bytes(nbytes)
+        stats = self.stats
+        total, interval = stats.total, stats.interval
+        total.bytes_from_network += nbytes  # CacheStats.record_network_bytes
+        interval.bytes_from_network += nbytes
 
-        entry = CacheEntry(req.target, req.disp, dtype, count, req.key)
+        entry = CacheEntry(req.target, req.disp, req.dtype, req.count, req.key, size)
         entry.last = self.seq
         if self.wants_miss:
             self.policy.on_miss(req.key, size, self._context())
 
         # Oversized requests can never be stored: fail fast, no eviction
         # storm for a sporadically accessed big segment (Sec. III-D2).
-        if size > self.storage.capacity:
-            self.stats.record_access(_FAILING)
+        # Storage holds aligned regions, so the aligned size must fit.
+        storage = self.storage
+        align = storage.alignment  # Storage.allocate's rounding
+        if ((size if size > 1 else 1) + align - 1) // align * align > storage.capacity:
+            stats.record_access(_FAILING)
             return nbytes
 
         # Admission gate: a policy may refuse to cache this miss before
@@ -373,8 +403,8 @@ class CacheEngine:
         # one-hit wonders).  A rejected miss behaves like a failing
         # access: the data was already fetched, nothing is cached.
         if self.wants_admit and not self.policy.admit(entry, self._context()):
-            self.stats.record_access(_FAILING)
-            self.stats.record_admission_reject()
+            stats.record_access(_FAILING)
+            stats.record_admission_reject()
             self._on_event(
                 "admit",
                 admitted=False,
@@ -385,79 +415,55 @@ class CacheEngine:
             )
             return nbytes
 
+        cost = self.cost
+        memory = cost.memory
         res = self.index.insert(entry)
-        self.cost.probes(res.probes)
+        dt = res.probes * memory.probe_time  # CostModel.probes
+        cost.total += dt
+        cost._sink(dt)
         conflicted = not res.success
         if conflicted and not self._resolve_conflict(res, entry):
-            self.stats.record_access(_FAILING)
+            stats.record_access(_FAILING)
             return nbytes
 
-        desc, evicted = self._allocate_with_eviction(size)
-        if desc is None:
-            self.index.remove(entry)
-            self.stats.record_access(_FAILING)
-            return nbytes
-
-        entry.desc = desc
-        desc.entry = entry
-        entry.transition(_PENDING)
-        entry.pending_source = origin_bytes(origin)[:size]
-        self.pending.append(entry)
-        # The entry is live from here (slot, storage, PENDING) until _release.
-        insort(self._by_target.setdefault(req.target, []), entry, key=_dsp)
-        self._max_extent = max(self._max_extent, dtype.extent * count)
-        self.cost.descriptor_updates(1)
-        if self.wants_insert:
-            self.policy.on_insert(entry, self._context(entry))
-
-        if conflicted:
-            self.stats.record_access(_CONFLICTING)
-        elif evicted:
-            self.stats.record_access(_CAPACITY)
-        else:
-            self.stats.record_access(_DIRECT)
-        return nbytes
-
-    # ------------------------------------------------------------------
-    # storage and eviction
-    # ------------------------------------------------------------------
-    def _allocate(self, size: int) -> Descriptor | None:
-        storage = self.storage
-        s0 = storage.steps
-        try:
-            desc = storage.allocate(size)
-        except StorageFault:
-            # Injected memory pressure: behaves like a failed allocation,
-            # but the streak is what quarantines a cache.
-            self.cost.avl_steps(storage.steps - s0)
-            self.fault_streak += 1
-            self.stats.record_storage_fault()
-            return None
-        self.cost.avl_steps(storage.steps - s0)
-        if desc is not None:
-            self.fault_streak = 0
-        return desc
-
-    def _release_storage(self, entry: CacheEntry) -> None:
-        assert entry.desc is not None
-        s0 = self.storage.steps
-        self.storage.release(entry.desc)
-        self.cost.avl_steps(self.storage.steps - s0)
-        self.cost.descriptor_updates(1)
-        entry.desc = None
-
-    def _allocate_with_eviction(self, size: int) -> tuple[Descriptor | None, bool]:
-        """Best-fit allocate; on failure run the bounded capacity eviction."""
-        desc = self._allocate(size)
-        if desc is not None:
-            return desc, False
-        evicted_any = False
-        for _ in range(self.config.max_capacity_evictions):
+        # Allocate; on failure run the bounded capacity eviction (weak
+        # caching), retrying after each victim.
+        evicted = False
+        budget = self.config.max_capacity_evictions
+        while True:
+            s0 = storage.steps
+            try:
+                desc = storage.allocate(size)
+            except StorageFault:
+                # Injected memory pressure: behaves like a failed
+                # allocation, but the streak is what quarantines a cache.
+                dt = (storage.steps - s0) * memory.avl_step_time
+                cost.total += dt
+                cost._sink(dt)
+                self.fault_streak += 1
+                stats.record_storage_fault()
+                desc = None
+            else:
+                dt = (storage.steps - s0) * memory.avl_step_time  # avl_steps
+                cost.total += dt
+                cost._sink(dt)
+                if desc is not None:
+                    self.fault_streak = 0
+                    break
+            if not budget:
+                break
+            budget -= 1
             victim, visited, nonempty, score = self.sample_capacity_victim()
-            self.cost.eviction_visits(visited)
+            dt = visited * memory.eviction_visit_time  # CostModel.eviction_visits
+            cost.total += dt
+            cost._sink(dt)
             if victim is None:
                 break
-            self.stats.record_eviction(visited, nonempty, conflict=False)
+            for c in (total, interval):  # CacheStats.record_eviction
+                c.evictions += 1
+                c.capacity_evictions += 1
+                c.eviction_visited += visited
+                c.eviction_nonempty += nonempty
             self._on_event(
                 "evict",
                 reason="capacity",
@@ -466,12 +472,54 @@ class CacheEngine:
                 score=score,
             )
             self._release(victim, "evicted")
-            evicted_any = True
-            desc = self._allocate(size)
-            if desc is not None:
-                return desc, True
-        return None, evicted_any
+            evicted = True
+        if desc is None:
+            self.index.remove(entry)
+            access = _FAILING
+        else:
+            entry.desc = desc
+            desc.entry = entry
+            entry.transition(_PENDING)
+            # The PENDING source: the hit's origin test, then numpy's idiom;
+            # origin_bytes raises for any other origin.
+            src = None
+            if origin.dtype.kind in COPY_KINDS:
+                omv = memoryview(origin)
+                if (
+                    omv.c_contiguous
+                    and not omv.readonly
+                    and omv.ndim
+                    and omv.nbytes >= size
+                ):
+                    src = omv.cast("B")[:size]
+            if src is None:
+                if origin.flags.c_contiguous:
+                    src = origin.view(np.uint8).reshape(-1)[:size]
+                else:
+                    src = origin_bytes(origin)[:size]
+            entry.pending_source = src
+            self.pending.append(entry)
+            # The entry is live from here (slot, storage, PENDING) until _release.
+            insort(self._by_target.setdefault(req.target, []), entry, key=_dsp)
+            extent = req.dtype.extent * req.count
+            if extent > self._max_extent:
+                self._max_extent = extent
+            dt = memory.descriptor_update_time  # CostModel.descriptor_updates(1)
+            cost.total += dt
+            cost._sink(dt)
+            if self.wants_insert:
+                self.policy.on_insert(entry, self._context(entry))
+            access = _CONFLICTING if conflicted else _CAPACITY if evicted else _DIRECT
+        name = access._value_  # CacheStats.record_access
+        for c in (total, interval):
+            c.gets += 1
+            c.__dict__[name] += 1
+        stats.last_access = access
+        return nbytes
 
+    # ------------------------------------------------------------------
+    # eviction
+    # ------------------------------------------------------------------
     def sample_capacity_victim(self) -> tuple[CacheEntry | None, int, int, float]:
         """``(victim, visited, nonempty, score)`` of one sampling walk.
 
@@ -481,53 +529,81 @@ class CacheEngine:
         the whole table has been visited.  ``visited`` and ``nonempty``
         are the sparsity signal ``q`` of the adaptive controller
         (Sec. III-E1, Fig. 11).
+
+        The slots are read as one list slice (two at the wrap) and the
+        empty ones skipped by C-level iteration (``filter``: an entry is
+        truthy, an empty slot is None, and an indexed entry's ``slot`` is
+        where it sits), so a sample costs the same interpreter steps however
+        sparse the index is; only occupied slots are scored, in visiting
+        order, the first lowest score winning.
         """
-        cap = self.index.capacity
-        start = self._rng.randrange(cap)
-        visited = 0
-        nonempty = 0
-        best: CacheEntry | None = None
-        best_score = float("inf")
-        # ~M slots per victim: everything that is the same for each of them
-        # is looked up once, and the context's per-get fields are set once.
-        entry_at = self.index.entry_at
+        slots = self.index._slots
+        cap = len(slots)
+        start = self._rng._randbelow(cap)  # the one draw randrange(cap) makes
+        m = self.config.sample_size
+        if m > cap:
+            m = cap
+        end = start + m
+        window = slots[start:end] if end <= cap else slots[start:] + slots[: end - cap]
+        visited = m
+        nonempty = m - window.count(None)
+        if not nonempty:
+            if m == cap:
+                return None, cap, 0, float("inf")
+            # Paper stopping rule: v_i = max(M, k_i) — an empty sample keeps
+            # scanning up to the first occupied slot or the whole table.  A
+            # sample holding only PENDING (non-evictable) entries yields no
+            # victim; the access then fails (weak caching).
+            rest = (
+                chain(islice(slots, end, None), islice(slots, start))
+                if end <= cap
+                else islice(slots, end - cap, start)
+            )
+            entry = next(filter(None, rest), None)
+            if entry is None:
+                return None, cap, 0, float("inf")
+            visited = (entry.slot - start) % cap + 1
+            nonempty = 1
+            window = (entry,)
+        # The context's per-get fields are set once per sample.
+        ctx = self._ctx
+        seq = ctx.seq_index = self.seq
+        ctx.avg_get_size = self.size_sum / seq if seq else 0.0
         adjacent_free = self.storage.adjacent_free
         victim_score = self.policy.victim_score
-        ctx = self._context()
-        sample_size = self.config.sample_size
-        i = start
-        while visited < cap:
-            entry = entry_at(i)
-            visited += 1
-            if entry is not None:
-                nonempty += 1
-                if entry.state is _CACHED and not entry.pinned:
-                    ctx.adjacent_free = (
-                        adjacent_free(entry.desc) if entry.desc else 0
-                    )
-                    s = victim_score(entry, ctx)
-                    if s < best_score:
-                        best_score = s
-                        best = entry
-            i = (i + 1) % cap
-            # Paper stopping rule: v_i = max(M, k_i) — visit M entries, and
-            # keep scanning only while the sample is still empty.  A sample
-            # containing only PENDING (non-evictable) entries yields no
-            # victim; the access then fails (weak caching).
-            if visited >= sample_size and nonempty > 0:
-                break
+        best: CacheEntry | None = None
+        best_score = float("inf")
+        for entry in filter(None, window):
+            if entry.state is _CACHED and not entry.pinned:
+                desc = entry.desc
+                ctx.adjacent_free = adjacent_free(desc) if desc else 0
+                s = victim_score(entry, ctx)
+                if s < best_score:
+                    best_score = s
+                    best = entry
         return best, visited, nonempty, best_score
 
     def select_conflict_victim(
         self, path: list[CacheEntry], exclude: CacheEntry | None = None
     ) -> tuple[CacheEntry | None, float]:
-        """Lowest-score evictable entry on a cuckoo insertion path, and its score."""
+        """Lowest-score evictable entry on a cuckoo insertion path, and its score.
+
+        As in :meth:`sample_capacity_victim`, the context's per-get fields
+        and the scoring hook are bound once per eviction.
+        """
         best: CacheEntry | None = None
         best_score = float("inf")
+        ctx = self._ctx
+        seq = ctx.seq_index = self.seq
+        ctx.avg_get_size = self.size_sum / seq if seq else 0.0
+        adjacent_free = self.storage.adjacent_free
+        victim_score = self.policy.victim_score
         for e in path:
             if e is exclude or e.state is not _CACHED or e.pinned:
                 continue
-            s = self.score(e)
+            desc = e.desc
+            ctx.adjacent_free = adjacent_free(desc) if desc else 0
+            s = victim_score(e, ctx)
             if s < best_score:
                 best_score = s
                 best = e
@@ -590,12 +666,23 @@ class CacheEngine:
         whether an entry is still held; ``on_free`` fires once the entry
         is out of both.  PENDING bookkeeping (waiters, source, the pending
         list) is the caller's: only it knows whether the waiters were
-        already charged.
+        already charged.  The storage steps are charged, then the
+        descriptor update, each in line.
         """
         if entry.slot >= 0:
             self.index.remove(entry)
-        if entry.desc is not None:
-            self._release_storage(entry)
+        desc = entry.desc
+        if desc is not None:
+            storage, cost = self.storage, self.cost
+            s0 = storage.steps
+            storage.release(desc)
+            dt = (storage.steps - s0) * cost.memory.avl_step_time  # avl_steps
+            cost.total += dt
+            cost._sink(dt)
+            dt = cost.memory.descriptor_update_time  # descriptor_updates(1)
+            cost.total += dt
+            cost._sink(dt)
+            entry.desc = None
         if entry.state is not _MISSING:
             entry.transition(_MISSING)
         members = self._by_target.get(entry.trg)
@@ -656,13 +743,19 @@ class CacheEngine:
         their copies here, and so are orphans of dropped entries.
         """
         still_pending: list[CacheEntry] = []
+        waiters = self._waiter_bytes
+        transparent = self.mode is _TRANSPARENT
+        write = self.storage.write
+        cost = self.cost
+        copy_times = cost._copy_times
         for e in self.pending:
             if targets is not None and e.trg not in targets:
                 still_pending.append(e)
                 continue
-            for n in self._waiter_bytes.pop(e, ()):
-                self.cost.copy(n)
-            if self.mode is _TRANSPARENT and not e.pinned:
+            if waiters:
+                for n in waiters.pop(e, ()):
+                    cost.copy(n)
+            if transparent and not e.pinned:
                 # The entry dies at closure anyway: skip the materialisation
                 # copy, release its resources.  This is the whole of
                 # TRANSPARENT invalidation: in that mode only pinned
@@ -674,8 +767,14 @@ class CacheEngine:
                 self._release(e, "dropped")
             else:
                 assert e.pending_source is not None and e.desc is not None
-                self.storage.write(e.desc, e.pending_source[: e.size])
-                self.cost.copy(e.size)
+                n = e.size
+                write(e.desc, e.pending_source[:n])
+                dt = copy_times.get(n)  # CostModel.copy
+                if dt is None:
+                    cost.copy(n)
+                else:
+                    cost.total += dt
+                    cost._sink(dt)
                 e.pending_source = None
                 e.transition(_CACHED)
         self.pending = still_pending

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.core.avl import AVLTree
-from repro.util import CACHE_LINE, align_up
+from repro.util import CACHE_LINE
 
 
 class Descriptor:
@@ -119,7 +119,8 @@ class Storage:
         """
         if nbytes < 0:
             raise ValueError(f"negative allocation: {nbytes}")
-        want = align_up(max(nbytes, 1), self.alignment)
+        a = self.alignment  # align_up(max(nbytes, 1), a)
+        want = ((nbytes if nbytes > 1 else 1) + a - 1) // a * a
         if self._fault_hook is not None:
             self._fault_hook(want)  # may raise StorageFault (injected pressure)
         if self.fit == "best":
@@ -148,7 +149,13 @@ class Storage:
         used = Descriptor(region.offset, want, free=False)
         region.offset += want
         region.size -= want
-        self._link_before(used, region)
+        prev = used.prev = region.prev  # link ``used`` in before ``region``
+        used.next = region
+        if prev is not None:
+            prev.next = used
+        else:
+            self._head = used
+        region.prev = used
         self.steps += self._free_tree.insert((region.size, region.offset), region)
         self.used_bytes += want
         return used
@@ -210,15 +217,6 @@ class Storage:
         while d is not None:
             yield d
             d = d.next
-
-    def _link_before(self, new: Descriptor, anchor: Descriptor) -> None:
-        new.prev = anchor.prev
-        new.next = anchor
-        if anchor.prev is not None:
-            anchor.prev.next = new
-        else:
-            self._head = new
-        anchor.prev = new
 
     def _unlink(self, desc: Descriptor) -> None:
         if desc.prev is not None:

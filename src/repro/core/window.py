@@ -46,7 +46,7 @@ from repro.core.adaptive import AdaptiveController
 from repro.core.config import Config, resolve_config
 from repro.core.engine import CacheEngine, CacheGetRequest
 from repro.core.stats import AccessType
-from repro.mpi.datatypes import Datatype
+from repro.mpi.datatypes import BYTE, Datatype
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.ops import describe_get, emit_get_batch
 from repro.mpi.window import Window, WindowProxy
@@ -131,6 +131,12 @@ class CachedWindow(WindowProxy):
             self.obs.attach(
                 CallbackSink(self._timeline_sample, kinds=(CACHE_EPOCH,))
             )
+        #: the one request every scalar get is served through (invariant
+        #: 3): the engine keeps none of its fields but the key tuple, which
+        #: each get builds anew; a re-entrant get takes a fresh one
+        self._scalar_req: CacheGetRequest | None = CacheGetRequest(
+            np.empty(0, np.uint8), 0, 0, 0, BYTE, 0, (0, 0)
+        )
         window.add_epoch_close_hook(self._on_epoch_close)
 
     def _timeline_sample(self, event: Event) -> None:
@@ -263,17 +269,32 @@ class CachedWindow(WindowProxy):
         if bypass_cache:
             return self._win.get(origin, target_rank, target_disp, count, datatype)
         dtype, count = self._win._admit_get(origin, target_rank, count, datatype)
-        return self._serve(
-            CacheGetRequest(  # once per get: positional, in field order
-                origin,
-                target_rank,
-                target_disp,
-                count,
-                dtype,
-                dtype.size * count,  # transfer_size: count >= 0 by now
-                (target_rank, target_disp),
+        req = self._scalar_req
+        if req is None:  # re-entrant get (defensive): fall back to a fresh one
+            return self._serve(
+                CacheGetRequest(
+                    origin,
+                    target_rank,
+                    target_disp,
+                    count,
+                    dtype,
+                    dtype.size * count,
+                    (target_rank, target_disp),
+                )
             )
-        )
+        self._scalar_req = None
+        try:
+            req.origin = origin
+            req.target = target_rank
+            req.disp = target_disp
+            req.count = count
+            req.dtype = dtype
+            req.size = dtype.size * count  # transfer_size: count >= 0 by now
+            req.key = (target_rank, target_disp)
+            req.failure = None
+            return self._serve(req)
+        finally:
+            self._scalar_req = req
 
     def get_batch(self, requests) -> list[int]:
         """Serve a batch of cached gets with one accounting pass.

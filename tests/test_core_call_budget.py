@@ -10,8 +10,12 @@ The budgets are the counts actually reached, so the next change cannot
 silently give them back.  When one fails, the message splits the count by
 package: the plain-window rows move with ``mpi`` / ``runtime``,
 the cached rows additionally with ``core``.  The ``engine_*`` rows are the
-same hit and miss served by a standalone :class:`CacheEngine` (no window,
-no world), so ``cached_*`` minus ``engine_*`` is the adapter's share.  The
+same hit, miss and evicting miss served by a standalone
+:class:`CacheEngine` (no window, no world), so ``cached_*`` minus
+``engine_*`` is the adapter's share.  An evicting miss must not pay for
+the empty slots its victim sample crosses (docs/performance.md invariant
+13): the same live entry costs the same calls in a 64- and a 4096-slot
+index.  The
 measured paths hold no list comprehension (inlined from CPython 3.12 on),
 so the counts are the same on every supported interpreter.
 
@@ -47,19 +51,27 @@ from repro.net import PerfModel
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: calls per operation — (reached at this commit, at the parent bd3f316)
+#: calls per operation — (reached at this commit, at the parent 9006a9b)
 BUDGET = {
-    "cached_hit": (7, 17),           # full hit, CACHED entry, under lock_all
-    "cached_hit_locked": (7, 17),    # the same hit under lock(1)
-    "cached_miss": (49, 63),         # direct miss into free space, new key
-    "cached_flush_idle": (8, 12),    # nothing pending on the cached window
-    "engine_hit": (1, 10),           # the same hit, standalone engine
-    "engine_miss": (33, 35),         # the same miss, standalone engine
-    "plain_get": (7, 18),
-    "plain_flush": (6, 10),
+    "cached_hit": (7, 7),            # full hit, CACHED entry, under lock_all
+    "cached_hit_locked": (7, 7),     # the same hit under lock(1)
+    "cached_miss": (31, 49),         # direct miss into free space, new key
+    "cached_miss_evict": (54, 98),   # miss that evicts one entry, |I_w| = 64
+    "cached_flush_idle": (8, 8),     # nothing pending on the cached window
+    "cached_flush_pending": (13, 15),  # flush that materialises one entry
+    "engine_hit": (1, 1),            # the same hit, standalone engine
+    "engine_miss": (15, 33),         # the same miss, standalone engine
+    "engine_miss_evict": (33, 77),   # the same evicting miss, standalone
+    "plain_get": (7, 7),
+    "plain_flush": (6, 6),
     "lcc_vertex": (5, 5),            # one local LCC vertex
-    "bh_body": (0, 91),              # one Barnes-Hut body (parent: 3927825)
+    "bh_body": (0, 0),               # one Barnes-Hut body
 }
+
+#: a key whose miss, after ``EVICT_LIVE`` one-line gets filled the small
+#: store, samples a CACHED victim (the sample's start is drawn)
+EVICT_DISP = 4096
+EVICT_LIVE = 4
 
 
 def count_calls(fn) -> Counter:
@@ -80,9 +92,17 @@ def count_calls(fn) -> Counter:
     return calls
 
 
+def small_config(index_entries: int = 64, lines: int = EVICT_LIVE) -> Config:
+    """A store of ``lines`` cache lines: one more 64-byte entry evicts."""
+    return Config(
+        mode=Mode.ALWAYS_CACHE, index_entries=index_entries, storage_bytes=lines * 64
+    )
+
+
 def program(mpi):
     comm = mpi.comm_world
     cached = clampi.window_allocate(comm, 1 << 12, mode=clampi.Mode.ALWAYS_CACHE)
+    small = clampi.window_allocate(comm, 1 << 13, config=small_config())
     plain = Window.allocate(comm, 1 << 12)
     if mpi.rank:
         return None
@@ -95,16 +115,22 @@ def program(mpi):
         out["cached_hit"] = count_calls(lambda: cached.get(buf, 1, 0))
         out["cached_flush_idle"] = count_calls(lambda: cached.flush(1))
         out["cached_miss"] = count_calls(lambda: cached.get(buf, 1, 128))
-        cached.flush(1)
+        out["cached_flush_pending"] = count_calls(lambda: cached.flush(1))
     with cached.lock_epoch(1):  # the epoch test's per-rank branch
         out["cached_hit_locked"] = count_calls(lambda: cached.get(buf, 1, 0))
+    with small.lock_all_epoch():
+        for i in range(EVICT_LIVE):  # fill the store with CACHED entries
+            small.get(buf, 1, 64 * i)
+            small.flush(1)
+        out["cached_miss_evict"] = count_calls(lambda: small.get(buf, 1, EVICT_DISP))
+        small.flush(1)
     snapshot = cached.stats.snapshot()
     with plain.lock_all_epoch():
         plain.get(buf, 1, 0)
         plain.flush(1)
         out["plain_get"] = count_calls(lambda: plain.get(buf, 1, 0))
         out["plain_flush"] = count_calls(lambda: plain.flush(1))
-    return out, snapshot
+    return out, (snapshot, small.stats.snapshot())
 
 
 def zero_fetch(req):
@@ -113,12 +139,10 @@ def zero_fetch(req):
     return req.size
 
 
-def engine_program():
-    """``program``'s hit and miss on a standalone engine, as the adapter
-    would serve them (sequence accounting, then ``serve``)."""
-    engine = CacheEngine(
-        Config(mode=Mode.ALWAYS_CACHE), zero_fetch, sink=[].append
-    )
+def engine_getter(config: Config):
+    """A standalone engine and a 64-byte get on it, as the adapter would
+    serve it (sequence accounting, then ``serve``)."""
+    engine = CacheEngine(config, zero_fetch, sink=[].append)
     buf = np.empty(8, np.float64)
 
     def get(disp):
@@ -126,13 +150,34 @@ def engine_program():
         engine.size_sum += 64
         return engine.serve(CacheGetRequest(buf, 1, disp, 8, FLOAT64, 64, (1, disp)))
 
+    return engine, get
+
+
+def engine_program():
+    """``program``'s hit, miss and evicting miss on standalone engines."""
+    engine, get = engine_getter(Config(mode=Mode.ALWAYS_CACHE))
     for _ in range(2):
         get(0)
         engine.close_epoch()
     out = {"engine_hit": count_calls(lambda: get(0))}
     out["engine_miss"] = count_calls(lambda: get(128))
     engine.close_epoch()
-    return out, engine.stats.snapshot()
+    small, get = engine_getter(small_config())
+    for i in range(EVICT_LIVE):
+        get(64 * i)
+        small.close_epoch()
+    out["engine_miss_evict"] = count_calls(lambda: get(EVICT_DISP))
+    return out, (engine.stats.snapshot(), small.stats.snapshot())
+
+
+def evicting_miss_calls(index_entries: int) -> tuple[int, dict]:
+    """Calls of one capacity-evicting miss into a one-line store whose one
+    CACHED entry is the only other entry of a ``index_entries``-slot index."""
+    engine, get = engine_getter(small_config(index_entries, lines=1))
+    get(0)
+    engine.close_epoch()
+    calls = count_calls(lambda: get(EVICT_DISP))
+    return sum(calls.values()), engine.stats.snapshot()
 
 
 APP_DIRS = tuple(SRC + pkg + os.sep for pkg in ("apps", "graph"))
@@ -205,9 +250,12 @@ def measured():
 
 
 def test_the_counted_operations_are_what_they_claim(measured):
-    _calls, (cached, engine) = measured
+    _calls, ((cached, small), (engine, small_engine)) = measured
     assert (cached["direct"], cached["hit_full"], cached["gets"]) == (2, 3, 5)
     assert (engine["direct"], engine["hit_full"], engine["gets"]) == (2, 2, 4)
+    for evicting in (small, small_engine):
+        assert (evicting["direct"], evicting["capacity"]) == (EVICT_LIVE, 1)
+        assert evicting["capacity_evictions"] == 1
 
 
 @pytest.mark.parametrize("op", BUDGET)
@@ -230,6 +278,17 @@ def test_a_hit_costs_about_a_plain_get(measured):
         sum(calls[op].values()) for op in ("cached_flush_idle", "plain_flush")
     )
     assert idle <= flush + 2
+
+
+def test_an_evicting_miss_does_not_pay_for_empty_slots():
+    """The same live entry in a 64-slot and a 4096-slot index: the victim
+    sample crosses ~64x more empty slots, in the same number of calls
+    (80 and 1,056 at the parent 9006a9b)."""
+    (dense, dense_stats), (sparse, sparse_stats) = map(evicting_miss_calls, (64, 4096))
+    for stats in (dense_stats, sparse_stats):
+        assert (stats["capacity"], stats["capacity_evictions"]) == (1, 1)
+    assert sparse_stats["eviction_visited"] > 8 * dense_stats["eviction_visited"]
+    assert sparse == dense
 
 
 def test_lcc_app_calls_follow_vertices_not_gets():

@@ -1,11 +1,13 @@
 """Unit tests for the cache engine's victim selection (sampling and scoring)."""
 
+import numpy as np
 import pytest
 
-from repro.core.config import Config
-from repro.core.engine import CacheEngine
+from repro.core.config import Config, Mode
+from repro.core.engine import CacheEngine, CacheGetRequest
 from repro.core.entry import CacheEntry
 from repro.core.states import EntryState
+from repro.core.stats import AccessType
 from repro.mpi import BYTE
 
 
@@ -135,3 +137,45 @@ class TestConflictVictim:
     def test_empty_path(self):
         ev = at(make_engine(), 10, 0.0)
         assert ev.select_conflict_victim([])[0] is None
+
+
+class TestOversizedFailFast:
+    """Sec. III-D2: a get that can never be stored fails before it evicts."""
+
+    @staticmethod
+    def serve(engine, disp, nbytes):
+        origin = np.zeros(nbytes, np.uint8)
+        engine.seq += 1
+        engine.size_sum += nbytes
+        return engine.serve(
+            CacheGetRequest(origin, 0, disp, nbytes, BYTE, nbytes, (0, disp))
+        )
+
+    def test_the_aligned_size_is_what_must_fit(self):
+        """90 B fit in 100 B, but the 128 B region it needs does not: the
+        get fails fast, and the entry already cached survives."""
+        engine = CacheEngine(
+            Config(mode=Mode.ALWAYS_CACHE, storage_bytes=100),
+            lambda req: req.size,
+        )
+        self.serve(engine, 0, 64)
+        engine.close_epoch()
+        first = engine.index.lookup((0, 0))[0]
+        assert first is not None and first.state is EntryState.CACHED
+        self.serve(engine, 512, 90)
+        t = engine.stats.total
+        assert (t.evictions, t.failing, t.direct) == (0, 1, 1)
+        assert engine.stats.last_access is AccessType.FAILING
+        assert engine.index.lookup((0, 0))[0] is first
+        assert first.state is EntryState.CACHED
+        assert engine.index.lookup((0, 512))[0] is None
+        assert len(engine.index) == 1
+        engine.check_invariants()
+
+    def test_an_aligned_size_that_fits_is_stored(self):
+        engine = CacheEngine(
+            Config(mode=Mode.ALWAYS_CACHE, storage_bytes=128),
+            lambda req: req.size,
+        )
+        self.serve(engine, 0, 90)
+        assert engine.stats.last_access is AccessType.DIRECT
