@@ -20,7 +20,7 @@ from repro import clampi
 from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.core.stats import snapshot_hits
-from repro.trace import recommend_parameters, reuse_histogram
+from repro.trace import capture, concat, recommend_parameters, reuse_histogram
 from repro.util import KiB, format_bytes, format_table, format_time
 
 
@@ -55,15 +55,15 @@ def _print_outcome(label: str, time_per_item: float, item: str, stats: dict) -> 
     print(format_table(["metric", "value"], rows))
 
 
-def _trace_summary(traces) -> None:
-    records = [r for t in traces for r in t.records]
-    if not records:
+def _trace_summary(streams) -> None:
+    gets = concat(streams)
+    if not len(gets):
         print("\n(no remote gets were traced)")
         return
-    hist = reuse_histogram(records)
-    rec = recommend_parameters(records)
+    hist = reuse_histogram(gets)
+    rec = recommend_parameters(gets)
     print(
-        f"\ntrace: {len(records)} remote gets, {sum(hist.values())} distinct, "
+        f"\ntrace: {len(gets)} remote gets, {sum(hist.values())} distinct, "
         f"hottest repeated {max(hist)}x"
     )
     print(
@@ -119,12 +119,16 @@ def main(argv: list[str] | None = None) -> int:
             f"BFS: 2^{args.scale} vertices, {app.csr.nedges} edges, "
             f"{args.sources} sources, P={args.procs}, {spec.label}\n"
         )
-        run = app.run(args.procs, sources, spec, trace=args.trace)
+        run = app.run(args.procs, sources, spec)
         _print_outcome(
             run.label, run.elapsed / max(len(sources), 1), "source", run.merged_stats()
         )
         if args.trace:
-            _trace_summary(run.traces)
+            # BFS has no stream producer: capture a plain run, which sees
+            # every get (a cached window forwards only its misses)
+            with capture(args.procs) as streams:
+                app.run(args.procs, sources)
+            _trace_summary(streams)
     elif args.app == "lcc":
         app = LCCApp(scale=args.scale, edge_factor=args.edge_factor, seed=args.seed)
         footprint = app.csr.nedges * 8
@@ -133,10 +137,10 @@ def main(argv: list[str] | None = None) -> int:
             f"LCC: 2^{args.scale} vertices, {app.csr.nedges} edges, "
             f"P={args.procs}, {spec.label}\n"
         )
-        run = app.run(args.procs, spec, trace=args.trace)
+        run = app.run(args.procs, spec)
         _print_outcome(run.label, run.vertex_time, "vertex", run.merged_stats())
         if args.trace:
-            _trace_summary(run.traces)
+            _trace_summary(app.stream(args.procs))
     else:
         app = BarnesHutApp(nbodies=args.bodies, seed=args.seed, theta=args.theta)
         footprint = app.tree.nnodes * 128
@@ -147,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
             f"Barnes-Hut: N={args.bodies}, theta={args.theta}, "
             f"tree {format_bytes(footprint)}, P={args.procs}, {spec.label}\n"
         )
-        run = app.run(args.procs, spec, trace=args.trace)
+        run = app.run(args.procs, spec)
         _print_outcome(run.label, run.time_per_body, "body", run.merged_stats())
         if args.trace:
-            _trace_summary(run.traces)
+            _trace_summary(app.stream(args.procs))
     return 0
 
 

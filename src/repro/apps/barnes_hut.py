@@ -43,7 +43,7 @@ from repro.graph.partition import BlockPartition
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
-from repro.trace import TraceRecorder
+from repro.trace import GetStream, per_rank
 from repro import clampi
 
 NODE_FLOATS = 16
@@ -236,7 +236,6 @@ class BHRunResult(PerRankStats):
     time_per_body: float           #: elapsed / max local bodies
     forces: np.ndarray             #: (n, 3) accelerations-times-mass
     cache_stats: list[dict] = field(default_factory=list)
-    traces: list[TraceRecorder] = field(default_factory=list)
     #: absolute virtual makespan incl. setup (window creation, barrier);
     #: chaos crash plans anchor their death times to this
     makespan: float = 0.0
@@ -273,6 +272,18 @@ class BarnesHutApp:
             self._visits[key] = visit_sets(self.tree, self.pos, self.theta, eps)
         return self._visits[key]
 
+    def stream(self, nprocs: int, eps: float = 1e-3) -> list[GetStream]:
+        """Each rank's remote gets of the force phase on ``nprocs`` ranks,
+        in issue order, read off :meth:`visits`."""
+        walk = self.visits(eps)
+        blk = BlockPartition(self.tree.nnodes, nprocs).block
+        owner, disp = np.divmod(walk.order[walk.positions], blk)
+        body = np.repeat(np.arange(self.nbodies), np.diff(walk.offsets))
+        issuer = BlockPartition(self.nbodies, nprocs).owners(body)
+        get = owner != issuer
+        nbytes = np.full(np.count_nonzero(get), NODE_BYTES)
+        return per_rank(nprocs, issuer[get], owner[get], disp[get] * NODE_BYTES, nbytes)
+
     # ------------------------------------------------------------------
     def reference_forces(self, eps: float = 1e-3) -> np.ndarray:
         """Exact O(N^2) force computation (ground truth for tests)."""
@@ -291,7 +302,6 @@ class BarnesHutApp:
         self,
         nprocs: int,
         spec: CacheSpec | None = None,
-        trace: bool = False,
         perf: PerfModel | None = None,
         eps: float = 1e-3,
         faults=None,
@@ -314,24 +324,21 @@ class BarnesHutApp:
         )
         results = mpi.run(
             _bh_rank_program, self.tree, self.pos, self.mass, self.theta, spec,
-            trace, eps, self.visits(eps),
+            eps, self.visits(eps),
         )
         forces = np.zeros((self.nbodies, 3))
         rank_times: list[float] = []
         stats: list[dict] = []
-        traces: list[TraceRecorder] = []
         max_local = 1
         for r in results:
             if r is None:
                 # Rank crashed mid-run (chaos crash scenario): its bodies
                 # keep zero force, the survivors' results stand.
                 continue
-            lo, hi, f, phase_time, st, rec = r
+            lo, hi, f, phase_time, st = r
             forces[lo:hi] = f
             rank_times.append(phase_time)
             stats.append(st)
-            if rec is not None:
-                traces.append(rec)
             max_local = max(max_local, hi - lo)
         return BHRunResult(
             nprocs=nprocs,
@@ -341,7 +348,6 @@ class BarnesHutApp:
             time_per_body=max(rank_times) / max_local,
             forces=forces,
             cache_stats=stats,
-            traces=traces,
             makespan=mpi.elapsed,
         )
 
@@ -353,15 +359,13 @@ def _bh_rank_program(
     mass: np.ndarray,
     theta: float,
     spec: CacheSpec,
-    trace: bool,
     eps: float,
     walk: VisitSets,
 ):
-    recorder = TraceRecorder() if trace else None
     node_part = BlockPartition(tree.nnodes, mpi.size)
     nlo, nhi = node_part.range_of(mpi.rank)
     local_nodes = np.ascontiguousarray(tree.nodes[nlo:nhi]).reshape(-1)
-    win = spec.make_window(mpi.comm_world, local_nodes.view(np.uint8), recorder)
+    win = spec.make_window(mpi.comm_world, local_nodes.view(np.uint8))
 
     body_part = BlockPartition(tree.nbodies, mpi.size)
     blo, bhi = body_part.range_of(mpi.rank)
@@ -423,4 +427,4 @@ def _bh_rank_program(
             win.invalidate()  # paper Listing 1: invalidate before the epoch ends
     phase_time = mpi.time - t0
 
-    return blo, bhi, forces, phase_time, cache_stats_of(win), recorder
+    return blo, bhi, forces, phase_time, cache_stats_of(win)

@@ -25,7 +25,6 @@ from repro.apps.cachespec import CacheSpec, PerRankStats, cache_stats_of
 from repro.graph import CSRGraph, DistributedGraph, rmat_graph
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
-from repro.trace import TraceRecorder
 
 #: CPU cost of scanning one adjacency entry during frontier expansion.
 SCAN_STEP_TIME = 1.5e-9
@@ -43,7 +42,6 @@ class BFSRunResult(PerRankStats):
     rank_times: list[float]
     distances: np.ndarray          #: (nsources, nvertices) hop counts, -1 unreached
     cache_stats: list[dict] = field(default_factory=list)
-    traces: list[TraceRecorder] = field(default_factory=list)
 
 
 class BFSApp:
@@ -80,7 +78,6 @@ class BFSApp:
         nprocs: int,
         sources: list[int],
         spec: CacheSpec | None = None,
-        trace: bool = False,
         perf: PerfModel | None = None,
         batch: bool = False,
     ) -> BFSRunResult:
@@ -98,7 +95,7 @@ class BFSApp:
         src, dst = self._edges
         mpi = SimMPI(nprocs=nprocs, perf=perf or PerfModel.spread(nprocs))
         results = mpi.run(
-            _bfs_rank_program, self.csr, src, dst, list(sources), spec, trace, batch
+            _bfs_rank_program, self.csr, src, dst, list(sources), spec, batch
         )
         distances = results[0][0]  # replicated result, identical on all ranks
         rank_times = [r[1] for r in results]
@@ -109,7 +106,6 @@ class BFSApp:
             rank_times=rank_times,
             distances=distances,
             cache_stats=[r[2] for r in results],
-            traces=[r[3] for r in results if r[3] is not None],
         )
 
 
@@ -120,17 +116,10 @@ def _bfs_rank_program(
     dst: np.ndarray,
     sources: list[int],
     spec: CacheSpec,
-    trace: bool,
     batch: bool = False,
 ):
-    recorder = TraceRecorder() if trace else None
     graph = DistributedGraph.build(
-        mpi.comm_world,
-        src,
-        dst,
-        csr.nvertices,
-        lambda comm, buf: spec.make_window(comm, buf, recorder),
-        csr=csr,
+        mpi.comm_world, src, dst, csr.nvertices, spec.make_window, csr=csr
     )
     win = graph.window
     comm = mpi.comm_world
@@ -202,4 +191,4 @@ def _bfs_rank_program(
                 break
     win.unlock_all()
     phase_time = mpi.time - t0
-    return all_dist, phase_time, cache_stats_of(win), recorder
+    return all_dist, phase_time, cache_stats_of(win)

@@ -19,7 +19,6 @@ from repro.baselines import BlockCachedWindow
 from repro.core.stats import merge_snapshots
 from repro.mpi.comm import Communicator
 from repro.mpi.window import Window
-from repro.trace import TraceRecorder, TracingWindow
 from repro.util import MiB
 
 
@@ -122,23 +121,19 @@ class CacheSpec:
         self,
         comm: Communicator,
         local_bytes: np.ndarray,
-        recorder: TraceRecorder | None = None,
+        _unused: None = None,
     ) -> Any:
         """Collectively create the window wrapper this spec describes."""
+        # The third parameter is unused: benchmarks/perf/spans.py still
+        # passes one positionally in its traced round (ROADMAP item 1).
         raw = Window.create(comm, local_bytes)
         if self.kind is CacheKind.NONE:
-            win: Any = raw
-        elif self.kind is CacheKind.NATIVE:
-            win = BlockCachedWindow(
+            return raw
+        if self.kind is CacheKind.NATIVE:
+            return BlockCachedWindow(
                 raw, block_size=self.block_size, memory_bytes=self.memory_bytes
             )
-        else:
-            win = clampi.wrap(
-                raw, mode=self.mode, config=self.config, policy=self.policy
-            )
-        if recorder is not None:
-            win = TracingWindow(win, recorder)
-        return win
+        return clampi.wrap(raw, mode=self.mode, config=self.config, policy=self.policy)
 
 
 class PerRankStats:
@@ -155,9 +150,8 @@ class PerRankStats:
 
 def cache_stats_of(window: Any) -> dict[str, float]:
     """Uniform stats snapshot across window flavours ({} for plain)."""
-    inner = window._win if isinstance(window, TracingWindow) else window
-    if isinstance(inner, clampi.CachedWindow):
-        return inner.stats.snapshot()
-    if isinstance(inner, BlockCachedWindow):
-        return inner.stats.as_dict()
+    if isinstance(window, clampi.CachedWindow):
+        return window.stats.snapshot()
+    if isinstance(window, BlockCachedWindow):
+        return window.stats.as_dict()
     return {}

@@ -37,11 +37,12 @@ import numpy as np
 
 from repro import recovery
 from repro.apps.cachespec import CacheSpec, PerRankStats, cache_stats_of
-from repro.graph import CSRGraph, DistributedGraph, rmat_graph
+from repro.graph import BlockPartition, CSRGraph, DistributedGraph, rmat_graph
+from repro.graph.distributed import ITEM, locate
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
-from repro.trace import TraceRecorder
+from repro.trace import GetStream, per_rank
 
 #: CPU cost of one element-comparison step of the sorted-merge intersection.
 MERGE_STEP_TIME = 2e-9
@@ -60,7 +61,6 @@ class LCCRunResult(PerRankStats):
     vertex_time: float                   #: elapsed / max local vertices
     lcc: np.ndarray                      #: LCC value per vertex (global)
     cache_stats: list[dict] = field(default_factory=list)
-    traces: list[TraceRecorder] = field(default_factory=list)
     #: absolute virtual makespan incl. setup (window creation, barrier);
     #: chaos crash plans anchor their death times to this
     makespan: float = 0.0
@@ -90,12 +90,22 @@ class LCCApp:
             [self.csr.local_clustering(v) for v in range(self.nvertices)]
         )
 
+    def stream(self, nprocs: int) -> list[GetStream]:
+        """Each rank's remote gets on ``nprocs`` ranks, serial or batched
+        alike: for every local vertex of degree >= 2, each neighbour's
+        adjacency in adjacency order, if another rank owns it."""
+        part = BlockPartition(self.nvertices, nprocs)
+        degrees = self.csr.degrees()
+        issuer = part.owners(np.repeat(np.arange(self.nvertices), degrees))
+        owners, disps, counts = locate(self.csr, part, self.csr.adjacency)
+        get = (owners != issuer) & np.repeat(degrees >= 2, degrees)
+        return per_rank(nprocs, issuer[get], owners[get], disps[get], counts[get] * ITEM.itemsize)
+
     # ------------------------------------------------------------------
     def run(
         self,
         nprocs: int,
         spec: CacheSpec | None = None,
-        trace: bool = False,
         perf: PerfModel | None = None,
         faults=None,
         retry=None,
@@ -121,24 +131,21 @@ class LCCApp:
             faults=faults,
             retry=retry,
         )
-        results = mpi.run(_lcc_rank_program, self.csr, src, dst, spec, trace, batch)
+        results = mpi.run(_lcc_rank_program, self.csr, src, dst, spec, batch)
 
         lcc = np.zeros(self.nvertices)
         rank_times: list[float] = []
         stats: list[dict] = []
-        traces: list[TraceRecorder] = []
         max_local = 1
         for r in results:
             if r is None:
                 # Rank crashed mid-run (chaos crash scenario): its vertex
                 # range stays zero, the survivors' results stand.
                 continue
-            lo, hi, values, phase_time, st, rec = r
+            lo, hi, values, phase_time, st = r
             lcc[lo:hi] = values
             rank_times.append(phase_time)
             stats.append(st)
-            if rec is not None:
-                traces.append(rec)
             max_local = max(max_local, hi - lo)
         return LCCRunResult(
             nprocs=nprocs,
@@ -148,7 +155,6 @@ class LCCApp:
             vertex_time=max(rank_times) / max_local,
             lcc=lcc,
             cache_stats=stats,
-            traces=traces,
             makespan=mpi.elapsed,
         )
 
@@ -170,17 +176,10 @@ def _lcc_rank_program(
     src: np.ndarray,
     dst: np.ndarray,
     spec: CacheSpec,
-    trace: bool,
     batch: bool = False,
 ):
-    recorder = TraceRecorder() if trace else None
     graph = DistributedGraph.build(
-        mpi.comm_world,
-        src,
-        dst,
-        csr.nvertices,
-        lambda comm, buf: spec.make_window(comm, buf, recorder),
-        csr=csr,
+        mpi.comm_world, src, dst, csr.nvertices, spec.make_window, csr=csr
     )
     win = graph.window
     recovery.barrier(mpi.comm_world)
@@ -208,7 +207,7 @@ def _lcc_rank_program(
         if batch:
             arena = np.concatenate(graph.fetch_adjacencies(adj_v))
         else:
-            owners, disps, counts = graph.locate(adj_v)
+            owners, disps, counts = locate(csr, graph.partition, adj_v)
             ends = np.cumsum(counts)
             arena = np.empty(int(ends[-1]), dtype=np.int64)
             start = 0
@@ -236,4 +235,4 @@ def _lcc_rank_program(
     win.unlock_all()
     phase_time = mpi.time - t0
 
-    return lo, hi, values, phase_time, cache_stats_of(win), recorder
+    return lo, hi, values, phase_time, cache_stats_of(win)

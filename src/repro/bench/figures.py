@@ -22,13 +22,12 @@ from repro.apps import BarnesHutApp, LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.bench.micro import make_micro_workload, run_micro
 from repro.bench.overlap import measure_overlap_curve
-from repro.bench.policies import record_bh_trace
 from repro.bench.reporting import FigureResult
 from repro.core.stats import snapshot_hits
 from repro.mpi.simmpi import SimMPI
 from repro.mpi.window import Window
 from repro.net import PerfModel, Topology
-from repro.trace import reuse_histogram, size_distribution
+from repro.trace import concat, reuse_fraction, reuse_histogram, size_distribution
 from repro.util import KiB, MiB, format_bytes
 
 US = 1e6  # seconds -> microseconds
@@ -114,7 +113,8 @@ def fig02_reuse(nbodies: int = 1000, nprocs: int = 4) -> FigureResult:
     Paper: 4 processes, 4,000 bodies; the same remote data is fetched up to
     ~3,500 times.
     """
-    hist = reuse_histogram(record_bh_trace(nbodies, nprocs))
+    gets = concat(BarnesHutApp(nbodies=nbodies, seed=11).stream(nprocs))
+    hist = reuse_histogram(gets)
     fig = FigureResult(
         "Fig. 2",
         f"N-body get-reuse histogram (P={nprocs}, N={nbodies} bodies)",
@@ -133,7 +133,7 @@ def fig02_reuse(nbodies: int = 1000, nprocs: int = 4) -> FigureResult:
         if binned.get(label):
             fig.rows.append([label, binned[label]])
     max_repeat = max(hist) if hist else 0
-    total = sum(r * k for r, k in hist.items())
+    total = len(gets)
     distinct = sum(hist.values())
     fig.notes.append(f"total remote gets: {total}, distinct: {distinct}")
     fig.notes.append(f"most-repeated get fetched {max_repeat} times")
@@ -143,7 +143,7 @@ def fig02_reuse(nbodies: int = 1000, nprocs: int = 4) -> FigureResult:
     )
     fig.add_claim(
         "repeated accesses dominate the traffic (reuse fraction > 50%)",
-        (total - distinct) / max(total, 1) > 0.5,
+        reuse_fraction(gets) > 0.5,
     )
     return fig
 
@@ -157,9 +157,8 @@ def fig03_sizes(scale: int = 11, edge_factor: int = 16, nprocs: int = 8) -> Figu
     Paper: R-MAT 2^16 vertices / 2^20 edges on 32 nodes.
     """
     app = LCCApp(scale=scale, edge_factor=edge_factor, seed=5)
-    run = app.run(nprocs, CacheSpec.fompi(), trace=True)
-    records = [r for t in run.traces for r in t.records]
-    edges, counts = size_distribution(records)
+    gets = concat(app.stream(nprocs))
+    edges, counts = size_distribution(gets)
     fig = FigureResult(
         "Fig. 3",
         f"LCC get-size distribution (R-MAT 2^{scale} vertices, "
@@ -172,7 +171,7 @@ def fig03_sizes(scale: int = 11, edge_factor: int = 16, nprocs: int = 8) -> Figu
             fig.rows.append(
                 [f"{format_bytes(int(lo))}..{format_bytes(int(hi))}", int(c), round(c / total, 4)]
             )
-    sizes = np.array([r.size for r in records])
+    sizes = gets.nbytes
     fig.notes.append(
         f"sizes: min={sizes.min()} B, median={int(np.median(sizes))} B, "
         f"max={sizes.max()} B, mean={sizes.mean():.0f} B"

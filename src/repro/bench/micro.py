@@ -10,7 +10,9 @@ Workload construction, verbatim from the paper:
 
 The runner executes the sequence between two ranks (initiator/target on
 different nodes), measures each get's blocking latency in virtual time and
-classifies it by access type from the cache's counter deltas.
+classifies it by access type from the cache's counter deltas.  It replays
+any one-rank :class:`~repro.trace.stream.GetStream` the same way
+(:func:`replay`), checking every payload's bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import numpy as np
 from repro.apps.cachespec import CacheSpec
 from repro.mpi.simmpi import MPIProcess, SimMPI
 from repro.net import PerfModel
+from repro.trace import GetStream
 from repro.util import align_up
+
 
 @dataclass(frozen=True)
 class MicroWorkload:
@@ -40,6 +44,14 @@ class MicroWorkload:
     @property
     def length(self) -> int:
         return int(self.sequence.size)
+
+    def stream(self) -> list[GetStream]:
+        """The two ranks' gets: rank 0 fetches the sequence from rank 1."""
+        n = self.length
+        gets = GetStream(
+            np.ones(n), self.displacements[self.sequence], self.sizes[self.sequence]
+        )
+        return [gets, GetStream([], [], [])]
 
 
 def make_micro_workload(
@@ -91,6 +103,7 @@ class MicroRunResult:
     """Per-get classified measurements of one micro-benchmark run."""
 
     completion_time: float                 #: initiator virtual time for the run
+    makespan: float = 0.0                  #: the run's virtual makespan
     access_types: list[str] = field(default_factory=list)  #: per sequence slot
     latencies: np.ndarray = field(default_factory=lambda: np.empty(0))
     sizes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
@@ -120,22 +133,42 @@ def run_micro(
     record_occupancy: bool = False,
 ) -> MicroRunResult:
     """Run the sequence initiator→target and classify every access."""
+    return replay(workload.stream()[0], workload.window_bytes, spec, record_occupancy)
+
+
+def replay(
+    gets: GetStream,
+    window_bytes: int,
+    spec: CacheSpec,
+    record_occupancy: bool = False,
+) -> MicroRunResult:
+    """Issue ``gets`` (their ``disp`` and ``nbytes``; the target is always
+    rank 1, whose ``window_bytes`` window holds ``i % 251`` at byte ``i``)
+    from rank 0 through ``spec``'s window, a get + flush each, and
+    classify every access."""
+    pattern = (bytes(range(251)) * (window_bytes // 251 + 1))[:window_bytes]
     mpi = SimMPI(nprocs=2, perf=PerfModel.spread(2))
-    results = mpi.run(_micro_program, workload, spec, record_occupancy)
-    return results[0]
+    result = mpi.run(
+        _micro_program, gets.disp.tolist(), gets.nbytes.tolist(), pattern, spec,
+        record_occupancy,
+    )[0]
+    result.makespan = mpi.elapsed
+    return result
 
 
 def _micro_program(
     mpi: MPIProcess,
-    wl: MicroWorkload,
+    disps: list[int],
+    nbytes: list[int],
+    pattern: bytes,
     spec: CacheSpec,
     record_occupancy: bool,
 ):
     from repro import clampi  # local import to avoid cycles
 
-    local = np.zeros(wl.window_bytes, dtype=np.uint8)
+    local = np.zeros(len(pattern), np.uint8)
     if mpi.rank == 1:
-        local[:] = (np.arange(wl.window_bytes) % 251).astype(np.uint8)
+        local[:] = np.frombuffer(pattern, np.uint8)
     win = spec.make_window(mpi.comm_world, local)
     mpi.comm_world.barrier()
     if mpi.rank == 1:
@@ -143,34 +176,34 @@ def _micro_program(
 
     cached = isinstance(win, clampi.CachedWindow)
     result = MicroRunResult(completion_time=0.0)
-    latencies = np.zeros(wl.length)
-    sizes = np.zeros(wl.length, dtype=np.int64)
-    occupancy = np.zeros(wl.length) if record_occupancy else None
-    bufs = {int(s): np.empty(int(s), np.uint8) for s in set(wl.sizes.tolist())}
+    latencies = np.zeros(len(disps))
+    occupancy = np.zeros(len(disps)) if record_occupancy else None
+    bufs = {size: np.empty(size, np.uint8) for size in set(nbytes)}
 
     win.lock_all()
-    t_start = mpi.time
-    for i, idx in enumerate(wl.sequence):
-        size = int(wl.sizes[idx])
-        dsp = int(wl.displacements[idx])
-        buf = bufs[size]
-        t0 = mpi.time
-        win.get(buf, 1, dsp)
-        win.flush(1)
-        latencies[i] = mpi.time - t0
-        sizes[i] = size
-        if cached:
-            access = win.stats.last_access
-            result.access_types.append(access.value if access else "unknown")
-            if occupancy is not None:
-                occupancy[i] = win.storage.used_bytes / win.storage.capacity
-        else:
-            result.access_types.append("uncached")
-    result.completion_time = mpi.time - t_start
-    win.unlock_all()
+    try:
+        t_start = mpi.time
+        for i, (dsp, size) in enumerate(zip(disps, nbytes)):
+            buf = bufs[size]
+            t0 = mpi.time
+            win.get(buf, 1, dsp)
+            win.flush(1)
+            latencies[i] = mpi.time - t0
+            if buf.tobytes() != pattern[dsp : dsp + size]:
+                raise AssertionError(f"get returned wrong data at dsp={dsp}")
+            if cached:
+                access = win.stats.last_access
+                result.access_types.append(access.value if access else "unknown")
+                if occupancy is not None:
+                    occupancy[i] = win.storage.used_bytes / win.storage.capacity
+            else:
+                result.access_types.append("uncached")
+        result.completion_time = mpi.time - t_start
+    finally:
+        win.unlock_all()
 
     result.latencies = latencies
-    result.sizes = sizes
+    result.sizes = np.array(nbytes, dtype=np.int64)
     result.occupancy = occupancy
     if cached:
         result.stats = win.stats.snapshot()

@@ -6,9 +6,9 @@ victim/admission decisions, not the cache capacity, dominate the hit
 rate — and tabulates hit rate, virtual time and admission rejects per
 (workload, policy):
 
-* ``fig02-reuse`` — the Barnes-Hut get trace of Fig. 2 (recorded once
-  from an uncached run) replayed through a two-rank cached window: the
-  paper's headline reuse pattern, isolated from computation;
+* ``fig02-reuse`` — the Barnes-Hut get stream of Fig. 2 (computed once,
+  without a run) replayed through the micro-benchmark's two-rank runner:
+  the paper's headline reuse pattern, isolated from computation;
 * ``lcc`` — the LCC application on a small R-MAT graph (variable get
   sizes, scale-free hub reuse);
 * ``bh`` — the Barnes-Hut force phase itself (USER_DEFINED epochs).
@@ -28,16 +28,13 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.apps import BarnesHutApp, LCCApp
-from repro.apps.barnes_hut import NODE_BYTES
 from repro.apps.cachespec import CacheSpec
+from repro.bench.micro import replay
 from repro.bench.reporting import FigureResult
 from repro.core.policy import available_policies
 from repro.core.stats import snapshot_hits
-from repro.graph.partition import BlockPartition
-from repro.mpi.simmpi import MPIProcess, SimMPI
-from repro.net import PerfModel
-from repro.trace import GetRecord
-from repro.util import KiB, align_up
+from repro.trace import GetStream, concat
+from repro.util import CACHE_LINE, KiB
 
 #: Fraction of the distinct working set the replay cache can hold —
 #: small enough that eviction/admission quality decides the hit rate
@@ -48,95 +45,40 @@ REPLAY_INDEX_ENTRIES = 256
 
 
 # ---------------------------------------------------------------------------
-# fig02-reuse: record the BH trace once, replay it per policy
+# fig02-reuse: the BH get stream, replayed per policy
 # ---------------------------------------------------------------------------
-def record_bh_trace(nbodies: int, nprocs: int = 4) -> list[GetRecord]:
-    """The Fig. 2 get trace: every remote get of an uncached BH run.
+def flatten(streams: list[GetStream]) -> tuple[GetStream, int]:
+    """All ranks' gets, in rank order, onto one target rank's address space.
 
-    Rank by rank, in issue order, as a traced run on ``nprocs`` ranks
-    records them; taken from the app's visit sets, so no world runs.
-    """
-    app = BarnesHutApp(nbodies=nbodies, seed=11)
-    walk = app.visits()
-    blk = BlockPartition(app.tree.nnodes, nprocs).block
-    owner, disp = np.divmod(walk.order[walk.positions], blk)
-    bodies = BlockPartition(nbodies, nprocs)
-    records: list[GetRecord] = []
-    for rank in range(nprocs):
-        lo, hi = bodies.range_of(rank)
-        sl = slice(walk.offsets[lo], walk.offsets[hi])
-        far = owner[sl] != rank
-        targets, disps = owner[sl][far].tolist(), (disp[sl][far] * NODE_BYTES).tolist()
-        records += map(GetRecord, targets, disps, [NODE_BYTES] * len(targets))
-    return records
-
-
-def _flatten_trace(
-    records: list[GetRecord],
-) -> tuple[list[tuple[int, int]], int]:
-    """Map (trg, dsp) identities onto one target rank's address space.
-
-    Each source rank gets a disjoint, aligned base offset so distinct
+    Each target gets a disjoint, aligned base offset so distinct
     (trg, dsp) keys stay distinct after the collapse onto rank 1.
-    Returns ``[(dsp, size), ...]`` plus the window size that fits them.
+    Returns the stream plus the window size that fits it.
     """
-    span: dict[int, int] = {}
-    for r in records:
-        span[r.trg] = max(span.get(r.trg, 0), r.dsp + r.size)
-    base: dict[int, int] = {}
-    offset = 0
-    for trg in sorted(span):
-        base[trg] = offset
-        offset += align_up(span[trg])
-    return [(base[r.trg] + r.dsp, r.size) for r in records], max(offset, 1)
+    gets = concat(streams)
+    targets, which = np.unique(gets.target, return_inverse=True)
+    span = np.zeros(targets.size, dtype=np.int64)
+    np.maximum.at(span, which, gets.disp + gets.nbytes)
+    aligned = -(-span // CACHE_LINE) * CACHE_LINE
+    base = np.cumsum(aligned) - aligned
+    flat = GetStream(np.ones(len(gets)), base[which] + gets.disp, gets.nbytes)
+    return flat, max(int(aligned.sum()), 1)
 
 
-def _replay_program(
-    mpi: MPIProcess,
-    gets: list[tuple[int, int]],
-    window_bytes: int,
-    spec: CacheSpec,
-):
-    local = np.zeros(window_bytes, dtype=np.uint8)
-    if mpi.rank == 1:
-        local[:] = (np.arange(window_bytes) % 251).astype(np.uint8)
-    win = spec.make_window(mpi.comm_world, local)
-    mpi.comm_world.barrier()
-    if mpi.rank == 1:
-        return None
-    bufs = {s: np.empty(s, np.uint8) for _, s in gets}
-    with win.lock_all_epoch():
-        for dsp, size in gets:
-            buf = bufs[size]
-            win.get(buf, 1, dsp)
-            win.flush(1)
-            expected = (np.arange(dsp, dsp + size) % 251).astype(np.uint8)
-            if not np.array_equal(buf, expected):
-                raise AssertionError(
-                    f"replay returned wrong data at dsp={dsp}"
-                )
-    return win.stats.snapshot()
-
-
-def replay_trace(
-    records: list[GetRecord], policy: str
-) -> tuple[dict[str, Any], float]:
-    """Replay the trace through a tight two-rank cache under ``policy``.
+def replay_trace(streams: list[GetStream], policy: str) -> tuple[dict[str, Any], float]:
+    """Replay the streams through a tight two-rank cache under ``policy``.
 
     Returns the getting rank's stats snapshot and the run's makespan.
     """
-    gets, window_bytes = _flatten_trace(records)
-    distinct_bytes = sum(
-        size for (dsp, size) in dict.fromkeys(gets)  # first occurrence per key
-    )
+    gets, window_bytes = flatten(streams)
+    _, distinct_sizes = np.unique(np.stack([gets.disp, gets.nbytes]), axis=1)
+    distinct_bytes = int(distinct_sizes.sum())
     spec = CacheSpec.clampi_fixed(
         REPLAY_INDEX_ENTRIES,
         max(int(distinct_bytes * REPLAY_STORAGE_FRACTION), 2 * KiB),
         policy=policy,
     )
-    mpi = SimMPI(nprocs=2, perf=PerfModel.spread(2))
-    results = mpi.run(_replay_program, gets, window_bytes, spec)
-    return results[0], mpi.elapsed
+    result = replay(gets, window_bytes, spec)
+    return result.stats, result.makespan
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +92,9 @@ def policy_workloads(
     ``stats`` is the merged counter snapshot and the virtual time is that
     run's own makespan, so a cell never depends on what ran before it.
     """
-    bh_trace = record_bh_trace(nbodies)
     lcc_app = LCCApp(scale=lcc_scale, edge_factor=8, seed=5)
     bh_app = BarnesHutApp(nbodies=nbodies, seed=11)
+    bh_stream = bh_app.stream(4)
 
     # Tight app-run caches: a fraction of what the generous figure specs
     # use, so policy quality shows up as hit-rate spread.
@@ -165,7 +107,7 @@ def policy_workloads(
         return run
 
     return {
-        "fig02-reuse": lambda policy: replay_trace(bh_trace, policy),
+        "fig02-reuse": lambda policy: replay_trace(bh_stream, policy),
         "lcc": app_run(lcc_app, lcc_app.csr.nedges * 2),
         "bh": app_run(bh_app, max(nbodies * 48, 2 * KiB)),
     }

@@ -25,6 +25,19 @@ from repro.mpi.comm import Communicator
 ITEM = np.dtype(np.int64)
 
 
+def locate(
+    csr: CSRGraph, partition: BlockPartition, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorised :meth:`DistributedGraph.remote_location`: int64 arrays
+    ``(owners, byte_displacements, element_counts)``, one per vertex."""
+    offsets = csr.offsets
+    v = np.asarray(vertices, dtype=np.int64)
+    owners = partition.owners(v)
+    starts = offsets[v]
+    disps = (starts - offsets[owners * partition.block]) * ITEM.itemsize
+    return owners, disps, offsets[v + 1] - starts
+
+
 class GetWindow(Protocol):
     """The window sub-protocol the graph needs (satisfied by Window,
     CachedWindow and BlockCachedWindow)."""
@@ -107,16 +120,6 @@ class DistributedGraph:
         disp = int(self.csr.offsets[v] - self.csr.offsets[olo]) * ITEM.itemsize
         return owner, disp, self.csr.degree(v)
 
-    def locate(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised :meth:`remote_location`: int64 arrays ``(owners,
-        byte_displacements, element_counts)``, one element per vertex."""
-        offsets = self.csr.offsets
-        v = np.asarray(vertices, dtype=np.int64)
-        owners = self.partition.owners(v)
-        starts = offsets[v]
-        disps = (starts - offsets[owners * self.partition.block]) * ITEM.itemsize
-        return owners, disps, offsets[v + 1] - starts
-
     def local_adjacency(self, v: int) -> np.ndarray:
         """adj(v) for a locally-owned vertex (plain memory access)."""
         if not self.lo <= v < self.hi:
@@ -148,7 +151,7 @@ class DistributedGraph:
         int64 adjacency buffer per requested vertex, in request order.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        owners, disps, counts = self.locate(vertices)
+        owners, disps, counts = locate(self.csr, self.partition, vertices)
         bufs: list[np.ndarray] = []
         requests: list[tuple] = []
         for v, owner, disp, count in zip(

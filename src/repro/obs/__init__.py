@@ -60,7 +60,6 @@ from repro.obs.events import (
     RMA_PUT,
     RMA_UNLOCK,
     SCHED_SWITCH,
-    TRACE_GET,
     WINDOW_REVOKED,
     Event,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "RingBufferSink",
     "SCHED_SWITCH",
     "Sink",
-    "TRACE_GET",
     "WINDOW_REVOKED",
     "capture",
     "get_bus",

@@ -1,7 +1,7 @@
 """The event bus: one measurement pipeline for the whole stack.
 
-Emitting layers (``repro.mpi``, ``repro.core``, ``repro.runtime``,
-``repro.trace``) publish :class:`~repro.obs.events.Event` objects to a bus;
+Emitting layers (``repro.mpi``, ``repro.core``, ``repro.runtime``)
+publish :class:`~repro.obs.events.Event` objects to a bus;
 sinks attached to the bus consume them.  Buses can be *chained*: a child
 bus (e.g. one per :class:`~repro.core.window.CachedWindow`, carrying its
 private timeline sink) forwards every event to its parent — normally the

@@ -45,7 +45,6 @@ CACHE_INVALIDATE = "cache.invalidate"  #: the cache content was dropped
 CACHE_ADAPT = "cache.adapt"          #: the adaptive controller resized C_w
 CACHE_EPOCH = "cache.epoch"          #: per-epoch-closure stats sample
 CACHE_DEGRADED = "cache.degraded"    #: the cache quarantined / re-enabled itself
-TRACE_GET = "trace.get"              #: a TracingWindow recorded a get
 FAULT_INJECTED = "fault.injected"    #: the fault injector fired at a site
 FAULT_RETRY = "fault.retry"          #: a faulted RMA op was retried (backoff)
 ANALYSIS_VIOLATION = "analysis.violation"  #: the RMA sanitizer found a hazard
@@ -86,7 +85,6 @@ ALL_KINDS = frozenset(
         CACHE_ADAPT,
         CACHE_EPOCH,
         CACHE_DEGRADED,
-        TRACE_GET,
         FAULT_INJECTED,
         FAULT_RETRY,
         RANK_CRASHED,

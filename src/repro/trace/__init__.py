@@ -1,4 +1,4 @@
-"""Get-trace recording and locality analysis.
+"""Get streams and locality analysis.
 
 The paper motivates RMA caching with two locality studies:
 
@@ -7,27 +7,35 @@ The paper motivates RMA caching with two locality studies:
 * Fig. 3 — the distribution of get sizes in an LCC run (variable sizes
   ⇒ block caches fragment internally).
 
-:class:`~repro.trace.recorder.TraceRecorder` captures ``(trg, dsp, size)``
-tuples from an application run; the analysis helpers compute the reuse
-histogram, the size distribution and Denning working sets
-(``W(t, tau)``, Sec. III-E).
+Both read the get stream, one :class:`~repro.trace.stream.GetStream` of
+``(target, disp, nbytes)`` arrays per rank: computed by the apps'
+``stream`` methods, or recorded from a plain-window run by
+:func:`~repro.trace.stream.capture`.  The analysis helpers compute the
+reuse histogram, the size distribution and Denning working sets
+(``W(t, tau)``, Sec. III-E); the advisor sizes ``|I_w|`` / ``|S_w|``
+from them.
 """
 
 from repro.trace.advisor import Recommendation, recommend_parameters
 from repro.trace.analysis import (
+    reuse_fraction,
     reuse_histogram,
     size_distribution,
+    working_set_bytes,
     working_set_sizes,
 )
-from repro.trace.recorder import GetRecord, TraceRecorder, TracingWindow
+from repro.trace.stream import GetStream, capture, concat, per_rank
 
 __all__ = [
-    "GetRecord",
+    "GetStream",
     "Recommendation",
-    "TraceRecorder",
-    "TracingWindow",
+    "capture",
+    "concat",
+    "per_rank",
     "recommend_parameters",
+    "reuse_fraction",
     "reuse_histogram",
     "size_distribution",
+    "working_set_bytes",
     "working_set_sizes",
 ]

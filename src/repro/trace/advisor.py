@@ -5,7 +5,7 @@ working set of the get stream::
 
     |gamma(t, tau)| <= |I_w|        sum_{g in gamma} size(g) <= |S_w|
 
-Given a recorded trace, :func:`recommend_parameters` computes the peak
+Given a get stream, :func:`recommend_parameters` computes the peak
 working-set cardinality and footprint over a sliding window and turns them
 into concrete `|I_w|` / `|S_w|` values:
 
@@ -13,7 +13,7 @@ into concrete `|I_w|` / `|S_w|` values:
   sustains ~97% utilisation, we size for ~85% plus the user headroom);
 * the storage is padded for cache-line alignment and the user headroom.
 
-Useful both as an offline tool (trace once with a plain window, then run
+Useful both as an offline tool (compute or capture the stream, then run
 with a right-sized fixed cache) and as ground truth in tests of the
 adaptive controller (which should converge near the recommendation).
 """
@@ -21,11 +21,12 @@ adaptive controller (which should converge near the recommendation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.trace.analysis import working_set_bytes, working_set_sizes
-from repro.trace.recorder import GetRecord
-from repro.util import CACHE_LINE, align_up
+import numpy as np
+
+from repro.trace.analysis import key_runs, working_set_bytes, working_set_sizes
+from repro.trace.stream import GetStream
+from repro.util import CACHE_LINE
 
 #: target cuckoo load factor used when sizing |I_w|
 _TARGET_LOAD = 0.85
@@ -33,7 +34,7 @@ _TARGET_LOAD = 0.85
 
 @dataclass(frozen=True)
 class Recommendation:
-    """Suggested fixed cache parameters for a recorded workload."""
+    """Suggested fixed cache parameters for a get stream."""
 
     index_entries: int
     storage_bytes: int
@@ -43,44 +44,31 @@ class Recommendation:
 
 
 def recommend_parameters(
-    records: Sequence[GetRecord],
+    stream: GetStream,
     tau: int | None = None,
     headroom: float = 1.25,
     min_index: int = 64,
     min_storage: int = 64 * 1024,
 ) -> Recommendation:
-    """Size |I_w| and |S_w| for a recorded get trace.
+    """Size |I_w| and |S_w| for a get stream.
 
-    ``tau`` defaults to the full trace length (size for *all* reuse, the
+    ``tau`` defaults to the full stream length (size for *all* reuse, the
     right choice for always-cache workloads); pass a smaller window for
     phase-structured applications.
     """
     if headroom < 1.0:
         raise ValueError("headroom must be >= 1")
-    if not records:
+    if not len(stream):
         return Recommendation(min_index, min_storage, 0, 0, 0)
     if tau is None:
-        tau = len(records)
-    peak_ws = int(working_set_sizes(records, tau).max())
-    peak_bytes = int(working_set_bytes(records, tau).max())
-    aligned_bytes = sum(
-        align_up(s, CACHE_LINE)
-        for s in _distinct_peak_sizes(records, tau)
-    )
+        tau = len(stream)
+    peak_ws = int(working_set_sizes(stream, tau).max())
+    peak_bytes = int(working_set_bytes(stream, tau).max())
+    # cache-line alignment overhead of |S_w|: every distinct get at its
+    # largest size, a close, cheap upper bound on the peak window's
+    order, first = key_runs(stream)
+    largest = np.maximum.reduceat(stream.nbytes[order], np.flatnonzero(first))
+    aligned_bytes = int((-(-largest // CACHE_LINE) * CACHE_LINE).sum())
     index = max(min_index, int(peak_ws * headroom / _TARGET_LOAD))
     storage = max(min_storage, int(max(peak_bytes, aligned_bytes) * headroom))
     return Recommendation(index, storage, tau, peak_ws, peak_bytes)
-
-
-def _distinct_peak_sizes(records: Sequence[GetRecord], tau: int) -> list[int]:
-    """Sizes of the distinct gets in the window ending at the peak position.
-
-    Used to account for cache-line alignment overhead in |S_w|; a simple
-    full-trace distinct set is a close, cheap upper bound.
-    """
-    best: dict[tuple[int, int], int] = {}
-    for r in records:
-        key = (r.trg, r.dsp)
-        if r.size > best.get(key, -1):
-            best[key] = r.size
-    return list(best.values())

@@ -26,7 +26,6 @@ from repro.apps.cachespec import CacheSpec, cache_stats_of
 from repro.graph.partition import BlockPartition
 from repro.mpi.errors import TargetFailedError
 from repro.mpi.simmpi import MPIProcess
-from repro.trace import TraceRecorder
 
 
 def bh_rank_program(
@@ -36,14 +35,12 @@ def bh_rank_program(
     mass: np.ndarray,
     theta: float,
     spec: CacheSpec,
-    trace: bool,
     eps: float,
 ):
-    recorder = TraceRecorder() if trace else None
     node_part = BlockPartition(tree.nnodes, mpi.size)
     nlo, nhi = node_part.range_of(mpi.rank)
     local_nodes = np.ascontiguousarray(tree.nodes[nlo:nhi]).reshape(-1)
-    win = spec.make_window(mpi.comm_world, local_nodes.view(np.uint8), recorder)
+    win = spec.make_window(mpi.comm_world, local_nodes.view(np.uint8))
 
     body_part = BlockPartition(tree.nbodies, mpi.size)
     blo, bhi = body_part.range_of(mpi.rank)
@@ -119,4 +116,4 @@ def bh_rank_program(
             win.invalidate()  # paper Listing 1: invalidate before the epoch ends
     phase_time = mpi.time - t0
 
-    return blo, bhi, forces, phase_time, cache_stats_of(win), recorder
+    return blo, bhi, forces, phase_time, cache_stats_of(win)

@@ -17,7 +17,6 @@ from repro.apps.cachespec import cache_stats_of
 from repro.apps.lcc import MERGE_STEP_TIME, VERTEX_OVERHEAD_TIME
 from repro.graph import DistributedGraph
 from repro.mpi.errors import TargetFailedError
-from repro.trace import TraceRecorder
 
 
 def fetch_adjacencies(graph: DistributedGraph, vertices) -> list[np.ndarray]:
@@ -42,14 +41,13 @@ def fetch_adjacencies(graph: DistributedGraph, vertices) -> list[np.ndarray]:
     return bufs
 
 
-def lcc_rank_program(mpi, csr, src, dst, spec, trace, batch=False):
-    recorder = TraceRecorder() if trace else None
+def lcc_rank_program(mpi, csr, src, dst, spec, batch=False):
     graph = DistributedGraph.build(
         mpi.comm_world,
         src,
         dst,
         csr.nvertices,
-        lambda comm, buf: spec.make_window(comm, buf, recorder),
+        lambda comm, buf: spec.make_window(comm, buf),
         csr=csr,
     )
     win = graph.window
@@ -89,4 +87,4 @@ def lcc_rank_program(mpi, csr, src, dst, spec, trace, batch=False):
     win.unlock_all()
     phase_time = mpi.time - t0
 
-    return lo, hi, values, phase_time, cache_stats_of(win), recorder
+    return lo, hi, values, phase_time, cache_stats_of(win)

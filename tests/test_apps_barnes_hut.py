@@ -127,9 +127,7 @@ class TestCachingBehaviour:
         assert cached.elapsed < 0.7 * uncached.elapsed
 
     def test_reuse_visible_in_trace(self, app):
-        from repro.trace import reuse_histogram
+        from repro.trace import concat, reuse_histogram
 
-        run = app.run(4, CacheSpec.fompi(), trace=True)
-        records = [r for t in run.traces for r in t.records]
-        hist = reuse_histogram(records)
+        hist = reuse_histogram(concat(app.stream(4)))
         assert max(hist) > 5  # tree roots are fetched once per body

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 from reference_bh import bh_rank_program as reference_program
 
-from repro import obs
 from repro.apps import BarnesHutApp, barnes_hut
 from repro.apps.barnes_hut import visit_sets
 from repro.apps.cachespec import CacheSpec
+from repro.trace import capture
 from repro.util import KiB
 from repro.verify.chaos import crash_plan
 
@@ -33,21 +33,15 @@ def app():
 
 def observe(run):
     """``run()``'s result and its posted gets, per rank, in issue order."""
-    gets: dict[int, list[tuple[int, int, int]]] = {}
-
-    def record(event: obs.Event) -> None:
-        a = event.attrs
-        gets.setdefault(event.rank, []).append((a["target"], a["disp"], a["nbytes"]))
-
-    with obs.capture(obs.CallbackSink(record, kinds=(obs.RMA_GET,))):
+    with capture(NPROCS) as gets:
         result = run()
     return result, gets
 
 
 def reference(*args):
-    """The reference takes the eight arguments the app passed before the
+    """The reference takes the seven arguments the app passes before the
     precomputed walk."""
-    return reference_program(*args[:8])
+    return reference_program(*args[:7])
 
 
 def assert_same_run(monkeypatch, run):
@@ -56,7 +50,7 @@ def assert_same_run(monkeypatch, run):
         m.setattr(barnes_hut, "_bh_rank_program", reference)
         ref, ref_gets = observe(run)
     assert new_gets == ref_gets
-    assert sum(map(len, new_gets.values())) > 0
+    assert sum(map(len, new_gets)) > 0
     assert new.forces.tobytes() == ref.forces.tobytes()
     assert new.rank_times == ref.rank_times
     assert new.makespan == ref.makespan

@@ -7,7 +7,6 @@ from repro import clampi
 from repro.apps.cachespec import CacheKind, CacheSpec, cache_stats_of
 from repro.baselines import BlockCachedWindow
 from repro.mpi import SimMPI, Window
-from repro.trace import TraceRecorder, TracingWindow
 from repro.util import KiB, MiB
 
 
@@ -57,22 +56,10 @@ class TestMakeWindow:
                 m.comm_world, buf.copy()
             )
             native = CacheSpec.native(64 * KiB).make_window(m.comm_world, buf.copy())
-            rec = TraceRecorder()
-            traced = CacheSpec.fompi().make_window(m.comm_world, buf.copy(), rec)
-            return (
-                type(plain).__name__,
-                type(cached).__name__,
-                type(native).__name__,
-                type(traced).__name__,
-            )
+            return type(plain).__name__, type(cached).__name__, type(native).__name__
 
         results, _ = run(2, program)
-        assert results[0] == (
-            "Window",
-            "CachedWindow",
-            "BlockCachedWindow",
-            "TracingWindow",
-        )
+        assert results[0] == ("Window", "CachedWindow", "BlockCachedWindow")
 
     def test_cache_stats_of_each_flavour(self):
         def program(m):
@@ -82,17 +69,14 @@ class TestMakeWindow:
                 m.comm_world, buf.copy()
             )
             native = CacheSpec.native(64 * KiB).make_window(m.comm_world, buf.copy())
-            rec = TraceRecorder()
-            traced = TracingWindow(cached, rec)
             return (
                 cache_stats_of(plain),
                 "gets" in cache_stats_of(cached),
                 "block_hits" in cache_stats_of(native),
-                "gets" in cache_stats_of(traced),
             )
 
         results, _ = run(2, program)
-        assert results[0] == ({}, True, True, True)
+        assert results[0] == ({}, True, True)
 
 
 class TestPolicyField:

@@ -76,14 +76,12 @@ class TestPerformanceShape:
         assert run.elapsed == max(run.rank_times)
 
     def test_trace_collection(self, app):
-        run = app.run(4, CacheSpec.fompi(), trace=True)
-        assert len(run.traces) == 4
-        total = sum(len(t) for t in run.traces)
-        st_run = app.run(4, CacheSpec.fompi())
-        assert total > 0
-        # every recorded get targets a remote rank's window
-        for rank, t in enumerate(run.traces):
-            assert all(r.trg != rank for r in t.records)
+        streams = app.stream(4)
+        assert len(streams) == 4
+        assert sum(map(len, streams)) > 0
+        # every get targets a remote rank's window
+        for rank, s in enumerate(streams):
+            assert rank not in s.target.tolist()
 
 
 class TestValidation:

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_lcc import lcc_rank_program as reference_program
 
-from repro import obs
 from repro.apps import LCCApp, lcc
 from repro.apps.cachespec import CacheSpec
+from repro.trace import capture
 from repro.verify.chaos import crash_plan
 from repro.util import KiB
 
@@ -33,15 +33,7 @@ def app():
 
 def observe(run):
     """``run()``'s result and its posted gets, per rank, in issue order."""
-    gets: dict[int, list[tuple[int, int, int]]] = {}
-
-    def record(event: obs.Event) -> None:
-        ops = event.attrs.get("ops", [event.attrs])
-        gets.setdefault(event.rank, []).extend(
-            (op["target"], op["disp"], op["nbytes"]) for op in ops
-        )
-
-    with obs.capture(obs.CallbackSink(record, kinds=(obs.RMA_GET, obs.RMA_GET_BATCH))):
+    with capture(NPROCS) as gets:
         result = run()
     return result, gets
 
@@ -52,7 +44,7 @@ def assert_same_run(monkeypatch, run):
         m.setattr(lcc, "_lcc_rank_program", reference_program)
         ref, ref_gets = observe(run)
     assert new_gets == ref_gets
-    assert sum(map(len, new_gets.values())) > 0
+    assert sum(map(len, new_gets)) > 0
     assert new.lcc.tobytes() == ref.lcc.tobytes()
     assert new.rank_times == ref.rank_times
     assert repr(new.cache_stats) == repr(ref.cache_stats)

@@ -211,7 +211,7 @@ def lcc_calls(nvertices: int, reach: int) -> Counter:
     src = np.repeat(v, len(steps))
     dst = (src + np.tile(steps, nvertices)) % nvertices
     csr = CSRGraph.from_edges(src, dst, nvertices)
-    return app_calls(lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi(), False)
+    return app_calls(lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi())
 
 
 def bh_calls(app: barnes_hut.BarnesHutApp) -> Counter:
@@ -219,7 +219,7 @@ def bh_calls(app: barnes_hut.BarnesHutApp) -> Counter:
     computed beforehand (as ``BarnesHutApp.run`` does, off the ranks)."""
     return app_calls(
         barnes_hut._bh_rank_program, app.tree, app.pos, app.mass, app.theta,
-        CacheSpec.fompi(), False, 1e-3, app.visits(),
+        CacheSpec.fompi(), 1e-3, app.visits(),
     )
 
 

@@ -180,6 +180,31 @@ class TestCLIs:
         assert rc == 0
         assert "time/body" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lcc", "--scale", "6", "--procs", "2", "--cache", "clampi", "--trace"],
+            ["bh", "--bodies", "64", "--procs", "2", "--cache", "none", "--trace"],
+        ],
+        ids=["lcc", "bh"],
+    )
+    def test_apps_cli_stream_trace(self, capsys, argv):
+        """``lcc`` and ``bh`` read their stream producers: the same summary
+        as a capture of a plain run."""
+        from repro.apps import BarnesHutApp, LCCApp
+        from repro.apps.__main__ import _trace_summary, main
+        from repro.trace import capture
+
+        rc = main(argv)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "advisor recommendation" in out
+        app = LCCApp(scale=6, seed=1) if argv[0] == "lcc" else BarnesHutApp(64, seed=1)
+        with capture(2) as streams:
+            app.run(2)
+        _trace_summary(streams)
+        assert out.endswith(capsys.readouterr().out)
+
     def test_apps_cli_bfs_trace(self, capsys):
         from repro.apps.__main__ import main
 

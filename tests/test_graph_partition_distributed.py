@@ -5,6 +5,7 @@ import pytest
 
 from repro.apps.cachespec import CacheSpec
 from repro.graph import BlockPartition, CSRGraph, DistributedGraph, rmat_graph
+from repro.graph.distributed import locate
 from repro.mpi import SimMPI
 
 
@@ -109,7 +110,7 @@ class TestDistributedGraph:
                 mpi.comm_world, src, dst, 64,
                 lambda comm, buf: CacheSpec.fompi().make_window(comm, buf), csr=csr,
             )
-            located = zip(*(a.tolist() for a in g.locate(np.arange(64))))
+            located = zip(*(a.tolist() for a in locate(csr, g.partition, np.arange(64))))
             return list(located) == [g.remote_location(v) for v in range(64)]
 
         assert SimMPI(nprocs=3).run(program) == [True] * 3

@@ -74,7 +74,6 @@ class TestApplicationInvariance:
                 src,
                 dst,
                 CacheSpec.clampi_fixed(512, 1 * MiB),
-                False,
             )
             lcc = np.zeros(app.nvertices)
             for lo, hi, values, *_rest in results:
@@ -96,8 +95,7 @@ class TestApplicationInvariance:
                 schedule_seed=seed,
             )
             results = mpi.run(
-                _bfs_rank_program, app.csr, src, dst, [0, 9],
-                CacheSpec.fompi(), False,
+                _bfs_rank_program, app.csr, src, dst, [0, 9], CacheSpec.fompi()
             )
             assert np.array_equal(results[0][0], base.distances), f"seed {seed}"
 
@@ -136,7 +134,7 @@ class TestCrashScheduleInvariance:
             )
             results = mpi.run(
                 _bh_rank_program, app.tree, app.pos, app.mass, app.theta,
-                spec, False, 1e-3, app.visits(1e-3),
+                spec, 1e-3, app.visits(1e-3),
             )
             forces = [None if r is None else r[2].copy() for r in results]
             return forces, list(mpi.clocks), mpi.crashed, mpi.elapsed

@@ -7,7 +7,7 @@ them bit-identical.  This file pins a small, fast cross-section of runs
 in ``tests/fixtures/virtual_time_golden.json``:
 
 * plain-get latency across the Fig. 1 distance classes;
-* LCC at reduced scale — uncached and traced, under a too-small fixed
+* LCC at reduced scale — uncached (with its get-stream length), under a too-small fixed
   cache (capacity *and* conflict evictions), and under the five Fig. 15
   configurations (fixed and adaptive);
 * the serial vs ``get_batch`` LCC pair;
@@ -63,11 +63,11 @@ def _latency() -> dict:
 
 def _lcc() -> dict:
     app = LCCApp(scale=8, edge_factor=16, seed=5)
-    plain = app.run(4, CacheSpec.fompi(), trace=True)
+    plain = app.run(4, CacheSpec.fompi())
     out = {
         "plain traced": {
             **_pin(plain),
-            "trace_records": sum(len(t.records) for t in plain.traces),
+            "trace_records": sum(map(len, app.stream(4))),
         },
         # index and storage both too small: every miss type occurs
         "fixed too small": _pin(
