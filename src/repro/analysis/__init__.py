@@ -12,8 +12,9 @@ cached get must never observe stale or racy data):
 * a **static repo-invariant linter** (:mod:`repro.analysis.lint`,
   ``python -m repro.analysis lint src/``) enforcing the project rules the
   deterministic simulator depends on — no wall-clock or unseeded
-  randomness in hot paths, no bypassing the resilient RMA entry points,
-  every emitted obs event kind registered, no mutable default arguments;
+  randomness in hot paths, no cross-cutting concerns inlined into the RMA
+  op methods, every emitted obs event kind registered, no mutable default
+  arguments;
 * a **flow-sensitive typestate verifier** (:mod:`repro.analysis.typestate`,
   ``python -m repro.analysis verify src/ examples/``) that abstractly
   interprets each function's CFG and proves the MPI-3 RMA epoch and
@@ -23,9 +24,9 @@ cached get must never observe stale or racy data):
   open epoch (ANL012).
 
 All static findings share one :class:`Diagnostic` record (severity,
-primary + related spans, fix-it hint, stable fingerprint) with text/json/
-SARIF emitters, a checked-in suppression baseline and mtime+hash
-incremental caching — see :mod:`repro.analysis.diagnostics`.
+primary + related spans, fix-it hint), printed as text and suppressed only
+by inline ``# analysis: allow(...)`` comments — see
+:mod:`repro.analysis.diagnostics`.
 
 Typical dynamic use::
 
@@ -58,7 +59,7 @@ _T = TypeVar("_T")
 
 from repro.analysis.diagnostics import Diagnostic, Related, Rule
 from repro.analysis.epochs import EpochTracker
-from repro.analysis.lint import Finding, run_lint
+from repro.analysis.lint import run_lint
 from repro.analysis.typestate import run_verify
 from repro.analysis.races import RaceDetector
 from repro.analysis.recorder import (
@@ -88,7 +89,6 @@ from repro.obs.sinks import Sink
 
 __all__ = [
     "Diagnostic",
-    "Finding",
     "OpRecord",
     "Related",
     "Rule",

@@ -8,13 +8,8 @@ Subcommands::
     python -m repro.analysis report capture.jsonl # replay capture, report
     python -m repro.analysis smoke --strict       # LCC + Barnes-Hut sanitized
 
-``lint`` and ``verify`` share the diagnostics plumbing: ``--format
-text|json|sarif`` selects the emitter, ``--out`` writes the report to a
-file (always written, even when clean — CI uploads it as an artifact),
-``--baseline FILE`` filters out previously accepted findings by stable
-fingerprint, and ``--write-baseline`` refreshes that file from the current
-findings.
-Both exit 1 when any non-baselined finding survives suppression; ``report``
+``lint`` and ``verify`` print their findings as text and exit 1 when any
+error survives the inline ``# analysis: allow(...)`` suppressions; ``report``
 and ``smoke`` exit 1 when the sanitizer records a violation, so all of
 them wire directly into CI.  ``smoke --report PATH`` writes the violations
 as JSONL (one :meth:`repro.analysis.Violation.to_dict` object per line)
@@ -26,61 +21,27 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-
-
-def _emit(diags, args) -> None:
-    from repro.analysis.diagnostics import render
-
-    text = render(diags, args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.format} report to {args.out}")
-    elif args.format == "text":
-        print(text, end="")
-    else:
-        print(text)
 
 
 def _run_static(kind: str, args: argparse.Namespace) -> int:
-    from repro.analysis.diagnostics import RULES, Baseline, SEV_ERROR
+    from repro.analysis.diagnostics import RULES, SEV_ERROR, render_text
     from repro.analysis.lint import run_lint
     from repro.analysis.typestate import run_verify
 
     runner = run_lint if kind == "lint" else run_verify
     diags = runner(args.paths)
-
-    if args.write_baseline:
-        baseline = Baseline.from_diagnostics(diags)
-        baseline.write(args.baseline or "analysis-baseline.json")
-        print(
-            f"baselined {len(baseline)} finding(s) to "
-            f"{args.baseline or 'analysis-baseline.json'}"
-        )
-        return 0
-
-    baselined = 0
-    if args.baseline:
-        baseline = Baseline.load(args.baseline)
-        kept = baseline.filter(diags)
-        baselined = len(diags) - len(kept)
-        diags = kept
-
-    _emit(diags, args)
+    print(render_text(diags), end="")
 
     errors = [d for d in diags if d.severity == SEV_ERROR]
     if diags:
         rules = sorted({d.rule for d in diags})
-        note = f" ({baselined} baselined)" if baselined else ""
         print(
-            f"\n{len(diags)} finding(s){note}: "
+            f"\n{len(diags)} finding(s): "
             + "; ".join(f"{r} ({RULES[r]})" for r in rules),
             file=sys.stderr,
         )
-    elif not args.out:
-        tag = "lint" if kind == "lint" else "verify"
-        note = f" ({baselined} baselined)" if baselined else ""
-        print(f"{tag} clean{note} ({', '.join(str(p) for p in args.paths)})")
+    else:
+        print(f"{kind} clean ({', '.join(str(p) for p in args.paths)})")
     return 1 if errors else 0
 
 
@@ -199,25 +160,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 def _add_static_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "paths", nargs="+", help="files or directories to analyse (e.g. src/)"
-    )
-    sub.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    sub.add_argument(
-        "--out", default=None, help="write the report to this file"
-    )
-    sub.add_argument(
-        "--baseline",
-        default=None,
-        help="suppress findings whose fingerprint is in this baseline file",
-    )
-    sub.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="refresh the baseline file from the current findings and exit 0",
     )
 
 

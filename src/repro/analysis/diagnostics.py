@@ -13,16 +13,12 @@ through this module:
   table is *generated* from it (:func:`rules_markdown`,
   ``python -m repro.analysis rules --write-docs``) so the two can never
   drift;
-* emitters — :func:`render_text`, :func:`render_json`,
-  :func:`render_sarif` (SARIF 2.1.0, uploadable as a CI code-scanning
-  artifact);
+* :func:`render_text` — the one report format the CLI prints;
 * suppressions — ``# analysis: allow(ANL001)`` on the offending line,
   ``# analysis: allow-file(ANL001)`` anywhere for the whole file, both
   accepting comma-separated rule lists; an allow that suppresses nothing
   a rule could have reported is itself flagged (ANL013) so stale allows
-  get cleaned up;
-* a checked-in **baseline** (:class:`Baseline`) of fingerprinted known
-  findings, so CI fails only on *new* ones.
+  get cleaned up.
 
 The walker (:func:`collect_files`) skips ``__pycache__`` and hidden
 directories, and unparseable files surface as an ``ANL000`` diagnostic
@@ -32,17 +28,13 @@ instead of a traceback.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 SEV_ERROR = "error"
 SEV_WARNING = "warning"
-
-_DOCS_URL = "docs/analysis.md"
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +45,11 @@ class Rule:
     """One registered analysis rule."""
 
     code: str          #: ``ANLxxx`` id
-    name: str          #: short kebab-case name (stable, used in SARIF)
+    name: str          #: short kebab-case name (stable)
     scope: str         #: where the rule applies, for the docs table
     severity: str      #: :data:`SEV_ERROR` or :data:`SEV_WARNING`
     summary: str       #: one-line invariant, shown in docs and reports
     fix: str = ""      #: generic fix-it hint
-
-    @property
-    def url(self) -> str:
-        return f"{_DOCS_URL}#{self.code.lower()}"
 
     def __str__(self) -> str:  # keeps ``f"{RULES[code]}"`` call sites working
         return self.summary
@@ -91,11 +79,6 @@ RULES: dict[str, Rule] = dict(
             "ANL002", "seeded-random", "repro.core/mpi/net", SEV_ERROR,
             "RNGs in repro.core/mpi/net must be explicitly seeded",
             "use random.Random(seed) / np.random.default_rng(seed)",
-        ),
-        _rule(
-            "ANL003", "no-resilience-bypass", "outside repro.mpi", SEV_ERROR,
-            "no calls to Window resilience internals outside repro.mpi",
-            "call the public op (get/put/flush/...) so retry accounting runs",
         ),
         _rule(
             "ANL004", "registered-event-names", "everywhere", SEV_ERROR,
@@ -169,7 +152,7 @@ RULES: dict[str, Rule] = dict(
 
 #: Rules produced by the repo-invariant linter pass.
 LINT_RULES = frozenset(
-    {"ANL001", "ANL002", "ANL003", "ANL004", "ANL005", "ANL006", "ANL007",
+    {"ANL001", "ANL002", "ANL004", "ANL005", "ANL006", "ANL007",
      "ANL008", "ANL014"}
 )
 #: Rules produced by the flow-sensitive typestate verifier pass.
@@ -187,18 +170,11 @@ class Related:
     line: int
     message: str
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"path": self.path, "line": self.line, "message": self.message}
-
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One analysis finding.
-
-    Field order keeps the historical ``Finding(path, line, rule, message)``
-    positional construction working; :meth:`render` keeps the historical
-    one-line ``path:line: RULE message`` shape the CLI and tests rely on.
-    """
+    """One analysis finding; :meth:`render` is its one-line
+    ``path:line: RULE message`` form."""
 
     path: str
     line: int
@@ -226,44 +202,6 @@ class Diagnostic:
         if self.fix:
             lines.append(f"    fix: {self.fix}")
         return "\n".join(lines)
-
-    def fingerprint(self) -> str:
-        """Stable identity for baselining (line-drift tolerant)."""
-        raw = f"{self.path}|{self.rule}|{self.message}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "fingerprint": self.fingerprint(),
-        }
-        if self.related:
-            out["related"] = [r.to_dict() for r in self.related]
-        if self.fix:
-            out["fix"] = self.fix
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Diagnostic":
-        return cls(
-            path=data["path"],
-            line=int(data["line"]),
-            rule=data["rule"],
-            message=data["message"],
-            related=tuple(
-                Related(r["path"], int(r["line"]), r["message"])
-                for r in data.get("related", ())
-            ),
-            fix=data.get("fix", ""),
-        )
-
-
-#: Historical alias: the linter's finding type *is* a Diagnostic now.
-Finding = Diagnostic
 
 
 def sort_diagnostics(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
@@ -392,147 +330,6 @@ def parse_file(path: Path) -> tuple[ast.Module | None, str, list[Diagnostic]]:
 # ---------------------------------------------------------------------------
 def render_text(diags: Iterable[Diagnostic]) -> str:
     return "\n".join(d.render_full() for d in diags)
-
-
-def render_json(diags: Iterable[Diagnostic]) -> str:
-    return json.dumps([d.to_dict() for d in diags], indent=2) + "\n"
-
-
-SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_location(path: str, line: int, message: str | None = None) -> dict:
-    loc: dict[str, Any] = {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path, "uriBaseId": "SRCROOT"},
-            "region": {"startLine": max(line, 1)},
-        }
-    }
-    if message is not None:
-        loc["message"] = {"text": message}
-    return loc
-
-
-def render_sarif(diags: Iterable[Diagnostic]) -> str:
-    """SARIF 2.1.0 log with the full rule registry in the tool driver."""
-    results = []
-    for d in diags:
-        result: dict[str, Any] = {
-            "ruleId": d.rule,
-            "level": d.severity,
-            "message": {"text": d.message},
-            "locations": [_sarif_location(d.path, d.line)],
-            "partialFingerprints": {"reproAnalysis/v1": d.fingerprint()},
-        }
-        if d.related:
-            result["relatedLocations"] = [
-                _sarif_location(r.path, r.line, r.message) for r in d.related
-            ]
-        if d.fix:
-            result["message"]["text"] += f" (fix: {d.fix})"
-        results.append(result)
-    log = {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro.analysis",
-                        "informationUri": _DOCS_URL,
-                        "rules": [
-                            {
-                                "id": r.code,
-                                "name": r.name,
-                                "shortDescription": {"text": r.summary},
-                                "helpUri": r.url,
-                                "defaultConfiguration": {"level": r.severity},
-                            }
-                            for r in RULES.values()
-                        ],
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2) + "\n"
-
-
-_FORMATS = {"text": render_text, "json": render_json, "sarif": render_sarif}
-
-
-def render(diags: Iterable[Diagnostic], fmt: str) -> str:
-    try:
-        return _FORMATS[fmt](list(diags))
-    except KeyError:
-        raise ValueError(
-            f"unknown format {fmt!r}; expected one of {sorted(_FORMATS)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-class Baseline:
-    """Checked-in suppression baseline of fingerprinted known findings.
-
-    ``filter`` keeps only findings whose fingerprint is *not* baselined —
-    CI fails on new findings while grandfathered ones ride along until
-    fixed.  Fingerprints hash path+rule+message (not the line), so pure
-    line drift does not resurrect a baselined finding.
-    """
-
-    VERSION = 1
-
-    def __init__(self, fingerprints: Mapping[str, Mapping[str, Any]] | None = None):
-        self.fingerprints: dict[str, dict[str, Any]] = {
-            k: dict(v) for k, v in (fingerprints or {}).items()
-        }
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        p = Path(path)
-        if not p.exists():
-            return cls()
-        data = json.loads(p.read_text(encoding="utf-8"))
-        if data.get("version") != cls.VERSION:
-            raise ValueError(
-                f"baseline {p} has unsupported version {data.get('version')!r}"
-            )
-        return cls(data.get("fingerprints", {}))
-
-    @classmethod
-    def from_diagnostics(cls, diags: Iterable[Diagnostic]) -> "Baseline":
-        base = cls()
-        for d in diags:
-            base.fingerprints[d.fingerprint()] = {
-                "rule": d.rule,
-                "path": d.path,
-                "message": d.message,
-            }
-        return base
-
-    def write(self, path: str | Path) -> None:
-        payload = {
-            "version": self.VERSION,
-            "fingerprints": {
-                k: self.fingerprints[k] for k in sorted(self.fingerprints)
-            },
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-
-    def filter(self, diags: Iterable[Diagnostic]) -> list[Diagnostic]:
-        return [d for d in diags if d.fingerprint() not in self.fingerprints]
-
-    def __len__(self) -> int:
-        return len(self.fingerprints)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 AST-based checks for the project rules the deterministic simulator and the
 telemetry pipeline depend on.  These are *repo* invariants, not style: each
 rule guards a property some subsystem assumes (reproducibility of virtual
-time, resilience of the RMA path, integrity of the event taxonomy).
+time, purity of the RMA op path, integrity of the event taxonomy).
 
 Rules
 -----
@@ -14,10 +14,6 @@ Rules
 ``ANL002`` **seeded-random** — in the same packages every RNG must be
     seeded explicitly (``random.Random(seed)``, ``default_rng(seed)``);
     module-level ``random.*``/``np.random.*`` global-state draws are banned.
-``ANL003`` **no-resilience-bypass** — the ``_*_once``/``_inject_*``/
-    ``_resilient`` internals of :class:`repro.mpi.window.Window` implement
-    the retry/fault layer; calling them from outside ``repro.mpi`` skips
-    retry accounting and fault injection and is forbidden.
 ``ANL004`` **registered-event-names** — every obs event kind must be a
     registered constant: emissions may not use unregistered literals or
     names, raw literals that *are* registered must use the constant, and
@@ -61,10 +57,9 @@ comment on that line; a whole file opts out of a rule with
 reported (ANL013).  ``docs/analysis.md`` documents how to add a rule.
 
 The rule registry, the :class:`Diagnostic` record, suppression parsing,
-file walking and the text/json/SARIF emitters all live in
+file walking and the text emitter all live in
 :mod:`repro.analysis.diagnostics`; this module contributes the check
-functions and the lint driver.  ``Finding``/``RULES`` are re-exported for
-backwards compatibility.
+functions and the lint driver.
 """
 
 from __future__ import annotations
@@ -77,14 +72,13 @@ from repro.analysis.diagnostics import (
     LINT_RULES,
     RULES,
     Diagnostic,
-    Finding,
     SuppressionIndex,
     collect_files,
     parse_file,
     sort_diagnostics,
 )
 
-__all__ = ["Finding", "RULES", "lint_file", "run_lint"]
+__all__ = ["lint_file", "run_lint"]
 
 #: Packages in which ANL001/ANL002 apply (virtual-time-critical hot paths).
 RESTRICTED_PACKAGES = ("core", "mpi", "net")
@@ -92,21 +86,6 @@ RESTRICTED_PACKAGES = ("core", "mpi", "net")
 #: Packages in which ANL014 applies: the RMA data plane, where per-op
 #: Event construction must stay behind a kind-gated ``_emit*`` helper.
 HOT_PATH_PACKAGES = ("core", "mpi", "runtime")
-
-#: Resilience-layer internals of repro.mpi.window.Window (ANL003).
-RESILIENCE_INTERNALS = frozenset(
-    {
-        "_get_once",
-        "_put_once",
-        "_flush_once",
-        "_flush_all_once",
-        "_unlock_once",
-        "_unlock_all_once",
-        "_inject_op_fault",
-        "_inject_sync_fault",
-        "_resilient",
-    }
-)
 
 #: RMA op entry points whose bodies must stay pipeline-only (ANL006).
 PIPELINE_OP_METHODS = frozenset(
@@ -135,15 +114,10 @@ PIPELINE_OP_METHODS = frozenset(
 PIPELINE_CONCERNS = frozenset(
     {
         "_emit",
-        "_emit_access",
         "_obs",
         "obs",
         "_faults",
         "_retry",
-        "_resilient",
-        "_inject_op_fault",
-        "_inject_sync_fault",
-        "_post",
         "cost",
         "_sync_fault_counters",
         "_maybe_adapt",
@@ -189,7 +163,7 @@ def _parse_registry(events_src: str) -> tuple[dict[str, str], set[str]]:
 
 def _load_registry(
     files: Iterable[Path],
-) -> tuple[dict[str, str], list[Finding]]:
+) -> tuple[dict[str, str], list[Diagnostic]]:
     """Event-kind registry plus registration-consistency findings.
 
     Prefers the ``obs/events.py`` inside the linted tree (so the lint run
@@ -199,12 +173,12 @@ def _load_registry(
     events_file = next(
         (f for f in files if f.as_posix().endswith("obs/events.py")), None
     )
-    findings: list[Finding] = []
+    findings: list[Diagnostic] = []
     if events_file is not None:
         constants, registered = _parse_registry(events_file.read_text())
         for name in sorted(set(constants) - registered):
             findings.append(
-                Finding(
+                Diagnostic(
                     str(events_file),
                     1,
                     "ANL004",
@@ -214,7 +188,7 @@ def _load_registry(
             )
         for name in sorted(registered - set(constants)):
             findings.append(
-                Finding(
+                Diagnostic(
                     str(events_file),
                     1,
                     "ANL004",
@@ -320,15 +294,6 @@ def _check_seeded_random(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
             )
         elif dotted == "Random" and not seeded:
             yield node.lineno, "ANL002", "Random() without a seed"
-
-
-def _check_resilience_bypass(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in RESILIENCE_INTERNALS:
-            yield node.lineno, "ANL003", (
-                f"access to Window resilience internal {node.attr!r} outside "
-                "repro.mpi bypasses the retry/fault layer"
-            )
 
 
 def _event_kind_args(node: ast.Call) -> Iterator[ast.expr]:
@@ -523,14 +488,9 @@ def _check_mutable_defaults(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
-    """Back-compat alias for :func:`repro.analysis.diagnostics.collect_files`."""
-    return collect_files(paths)
-
-
 def lint_file(
     path: Path, registry: dict[str, str]
-) -> list[Finding]:
+) -> list[Diagnostic]:
     """All findings for one source file (suppressions applied).
 
     Unparseable or unreadable files yield a single ANL000 diagnostic
@@ -548,9 +508,6 @@ def lint_file(
         evaluated |= {"ANL001", "ANL002"}
         raw.extend(_check_wall_clock(tree))
         raw.extend(_check_seeded_random(tree))
-    if "repro/mpi/" not in posix:
-        evaluated.add("ANL003")
-        raw.extend(_check_resilience_bypass(tree))
     raw.extend(
         _check_event_names(
             tree, registry, is_events_module=posix.endswith("obs/events.py")
@@ -578,7 +535,7 @@ def lint_file(
     return findings
 
 
-def run_lint(paths: Iterable[str | Path]) -> list[Finding]:
+def run_lint(paths: Iterable[str | Path]) -> list[Diagnostic]:
     """Lint every ``.py`` file under ``paths``; returns sorted findings."""
     files = collect_files(paths)
     registry, findings = _load_registry(files)

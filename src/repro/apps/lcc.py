@@ -118,7 +118,7 @@ class LCCApp:
         MPI world for chaos runs; the result must stay bit-identical.
 
         ``batch=True`` fetches each vertex's neighbour lists through one
-        ``get_batch`` + one flush per distinct owner instead of the
+        ``get_batch`` and one flush per distinct owner instead of the
         paper's serial get+flush-per-neighbour pattern.  LCC values are
         identical; virtual times differ (transfers overlap), so the
         figure reproductions keep the default.
@@ -201,12 +201,15 @@ def _lcc_rank_program(
         # the natural latency-bound pattern of the paper's LCC: each remote
         # adjacency list is needed before the merge step that consumes it,
         # so the get is completed (flushed) as soon as it is issued.  The
-        # batched variant issues the whole neighbourhood through one
-        # get_batch and flushes each owner once, overlapping the misses.
+        # batched variant issues the neighbourhood through one get_batch
+        # per owner and flushes each owner once, overlapping the misses.
         lost = []
         if batch:
             arena = np.concatenate(graph.fetch_adjacencies(adj_v))
+            # a list lost to a crashed owner comes back as -1s
+            lost_count = int(np.count_nonzero(arena < 0))
         else:
+            lost_count = 0
             owners, disps, counts = locate(csr, graph.partition, adj_v)
             ends = np.cumsum(counts)
             arena = np.empty(int(ends[-1]), dtype=np.int64)
@@ -225,7 +228,7 @@ def _lcc_rank_program(
                         # count only the links still visible.
                         lost.append((start, end))
                 start = end
-        fetched = arena.size
+        fetched = arena.size - lost_count
         for start, end in lost:
             arena[start:end] = -1
             fetched -= end - start

@@ -1,4 +1,4 @@
-"""Baselines the paper compares against.
+"""The caches the paper compares CLaMPI against.
 
 * :class:`~repro.baselines.block_cache.BlockCachedWindow` — the *native*
   comparator of Figs. 12/14: a traditional block-based, direct-mapped

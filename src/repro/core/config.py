@@ -62,9 +62,6 @@ class AdaptiveParams:
     index_decrease_factor: float = 2.0
     memory_increase_factor: float = 2.0
     memory_decrease_factor: float = 2.0
-    #: intervals to wait after an adjustment before deciding again
-    #: (0 = the paper's behaviour; >0 damps oscillation on noisy phases)
-    cooldown_intervals: int = 0
     min_index_entries: int = 64
     max_index_entries: int = 1 << 24
     min_storage_bytes: int = 64 * KiB
@@ -81,8 +78,6 @@ class AdaptiveParams:
         ):
             if getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be > 1")
-        if self.cooldown_intervals < 0:
-            raise ValueError("cooldown_intervals must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,7 +102,6 @@ class Config:
     max_insert_iterations: int = 32  #: cuckoo cycle-detection bound
     max_capacity_evictions: int = 1  #: constant eviction budget (Sec. III-D2)
     allocator_fit: str = "best"  #: "best" (paper) or "first" (ablation)
-    record_timeline: bool = False  #: sample (eph, gets, hits) at epoch closes
     seed: int = 0xC1A09          #: deterministic hashing / sampling
     #: consecutive storage faults before the cache quarantines itself
     #: (self-disables and serves all gets direct); see docs/resilience.md
@@ -146,12 +140,6 @@ class Config:
                 f"unknown recovery mode {self.recovery!r}; "
                 f"expected one of {RECOVERY_MODES}"
             )
-
-    def with_sizes(self, index_entries: int, storage_bytes: int) -> "Config":
-        """Copy with new |I_w| / |S_w| (used by the adaptive controller)."""
-        return replace(
-            self, index_entries=index_entries, storage_bytes=storage_bytes
-        )
 
 
 def resolve_config(

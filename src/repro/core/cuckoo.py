@@ -115,9 +115,6 @@ class CuckooIndex:
             c = self._cand_memo[key] = tuple(cands)
         return c
 
-    def _hash(self, key: tuple[int, int], i: int) -> int:
-        return self._candidates(key)[i]
-
     def candidate_slots(self, key: tuple[int, int]) -> list[int]:
         """The p candidate slot indices of ``key`` (may contain repeats)."""
         return list(self._candidates(key))

@@ -60,7 +60,6 @@ from repro.obs import (
     CACHE_EVICT,
     CACHE_INVALIDATE,
     CACHE_RECOVERED,
-    CallbackSink,
     Event,
     EventBus,
     get_bus,
@@ -112,7 +111,6 @@ class CachedWindow(WindowProxy):
         self._controller = (
             AdaptiveController(cfg.adaptive_params) if cfg.adaptive else None
         )
-        self._cooldown = 0  #: intervals left before the controller may act
         # -- graceful degradation (docs/resilience.md) -------------------
         self._quarantined = False
         self._probe_countdown = 0
@@ -122,15 +120,6 @@ class CachedWindow(WindowProxy):
         #: per-window telemetry bus; forwards to the process-global bus so a
         #: single capture sees every layer (repro.obs design)
         self.obs = EventBus(parent=get_bus())
-        #: optional (eph, gets, hits) samples appended at every epoch close.
-        #: Fed by the ``cache.epoch`` events of this window's bus — the one
-        #: measurement pipeline — via a private CallbackSink.
-        self.timeline: list[tuple[int, int, int]] | None = None
-        if cfg.record_timeline:
-            self.timeline = []
-            self.obs.attach(
-                CallbackSink(self._timeline_sample, kinds=(CACHE_EPOCH,))
-            )
         #: the one request every scalar get is served through (invariant
         #: 3): the engine keeps none of its fields but the key tuple, which
         #: each get builds anew; a re-entrant get takes a fresh one
@@ -138,12 +127,6 @@ class CachedWindow(WindowProxy):
             np.empty(0, np.uint8), 0, 0, 0, BYTE, 0, (0, 0)
         )
         window.add_epoch_close_hook(self._on_epoch_close)
-
-    def _timeline_sample(self, event: Event) -> None:
-        assert self.timeline is not None
-        self.timeline.append(
-            (event.attrs["eph"], event.attrs["gets"], event.attrs["hits"])
-        )
 
     def _emit(self, kind: str, duration: float = 0.0, **attrs: Any) -> None:
         """Publish one telemetry event stamped (rank, virtual time, epoch)."""
@@ -564,7 +547,7 @@ class CachedWindow(WindowProxy):
             self._sync_fault_counters()
         if self.obs.wants(CACHE_EPOCH):
             # The hook runs before ``eph`` is bumped: the stamp names the
-            # epoch being closed, matching the historical timeline samples.
+            # epoch being closed.
             t = self.stats.total
             self._emit(
                 CACHE_EPOCH, eph=self._win.eph, gets=t.gets, hits=t.hits
@@ -592,10 +575,6 @@ class CachedWindow(WindowProxy):
         assert self._controller is not None
         if self.stats.interval.gets < self.config.adaptive_params.check_interval:
             return
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            self.stats.reset_interval()
-            return
         engine = self.engine
         adj = self._controller.evaluate(
             self.stats,
@@ -606,7 +585,6 @@ class CachedWindow(WindowProxy):
         self.stats.reset_interval()
         if adj is None:
             return
-        self._cooldown = self.config.adaptive_params.cooldown_intervals
         engine.resize(adj.index_entries, adj.storage_bytes)
         if self.obs.wants(CACHE_ADAPT):
             self._emit(

@@ -11,7 +11,7 @@ clocks or global RNG state.
 Single owner: the retry *loop* consuming this policy lives in exactly one
 place — the resilience wrapper :mod:`repro.mpi.ops` binds around
 both the data and the sync handler.  Nothing else re-issues failed
-operations; lint rule ANL003 keeps callers from reaching around it.
+operations, and nothing exposes a handler without that wrapper.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ can run over a plain window (foMPI baseline), a CLaMPI
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Protocol
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import BlockPartition
 from repro.mpi.comm import Communicator
+from repro.mpi.errors import TargetFailedError
 
 ITEM = np.dtype(np.int64)
 
@@ -142,13 +145,19 @@ class DistributedGraph:
     def fetch_adjacencies(self, vertices) -> list[np.ndarray]:
         """Batched adjacency fetch with flush-pipelined completion.
 
-        All remote gets are issued through one ``window.get_batch`` call —
-        one validation pass and one batched accounting event — and
-        each distinct remote owner is flushed exactly once afterwards, so
-        the transfer latencies overlap instead of being paid serially as
-        the get+flush-per-neighbour pattern of :meth:`fetch_adjacency`
-        does.  Locally owned vertices are copied directly.  Returns one
-        int64 adjacency buffer per requested vertex, in request order.
+        The remote gets are issued through one ``window.get_batch`` call
+        per owner (requests sorted by vertex keep each owner's gets
+        together), and each distinct remote owner is flushed exactly once
+        afterwards, so the transfer latencies overlap instead of being
+        paid serially as the get+flush-per-neighbour pattern of
+        :meth:`fetch_adjacency` does.  A batch adds no charge of its own,
+        so virtual time is that of the same gets in one batch.  Locally
+        owned vertices are copied directly.  Returns one int64 adjacency
+        buffer per requested vertex, in request order.
+
+        A list whose owner crashed and that the window cannot serve comes
+        back filled with -1, as in the serial loop; every other list of
+        that owner (one a ``serve-stale`` cache still holds) is kept.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         owners, disps, counts = locate(self.csr, self.partition, vertices)
@@ -157,14 +166,30 @@ class DistributedGraph:
         for v, owner, disp, count in zip(
             vertices.tolist(), owners.tolist(), disps.tolist(), counts.tolist()
         ):
-            buf = np.empty(count, dtype=ITEM)
-            bufs.append(buf)
             if owner == self.comm.rank:
-                buf[:] = self.csr.neighbors(v)
+                bufs.append(self.csr.neighbors(v).copy())
             else:
+                # -1 until served: no vertex id is negative
+                buf = np.full(count, -1, dtype=ITEM)
+                bufs.append(buf)
                 requests.append((buf, owner, disp))
-        if requests:
-            self.window.get_batch(requests)
-            for owner in sorted(set(owners.tolist()) - {self.comm.rank}):
-                self.window.flush(owner)
+        for _owner, run in groupby(requests, key=itemgetter(1)):
+            run = list(run)
+            while run:
+                try:
+                    self.window.get_batch(run)
+                    break
+                except TargetFailedError:
+                    # The owner crashed: the batch stopped at the first get
+                    # it could not serve, the first list still all -1.
+                    # That one is lost; issue the rest again.
+                    failed = next(
+                        (i for i, r in enumerate(run) if r[0].size and r[0][0] < 0),
+                        None,
+                    )
+                    if failed is None:
+                        raise
+                    run = run[failed + 1 :]
+        for owner in sorted({owner for _buf, owner, _disp in requests}):
+            self.window.flush(owner)
         return bufs

@@ -3,8 +3,8 @@
 Emitting layers (``repro.mpi``, ``repro.core``, ``repro.runtime``)
 publish :class:`~repro.obs.events.Event` objects to a bus;
 sinks attached to the bus consume them.  Buses can be *chained*: a child
-bus (e.g. one per :class:`~repro.core.window.CachedWindow`, carrying its
-private timeline sink) forwards every event to its parent — normally the
+bus (e.g. one per :class:`~repro.core.window.CachedWindow`) forwards
+every event to its parent — normally the
 process-global bus returned by :func:`repro.obs.get_bus` — so a single
 JSONL capture sees the merged stream of all layers.
 
@@ -13,8 +13,8 @@ event kinds some enabling sink — here or anywhere up the parent chain —
 actually consumes, and instrumented hot paths check ``bus.wants(kind)``
 *before constructing the event*.  A sink declares its interest through a
 ``kinds`` attribute (``None`` means "every kind"); attaching only
-:class:`NullSink` keeps the bus disabled, and attaching e.g. a timeline
-sink with ``kinds=(CACHE_EPOCH,)`` enables *only* that kind — the
+:class:`NullSink` keeps the bus disabled, and attaching e.g. a sink
+with ``kinds=(CACHE_EPOCH,)`` enables *only* that kind — the
 per-get ``cache.access`` events are then never constructed at all.
 
 Kind-gates propagate both ways along the chain: each bus tracks its child
@@ -72,10 +72,6 @@ class EventBus:
         events of ``kind``.  O(1); hot paths call this *before* paying
         for ``Event`` construction."""
         return self._wants_all or kind in self._wanted
-
-    def wanted_kinds(self) -> frozenset[str] | None:
-        """Effective wanted-kind set (``None`` = every kind)."""
-        return _ALL if self._wants_all else self._wanted
 
     # ------------------------------------------------------------------
     def attach(self, sink: Sink) -> Sink:

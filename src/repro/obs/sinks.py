@@ -13,7 +13,7 @@ any instant — so sinks need no internal locking.
 * :class:`JSONLSink` — streams one JSON object per line to a file; the
   format the ``python -m repro.obs report`` CLI consumes.
 * :class:`CallbackSink` — adapter invoking a callable, optionally filtered
-  by event kind (used e.g. to feed ``CachedWindow.timeline``).
+  by event kind (e.g. ``repro.trace.capture``'s get-stream recorder).
 """
 
 from __future__ import annotations

@@ -19,6 +19,8 @@ from reference_lcc import lcc_rank_program as reference_program
 
 from repro.apps import LCCApp, lcc
 from repro.apps.cachespec import CacheSpec
+from repro.graph import DistributedGraph
+from repro.graph.partition import BlockPartition
 from repro.trace import capture
 from repro.verify.chaos import crash_plan
 from repro.util import KiB
@@ -79,6 +81,65 @@ def test_lost_neighbours_are_the_reference(monkeypatch, app, mode):
     assert len(run.rank_times) == NPROCS - 1
     assert run.merged_stats()["failed_target_gets"] > 0
 
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CacheSpec.fompi(),
+        CacheSpec.clampi_fixed(256, 64 * KiB, recovery="serve-stale"),
+    ],
+    ids=["fompi", "clampi-serve-stale"],
+)
+def test_batched_fetch_survives_a_crash(spec):
+    """A crashed owner loses only its own lists in the batched fetch too:
+    the run completes on the survivors and agrees with the serial crashed
+    run on every vertex none of whose neighbours the victim owns."""
+    app = LCCApp(scale=7, edge_factor=8, seed=2)
+    nprocs, victim = 8, 4
+    clean = app.run(nprocs, spec, batch=True)
+    setup = clean.makespan - clean.elapsed
+    plan = crash_plan(0, victim, setup + 0.45 * clean.rank_times[victim])
+    serial = app.run(nprocs, spec, faults=plan)
+    batched = app.run(nprocs, spec, faults=plan, batch=True)
+    assert len(serial.rank_times) == len(batched.rank_times) == nprocs - 1
+    csr = app.csr
+    partition = BlockPartition(csr.nvertices, nprocs)
+    owners = partition.owners(csr.adjacency)
+    touches = np.zeros(csr.nvertices, dtype=bool)
+    np.logical_or.at(
+        touches, np.repeat(np.arange(csr.nvertices), np.diff(csr.offsets)),
+        owners == victim,
+    )
+    assert (~touches).sum() > 0
+    assert (
+        batched.lcc[~touches].tobytes() == serial.lcc[~touches].tobytes()
+    )
+
+
+def test_batched_fetch_keeps_lists_served_stale(monkeypatch):
+    """Under serve-stale, a crashed owner's lists that the cache still
+    holds are served in the batched fetch too: a list comes back lost
+    (-1) exactly when its get failed, and some were served stale."""
+    app = LCCApp(scale=7, edge_factor=8, seed=2)
+    spec = CacheSpec.clampi_fixed(256, 64 * KiB, recovery="serve-stale")
+    nprocs, victim = 8, 4
+    clean = app.run(nprocs, spec, batch=True)
+    setup = clean.makespan - clean.elapsed
+    plan = crash_plan(0, victim, setup + 0.45 * clean.rank_times[victim])
+    lost = []
+    fetch = DistributedGraph.fetch_adjacencies
+
+    def counting(graph, vertices):
+        bufs = fetch(graph, vertices)
+        lost.append(sum(1 for b in bufs if b.size and b[0] < 0))
+        return bufs
+
+    monkeypatch.setattr(DistributedGraph, "fetch_adjacencies", counting)
+    stats = app.run(nprocs, spec, faults=plan, batch=True).merged_stats()
+    assert stats["recovered_gets"] > 0
+    assert stats["failed_target_gets"] > 0
+    assert sum(lost) == stats["failed_target_gets"]
 
 # ---------------------------------------------------------------------------
 # the count itself

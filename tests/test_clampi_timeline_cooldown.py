@@ -1,12 +1,16 @@
-"""Tests for the epoch timeline recorder and the controller cooldown."""
+"""Tests for the epoch timeline, read from the ``cache.epoch`` events.
+
+A cached window publishes one ``cache.epoch`` event per epoch close, with
+the cumulative ``gets`` and ``hits`` at the closed epoch ``eph``; a
+capture of those events is the per-rank timeline, and
+``repro.obs.report.per_rank_timeline`` rebuilds it from a JSONL capture.
+"""
 
 import numpy as np
-import pytest
 
-from repro import clampi
-from repro.apps.cachespec import CacheSpec
-from repro.bench import make_micro_workload, run_micro
+from repro import clampi, obs
 from repro.mpi import SimMPI
+from repro.obs.report import load_events, per_rank_timeline
 from repro.util import KiB
 
 
@@ -15,35 +19,43 @@ def run(nprocs, program, **kwargs):
     return mpi.run(program), mpi
 
 
+def timeline_of(sink, rank=0):
+    """``[(eph, gets, hits), ...]`` of one rank's captured epoch closes."""
+    return [
+        (e.attrs["eph"], e.attrs["gets"], e.attrs["hits"])
+        for e in sink.events(kind=obs.CACHE_EPOCH, rank=rank)
+    ]
+
+
+def five_gets(m):
+    """Rank 0 gets the same 64 bytes from rank 1 five times."""
+    win = clampi.window_allocate(
+        m.comm_world, 4 * KiB, mode=clampi.Mode.ALWAYS_CACHE
+    )
+    m.comm_world.barrier()
+    if m.rank != 0:
+        return
+    buf = np.empty(64, np.uint8)
+    win.lock_all()
+    for _ in range(5):
+        win.get_blocking(buf, 1, 0)
+    win.unlock_all()
+
+
 class TestTimeline:
     def test_disabled_by_default(self):
+        # Nobody listens, so the window builds no epoch samples at all.
         def program(m):
             win = clampi.window_allocate(m.comm_world, 1024)
-            return win.timeline
+            return win.obs.wants(obs.CACHE_EPOCH)
 
         results, _ = run(1, program)
-        assert results == [None]
+        assert results == [False]
 
     def test_samples_at_every_epoch_close(self):
-        def program(m):
-            win = clampi.window_allocate(
-                m.comm_world,
-                4 * KiB,
-                mode=clampi.Mode.ALWAYS_CACHE,
-                config=clampi.Config(record_timeline=True),
-            )
-            m.comm_world.barrier()
-            if m.rank != 0:
-                return []
-            buf = np.empty(64, np.uint8)
-            win.lock_all()
-            for _ in range(5):
-                win.get_blocking(buf, 1, 0)
-            win.unlock_all()
-            return win.timeline
-
-        results, _ = run(2, program)
-        timeline = results[0]
+        with obs.capture() as sink:
+            run(2, five_gets)
+        timeline = timeline_of(sink)
         assert len(timeline) == 6  # 5 flushes + unlock_all
         ephs = [t[0] for t in timeline]
         assert ephs == sorted(ephs)
@@ -55,51 +67,31 @@ class TestTimeline:
     def test_hit_ratio_rises_as_cache_warms(self):
         def program(m):
             win = clampi.window_allocate(
-                m.comm_world,
-                16 * KiB,
-                mode=clampi.Mode.ALWAYS_CACHE,
-                config=clampi.Config(record_timeline=True),
+                m.comm_world, 16 * KiB, mode=clampi.Mode.ALWAYS_CACHE
             )
             m.comm_world.barrier()
             if m.rank != 0:
-                return []
+                return
             rng = np.random.default_rng(1)
             buf = np.empty(64, np.uint8)
             win.lock_all()
             for _ in range(200):
                 win.get_blocking(buf, 1, int(rng.integers(0, 32)) * 64)
             win.unlock_all()
-            return win.timeline
 
-        results, _ = run(2, program)
-        timeline = results[0]
+        with obs.capture(obs.RingBufferSink(capacity=None)) as sink:
+            run(2, program)
+        timeline = timeline_of(sink)
         early = timeline[20]
         late = timeline[-1]
         assert late[2] / late[1] > early[2] / early[1]
 
-
-class TestCooldown:
-    def _run_adaptive(self, cooldown):
-        wl = make_micro_workload(n_distinct=600, z=6000, seed=2)
-        spec = CacheSpec.clampi_adaptive(
-            32,
-            32 * KiB,
-            adaptive_params=clampi.AdaptiveParams(
-                check_interval=128, cooldown_intervals=cooldown
-            ),
-        )
-        return run_micro(wl, spec)
-
-    def test_cooldown_reduces_adjustment_count(self):
-        eager = self._run_adaptive(0)
-        damped = self._run_adaptive(4)
-        assert damped.stats["adjustments"] <= eager.stats["adjustments"]
-        assert damped.stats["adjustments"] >= 1  # still converges
-
-    def test_cooldown_still_correct(self):
-        res = self._run_adaptive(4)
-        assert res.stats["gets"] == 6000
-
-    def test_negative_cooldown_rejected(self):
-        with pytest.raises(ValueError):
-            clampi.AdaptiveParams(cooldown_intervals=-1)
+    def test_report_rebuilds_the_timeline_from_jsonl(self, tmp_path):
+        path = tmp_path / "capture.jsonl"
+        with obs.capture() as ring, obs.capture(obs.JSONLSink(path)):
+            run(2, five_gets)
+        in_run = timeline_of(ring)
+        assert len(in_run) == 6
+        assert [t[0] for t in in_run] == sorted(t[0] for t in in_run)
+        assert in_run[-1][1:] == (5, 4)
+        assert per_rank_timeline(load_events(path))[0] == in_run

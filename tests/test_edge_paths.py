@@ -145,14 +145,6 @@ class TestMoreCacheSemantics:
 
 
 class TestStatsHelpers:
-    def test_nondefault_confidence_bisection(self):
-        from repro.util import confidence_interval_median
-
-        samples = sorted(float(i) for i in range(101))
-        lo80, hi80 = confidence_interval_median(samples, confidence=0.80)
-        lo99, hi99 = confidence_interval_median(samples, confidence=0.99)
-        assert (hi80 - lo80) < (hi99 - lo99)
-
     def test_subcommunicators_rejected(self):
         from repro.mpi.comm import Communicator
         from repro.runtime import RankFailedError

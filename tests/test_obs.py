@@ -180,23 +180,30 @@ class TestInstrumentation:
 
     def test_epoch_close_emits_cache_epoch(self):
         def program(m):
-            win = make_window(m, record_timeline=True)
+            win = make_window(m)
+            own = win.obs.attach(obs.RingBufferSink())
             peer = (m.rank + 1) % m.size
             buf = np.empty(64, np.uint8)
             with win.lock_all_epoch():
                 for _ in range(3):
                     win.get(buf, peer, 0)
                     win.flush(peer)
-            return win.timeline
+            samples = [
+                (e.attrs["eph"], e.attrs["gets"], e.attrs["hits"])
+                for e in own.events(kind=obs.CACHE_EPOCH)
+            ]
+            return samples, (win.stats.total.gets, win.stats.total.hits)
 
         with obs.capture() as sink:
             results, _ = run(2, program)
+        samples, totals = results[0]
         epochs = sink.events(kind=obs.CACHE_EPOCH, rank=0)
-        # the same samples arrive on the global bus and in win.timeline
+        # the same samples arrive on the global bus and on the window's own
         assert [
             (e.attrs["eph"], e.attrs["gets"], e.attrs["hits"]) for e in epochs
-        ] == results[0]
-        assert len(results[0]) >= 3
+        ] == samples
+        assert len(samples) >= 3
+        assert samples[-1][1:] == totals
 
     def test_virtual_time_ledger_notes_runs(self):
         before = obs.virtual_time.runs
