@@ -93,7 +93,7 @@ RULES: dict[str, Rule] = dict(
         _rule(
             "ANL006", "pipeline-purity", "everywhere", SEV_ERROR,
             "Window/CachedWindow op methods must not inline pipeline concerns",
-            "move the concern into its repro.mpi.ops handler or CachedWindow._serve",
+            "move the concern into its repro.mpi.ops handler or CachedWindow.get",
         ),
         _rule(
             "ANL007", "deterministic-policies", "everywhere", SEV_ERROR,

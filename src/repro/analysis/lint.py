@@ -27,7 +27,9 @@ Rules
     inlined cost, fault, retry or telemetry logic (``self.cost``,
     ``self._faults``, ``self._emit`` and friends) in their bodies.  Each
     cross-cutting concern lives once: in a :mod:`repro.mpi.ops` handler, or —
-    for the cached get — in the adapter's ``CachedWindow._serve``.
+    for the cached get — in ``CachedWindow.get`` itself, the one frame
+    that serves every cached get, scalar or batched, and so the one op
+    method exempt.
 ``ANL007`` **deterministic-policies** — cache policy implementations
     (classes with a base ending in ``Policy``, i.e. anything pluggable
     into the :mod:`repro.core.policy` registry) must not read wall-clock
@@ -126,6 +128,10 @@ PIPELINE_CONCERNS = frozenset(
 
 #: Classes whose op methods ANL006 applies to.
 _PIPELINE_CLASSES = frozenset({"Window", "CachedWindow"})
+#: The op method that is its concerns' one home rather than an entry point
+#: into them: the cached get serves itself (accounting event, fault-counter
+#: fold, adaptation), and ``get_batch`` serves each element through it.
+_PIPELINE_HOMES = frozenset({("CachedWindow", "get")})
 
 _WALL_CLOCK_TIME_FNS = frozenset(
     {"time", "monotonic", "perf_counter", "process_time"}
@@ -366,6 +372,8 @@ def _check_pipeline_purity(tree: ast.Module) -> Iterator[tuple[int, str, str]]:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if fn.name not in PIPELINE_OP_METHODS:
+                continue
+            if (cls.name, fn.name) in _PIPELINE_HOMES:
                 continue
             for node in ast.walk(fn):
                 if (

@@ -24,9 +24,12 @@ Implementation notes
   is what a cache hit short-circuits.  Every get keeps a private origin
   buffer until its flush (MPI forbids touching origin buffers earlier):
   the next slice of one per-vertex arena.
-* Host work is per neighbourhood (docs/performance.md invariant 10): one
-  vectorised location lookup and one triangle count per vertex.  Virtual
-  time is charged from merge step counts, not from how the host counts.
+* Host work is per neighbourhood (docs/performance.md invariant 10): every
+  neighbour's location is computed once per app and rank count, in numpy,
+  in the thread that calls :meth:`LCCApp.run` (:func:`neighbour_locations`);
+  per vertex a rank reads its rows with one slice and counts triangles
+  once.  Virtual time is charged from merge step counts, not from how the
+  host counts.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ class LCCApp:
         src, dst = rmat_graph(scale, edge_factor * self.nvertices, seed=seed)
         self.csr = CSRGraph.from_edges(src, dst, self.nvertices)
         self._edges = (src, dst)
+        self._locations: dict[int, np.ndarray] = {}
+
+    def locations(self, nprocs: int) -> np.ndarray:
+        """:func:`neighbour_locations` on ``nprocs`` ranks, computed once."""
+        if nprocs not in self._locations:
+            self._locations[nprocs] = neighbour_locations(self.csr, nprocs)
+        return self._locations[nprocs]
 
     # ------------------------------------------------------------------
     def reference_lcc(self) -> np.ndarray:
@@ -131,7 +141,9 @@ class LCCApp:
             faults=faults,
             retry=retry,
         )
-        results = mpi.run(_lcc_rank_program, self.csr, src, dst, spec, batch)
+        results = mpi.run(
+            _lcc_rank_program, self.csr, src, dst, spec, self.locations(nprocs), batch
+        )
 
         lcc = np.zeros(self.nvertices)
         rank_times: list[float] = []
@@ -159,6 +171,27 @@ class LCCApp:
         )
 
 
+def neighbour_locations(csr: CSRGraph, nprocs: int) -> np.ndarray:
+    """Where every adjacency entry's own list lives on ``nprocs`` ranks.
+
+    One ``(nedges, 3)`` integer array, row ``e`` for ``csr.adjacency[e]``:
+    its owner, the byte displacement of its list in the owner's window and
+    where that list ends in the arena of the vertex whose adjacency holds
+    ``e`` (the lengths of that vertex's neighbour lists, summed up to and
+    including ``e``'s).  One :func:`locate` over the whole adjacency; int32
+    when every value fits, which halves what a run holds.
+    """
+    part = BlockPartition(csr.nvertices, nprocs)
+    owners, disps, counts = locate(csr, part, csr.adjacency)
+    summed = np.cumsum(counts)
+    before = np.concatenate(([0], summed))[csr.offsets[:-1]]
+    ends = summed - np.repeat(before, csr.degrees())
+    small = max(disps.max(initial=0), ends.max(initial=0)) <= np.iinfo(np.int32).max
+    where = np.empty((owners.size, 3), np.int32 if small else np.int64)
+    where[:, 0], where[:, 1], where[:, 2] = owners, disps, ends
+    return where
+
+
 def count_links(mark: np.ndarray, adj_v: np.ndarray, arena: np.ndarray) -> int:
     """How many elements of ``arena`` (neighbour lists back to back, -1
     where one was lost) are in ``adj_v``: for sorted, duplicate-free lists
@@ -176,8 +209,11 @@ def _lcc_rank_program(
     src: np.ndarray,
     dst: np.ndarray,
     spec: CacheSpec,
+    where: np.ndarray,
     batch: bool = False,
 ):
+    """One rank's LCC phase; ``where`` is :func:`neighbour_locations` on
+    this world's rank count."""
     graph = DistributedGraph.build(
         mpi.comm_world, src, dst, csr.nvertices, spec.make_window, csr=csr
     )
@@ -188,15 +224,19 @@ def _lcc_rank_program(
     win.lock_all()
     lo, hi = graph.lo, graph.hi
     rank = mpi.rank
-    local = graph.csr.adjacency[graph.csr.offsets[lo] : graph.csr.offsets[hi]]
+    adjacency = csr.adjacency
+    offsets = csr.offsets[lo : hi + 1].tolist()
+    local = adjacency[offsets[0] : offsets[-1]]
+    get, flush = win.get, win.flush
     mark = np.zeros(graph.nvertices + 1, dtype=bool)
     values = np.zeros(hi - lo)
-    for v in range(lo, hi):
-        adj_v = graph.local_adjacency(v)
-        deg = adj_v.size
+    for i in range(hi - lo):
+        a, b = offsets[i], offsets[i + 1]
+        deg = b - a
         mpi.compute(VERTEX_OVERHEAD_TIME)
         if deg < 2:
             continue
+        adj_v = adjacency[a:b]
         # Retrieve every neighbour's adjacency.  The serial traversal is
         # the natural latency-bound pattern of the paper's LCC: each remote
         # adjacency list is needed before the merge step that consumes it,
@@ -210,18 +250,17 @@ def _lcc_rank_program(
             lost_count = int(np.count_nonzero(arena < 0))
         else:
             lost_count = 0
-            owners, disps, counts = locate(csr, graph.partition, adj_v)
-            ends = np.cumsum(counts)
-            arena = np.empty(int(ends[-1]), dtype=np.int64)
+            rows = where[a:b].tolist()
+            arena = np.empty(rows[-1][2], dtype=np.int64)
             start = 0
-            for owner, disp, end in zip(owners.tolist(), disps.tolist(), ends.tolist()):
+            for owner, disp, end in rows:
                 if owner == rank:
                     disp >>= 3
                     arena[start:end] = local[disp : disp + end - start]
                 else:
                     try:
-                        win.get(arena[start:end], owner, disp)
-                        win.flush(owner)
+                        get(arena[start:end], owner, disp)
+                        flush(owner)
                     except TargetFailedError:
                         # The owner crashed and its adjacency is
                         # unrecoverable (or not cached under serve-stale):
@@ -234,7 +273,7 @@ def _lcc_rank_program(
             fetched -= end - start
         links = count_links(mark, adj_v, arena)
         mpi.compute((deg * deg + fetched) * MERGE_STEP_TIME)
-        values[v - lo] = links / (deg * (deg - 1))
+        values[i] = links / (deg * (deg - 1))
     win.unlock_all()
     phase_time = mpi.time - t0
 

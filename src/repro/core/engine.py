@@ -262,29 +262,33 @@ class CacheEngine:
             else entry.covers(dtype, count, size)
         ):
             return self._serve_partial_hit(entry, req)
-        # -- full hit ----------------------------------------------------
+        # -- full hit: the copy through a memoryview (invariant 12); the
+        # cast refuses a non-contiguous origin and the assignment a
+        # read-only or too-small one before any byte moves.  Any other
+        # origin takes numpy's idiom, which raises as the plain get's does
+        # (a bad origin before the hit is recorded, a read-only one at
+        # the copy) -------------------------------------------------------
+        if state is _CACHED:
+            d = entry.desc
+            src = self.storage.view[d.offset : d.offset + size]
+        else:  # PENDING: same data already in flight from an earlier get
+            assert entry.pending_source is not None
+            src = memoryview(entry.pending_source)[:size]
         origin = req.origin
         obuf = None
-        if origin.dtype.kind in COPY_KINDS:
-            omv = memoryview(origin)
-            if (
-                omv.c_contiguous
-                and not omv.readonly
-                and omv.ndim
-                and omv.nbytes >= size
-            ):
-                obuf = omv.cast("B")
-        if obuf is None:  # numpy's idiom: it raises as the plain get's does
-            if origin.flags.c_contiguous and origin.nbytes >= size:
-                obuf = origin.view(np.uint8).reshape(-1)
-            else:
+        if origin.ndim and origin.dtype.kind in COPY_KINDS:
+            try:
+                memoryview(origin).cast("B")[:size] = src
+            except (TypeError, ValueError):
                 obuf = origin_bytes(origin, size)
+        else:
+            obuf = origin_bytes(origin, size)
         entry.last = self.seq
         if self.wants_hit:
             self.policy.on_hit(entry, self._context(entry))
+        if obuf is not None:
+            obuf[:size] = src
         if state is _CACHED:
-            d = entry.desc
-            obuf[:size] = self.storage.view[d.offset : d.offset + size]
             dt = cost._copy_times.get(size)  # CostModel.copy
             if dt is None:
                 cost.copy(size)
@@ -292,9 +296,7 @@ class CacheEngine:
                 cost.total += dt
                 cost._sink(dt)
             access = _HIT_FULL
-        else:  # PENDING: same data already in flight from an earlier get
-            assert entry.pending_source is not None
-            obuf[:size] = memoryview(entry.pending_source)[:size]
+        else:
             self._waiter_bytes.setdefault(entry, []).append(size)
             access = _HIT_PENDING
         # CacheStats.record_access + record_cache_bytes
@@ -480,23 +482,18 @@ class CacheEngine:
             entry.desc = desc
             desc.entry = entry
             entry.transition(_PENDING)
-            # The PENDING source: the hit's origin test, then numpy's idiom;
-            # origin_bytes raises for any other origin.
+            # The PENDING source: the origin's bytes through a memoryview
+            # when the hit's origin test passes and the cast takes it,
+            # numpy's view otherwise (origin_bytes raises for an origin
+            # that is not C-contiguous).
             src = None
-            if origin.dtype.kind in COPY_KINDS:
-                omv = memoryview(origin)
-                if (
-                    omv.c_contiguous
-                    and not omv.readonly
-                    and omv.ndim
-                    and omv.nbytes >= size
-                ):
-                    src = omv.cast("B")[:size]
+            if origin.ndim and origin.dtype.kind in COPY_KINDS:
+                try:
+                    src = memoryview(origin).cast("B")[:size]
+                except TypeError:
+                    pass
             if src is None:
-                if origin.flags.c_contiguous:
-                    src = origin.view(np.uint8).reshape(-1)[:size]
-                else:
-                    src = origin_bytes(origin)[:size]
+                src = origin_bytes(origin)[:size]
             entry.pending_source = src
             self.pending.append(entry)
             # The entry is live from here (slot, storage, PENDING) until _release.

@@ -8,8 +8,9 @@ the op methods, the raw network get the engine is bound to, the
 epoch-close hook, crash disposition, quarantine, the fault-counter fold,
 the adaptive trigger and telemetry.
 
-A get_c is :meth:`CachedWindow._serve`, in statement order::
+A get_c is :meth:`CachedWindow.get`, in statement order::
 
+    the wrapped window's checks (Window._admit_get)
     sequence accounting (seq, size sum)
     crash check          dead target: pinned serve or deferred failure
     quarantine           enter on a storage-fault streak; degraded direct serve
@@ -24,7 +25,8 @@ ordered (``cache.access`` precedes the probe's ``cache.degraded``
 re-enable event), so a step that must fail the get records the exception
 on ``req.failure`` and serves 0 bytes; it is raised last.
 :meth:`CachedWindow.get_batch` serves N requests through the same method
-with one accounting event and one batched event for the miss traffic.
+with one accounting event and one batched event for the miss traffic,
+emitted for what was served even when an element raises.
 
 PENDING entries materialise into ``S_w`` when the epoch closes (flush,
 unlock, fence — Sec. II): the payload is copied out of the fetching get's
@@ -66,6 +68,8 @@ from repro.obs import (
 )
 
 _FAILING = AccessType.FAILING
+#: the placeholder origin of a pooled request between gets
+_NO_ORIGIN = np.empty(0, np.uint8)
 #: the engine's event kinds, as published on the bus
 _ENGINE_EVENTS = {"admit": CACHE_ADMIT, "evict": CACHE_EVICT}
 
@@ -120,11 +124,12 @@ class CachedWindow(WindowProxy):
         #: per-window telemetry bus; forwards to the process-global bus so a
         #: single capture sees every layer (repro.obs design)
         self.obs = EventBus(parent=get_bus())
-        #: the one request every scalar get is served through (invariant
-        #: 3): the engine keeps none of its fields but the key tuple, which
-        #: each get builds anew; a re-entrant get takes a fresh one
-        self._scalar_req: CacheGetRequest | None = CacheGetRequest(
-            np.empty(0, np.uint8), 0, 0, 0, BYTE, 0, (0, 0)
+        #: the one request every get is served through (invariant 3): the
+        #: engine keeps none of its fields but the key tuple, which each
+        #: get builds anew.  get_batch swaps in a quiet one recording into
+        #: its sinks; a re-entrant get takes a fresh one.
+        self._req: CacheGetRequest | None = CacheGetRequest(
+            _NO_ORIGIN, 0, 0, 0, BYTE, 0, (0, 0)
         )
         window.add_epoch_close_hook(self._on_epoch_close)
 
@@ -146,7 +151,7 @@ class CachedWindow(WindowProxy):
     def _emit_engine_event(self, kind: str, **attrs: Any) -> None:
         """The engine's event callback, gated on somebody listening."""
         kind = _ENGINE_EVENTS[kind]
-        if self.obs.wants(kind):
+        if kind in self.obs._wanted:
             self._emit(kind, **attrs)
 
     # ------------------------------------------------------------------
@@ -248,122 +253,112 @@ class CachedWindow(WindowProxy):
         floats as a possible MPI-standard extension (Sec. III-A): the get
         goes straight to the network, is never looked up, never inserted,
         and never counted in the cache statistics.
+
+        This method is the whole ``get_c`` (module docstring), scalar and
+        batched alike, in one frame: a hit costs the checks, this frame,
+        the engine's and its two clock charges (docs/performance.md
+        invariant 7).
         """
         if bypass_cache:
             return self._win.get(origin, target_rank, target_disp, count, datatype)
         dtype, count = self._win._admit_get(origin, target_rank, count, datatype)
-        req = self._scalar_req
-        if req is None:  # re-entrant get (defensive): fall back to a fresh one
-            return self._serve(
-                CacheGetRequest(
-                    origin,
-                    target_rank,
-                    target_disp,
-                    count,
-                    dtype,
-                    dtype.size * count,
-                    (target_rank, target_disp),
-                )
+        pooled = req = self._req
+        if pooled is None:  # re-entrant get (defensive): a fresh request
+            req = CacheGetRequest(
+                origin, target_rank, target_disp, count, dtype, 0, None
             )
-        self._scalar_req = None
+        else:
+            self._req = None
         try:
             req.origin = origin
             req.target = target_rank
             req.disp = target_disp
             req.count = count
             req.dtype = dtype
-            req.size = dtype.size * count  # transfer_size: count >= 0 by now
+            req.size = size = dtype.size * count  # transfer_size: count >= 0
             req.key = (target_rank, target_disp)
             req.failure = None
-            return self._serve(req)
+            # -- serve (order: module docstring) --------------------------
+            engine = self.engine
+            engine.seq += 1
+            engine.size_sum += size
+            nbytes = None
+            degraded = False
+            # A world without a crash plan never pays for the failure detector.
+            if self._can_fail:
+                self._observe_failures()
+                if target_rank in self._proc.failed_ranks:
+                    nbytes = self._serve_failed_target(req)
+            if nbytes is None:
+                if (
+                    not self._quarantined
+                    and engine.fault_streak >= self.config.quarantine_threshold
+                ):
+                    self._enter_quarantine()
+                if self._quarantined:
+                    degraded = True
+                    nbytes = self._serve_degraded(req)
+                else:
+                    nbytes = engine.serve(req)
+            # -- account ------------------------------------------------
+            if not req.quiet:
+                if CACHE_ACCESS in self.obs._wanted:
+                    self._emit(CACHE_ACCESS, **self._access_record(req))
+            elif req.access_sink is not None:
+                req.access_sink.append(self._access_record(req))
+            if self._has_injector:
+                self._sync_fault_counters()
+            if degraded:
+                self._probe_countdown -= 1
+                if self._probe_countdown <= 0:
+                    self._leave_quarantine()
+            elif self._controller is not None:
+                self._maybe_adapt()
+            if req.failure is not None:
+                raise req.failure
+            return nbytes
         finally:
-            self._scalar_req = req
+            if pooled is not None:
+                self._req = pooled
 
     def get_batch(self, requests) -> list[int]:
         """Serve a batch of cached gets with one accounting pass.
 
         ``requests`` holds ``(origin, target_rank, target_disp[, count
-        [, datatype]])`` tuples.  Every element is served exactly like a
-        scalar :meth:`get` — classification, cost
-        charges, quarantine probes and adaptation checks are per-element,
-        so virtual time is bit-identical to N scalar gets — but telemetry
-        is batched: misses (and degraded/partial-hit refetches) issue
+        [, datatype]])`` tuples.  Every element is served by :meth:`get` —
+        classification, cost charges, quarantine probes and adaptation
+        checks are per-element, so virtual time is bit-identical to N
+        scalar gets — but through a quiet request, so telemetry is
+        batched: misses (and degraded/partial-hit refetches) issue
         through the wrapped window's quiet descriptor path and surface as
         one ``rma.get_batch`` event, and the per-get ``cache.access``
-        events collapse into one ``cache.access_batch`` event.
+        events collapse into one ``cache.access_batch`` event.  Both are
+        emitted for the elements served even when a later one raises:
+        their bytes arrive at the next flush all the same.
         """
         access_sink: list[dict] = []
         net_sink: list = []
+        pooled = self._req
+        self._req = CacheGetRequest(
+            _NO_ORIGIN, 0, 0, 0, BYTE, 0, (0, 0), True, None, access_sink, net_sink
+        )
         results = []
-        for req in requests:
-            origin, target, disp = req[0], req[1], req[2]
-            dtype, count = self._win._admit_get(
-                origin,
-                target,
-                req[3] if len(req) > 3 else None,
-                req[4] if len(req) > 4 else None,
-            )
-            results.append(
-                self._serve(
-                    CacheGetRequest(
-                        origin,
-                        target,
-                        disp,
-                        count,
-                        dtype,
-                        dtype.size * count,
-                        (target, disp),
-                        True,
-                        None,
-                        access_sink,
-                        net_sink,
+        try:
+            for req in requests:
+                results.append(
+                    self.get(
+                        req[0],
+                        req[1],
+                        req[2],
+                        req[3] if len(req) > 3 else None,
+                        req[4] if len(req) > 4 else None,
                     )
                 )
-            )
-        emit_get_batch(self._win, net_sink)
-        self._emit_access_batch(access_sink)
+        finally:
+            self._req = pooled
+            emit_get_batch(self._win, net_sink)
+            self._emit_access_batch(access_sink)
         return results
-
-    def _serve(self, req: CacheGetRequest) -> int:
-        """Serve one ``get_c``; returns payload bytes (order: module docstring)."""
-        engine = self.engine
-        engine.seq += 1
-        engine.size_sum += req.size
-        nbytes = None
-        degraded = False
-        # A world without a crash plan never pays for the failure detector.
-        if self._can_fail:
-            self._observe_failures()
-            if req.target in self._proc.failed_ranks:
-                nbytes = self._serve_failed_target(req)
-        if nbytes is None:
-            if (
-                not self._quarantined
-                and engine.fault_streak >= self.config.quarantine_threshold
-            ):
-                self._enter_quarantine()
-            if self._quarantined:
-                degraded = True
-                nbytes = self._serve_degraded(req)
-            else:
-                nbytes = engine.serve(req)
-
-        if not req.quiet:
-            if self.obs.wants(CACHE_ACCESS):
-                self._emit(CACHE_ACCESS, **self._access_record(req))
-        elif req.access_sink is not None:
-            req.access_sink.append(self._access_record(req))
-        if self._has_injector:
-            self._sync_fault_counters()
-        if degraded:
-            self._probe_countdown -= 1
-            if self._probe_countdown <= 0:
-                self._leave_quarantine()
-        elif self._controller is not None:
-            self._maybe_adapt()
-        if req.failure is not None:
-            raise req.failure
-        return nbytes
 
     def _raw_get(self, req: CacheGetRequest) -> int:
         """Issue ``req``'s bytes on the wrapped (uncached) window.
@@ -440,7 +435,7 @@ class CachedWindow(WindowProxy):
     def _serve_degraded(self, req: CacheGetRequest) -> int:
         """Quarantined get: straight to the network, classified FAILING.
 
-        ``_serve`` emits the accounting event and then runs the probe
+        :meth:`get` emits the accounting event and then runs the probe
         countdown, in that (telemetry contract) order.
         """
         nbytes = self._raw_get(req)
@@ -504,7 +499,7 @@ class CachedWindow(WindowProxy):
                 )
 
     def _serve_failed_target(self, req: CacheGetRequest) -> int:
-        """A get towards a crashed rank (``_serve``'s crash check).
+        """A get towards a crashed rank (:meth:`get`'s crash check).
 
         ``serve-stale`` serves exact full hits from the rank's pinned
         entries; anything else — and every get in ``invalidate`` mode —
@@ -545,7 +540,7 @@ class CachedWindow(WindowProxy):
             engine.close_epoch(targets)
         if self._has_injector:
             self._sync_fault_counters()
-        if self.obs.wants(CACHE_EPOCH):
+        if CACHE_EPOCH in self.obs._wanted:
             # The hook runs before ``eph`` is bumped: the stamp names the
             # epoch being closed.
             t = self.stats.total

@@ -15,6 +15,7 @@ adjacent blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +43,12 @@ def _coalesce(blocks: Iterable[Block]) -> list[Block]:
 
 class Datatype:
     """Abstract datatype: a layout of payload bytes within an extent."""
+
+    @cached_property
+    def _footprints(self) -> dict[int, tuple[int, list[Block]]]:
+        """:meth:`footprint`'s memo: an instance attribute once read, not a
+        field, so it is out of every datatype's eq, hash and repr."""
+        return {}
 
     @property
     def size(self) -> int:
@@ -74,6 +81,27 @@ class Datatype:
             (i * ext + off, size) for i in range(count) for off, size in base
         )
         return _coalesce(sorted(all_blocks))
+
+    def footprint(self, count: int) -> tuple[int, list[Block]]:
+        """``(span, blocks)`` of ``count`` elements: :meth:`flatten` and the
+        extent its last block reaches.
+
+        A pure function of the datatype and ``count``, memoized on the
+        datatype by ``count`` — applications issue millions of gets over
+        a handful of shapes, and an int key hashes in C where a datatype's
+        dataclass ``__hash__`` is a Python call.  The shared block list is
+        read-only by contract.  The memo is bounded: cleared wholesale if
+        an adversarial stream of counts fills it.
+        """
+        memo = self._footprints
+        fp = memo.get(count)
+        if fp is None:
+            if len(memo) >= 512:
+                memo.clear()
+            blocks = self.flatten(count)
+            span = blocks[-1][0] + blocks[-1][1] if blocks else 0
+            fp = memo[count] = (span, blocks)
+        return fp
 
     def transfer_size(self, count: int) -> int:
         """Total payload bytes of ``count`` elements (``size(x)`` in the paper)."""

@@ -29,8 +29,15 @@ ordering contract (``docs/architecture.md`` §3.1):
   → charge the issue overhead and price the transfer (jitter perturbs the
   priced duration; a stall past the op timeout becomes a retryable
   timeout) → ``net.transfer`` → the per-op event;
-* **sync**: consult the fault injector → complete the selected pending
-  ops → the per-op event → fire the epoch-close hooks, last.
+* **sync**: consult the fault injector → advance past the selected
+  targets' completion times → the per-op event → fire the epoch-close
+  hooks, last.
+
+A window keeps one completion time per target (``Window._pending``): a
+data op raises its target's entry to its own completion time, a sync
+pops the targets it completes and advances the clock to the latest of
+them.  Float ``max`` is exact, so this is the same advance as a scan
+over every posted op.
 
 Fault blocks are guarded by the bind-time constant ``faults``
 (``window._faults`` is never reassigned after ``Window.__init__``), so a
@@ -88,15 +95,6 @@ SYNC_KINDS = frozenset(
 )
 
 
-@dataclass
-class _PendingOp:
-    """A posted but (time-wise) incomplete RMA operation."""
-
-    target: int
-    issue_clock: float
-    duration: float
-
-
 @dataclass(slots=True)
 class OpDescriptor:
     """One RMA operation, fully resolved and ready to issue.
@@ -104,7 +102,10 @@ class OpDescriptor:
     Data ops (:data:`DATA_KINDS`) fill the footprint block; sync ops fill
     the completion block.  ``emit_attrs`` are the kind-specific attributes
     of the telemetry event the handler publishes (data ops build
-    them lazily from the footprint instead).
+    them lazily from the footprint instead).  The policy switches default
+    to a get's, so a get descriptor (the window's pooled one included)
+    carries them from construction and a get writes only its per-op
+    fields; every other builder sets its own.
     """
 
     kind: str
@@ -130,16 +131,16 @@ class OpDescriptor:
     epoch_close: bool = False
     close_targets: set[int] | None = None
     # -- policy switches ----------------------------------------------
-    fault_site: str | None = None      #: injector site ("get"/"put"/"flush")
-    retryable: bool = False            #: wrap in the retry/backoff loop
+    fault_site: str | None = "get"     #: injector site ("get"/"put"/"flush")
+    retryable: bool = True             #: wrap in the retry/backoff loop
     quiet: bool = False                #: suppress the per-op obs event (batch)
     # -- obs ----------------------------------------------------------
-    emit_kind: str | None = None
+    emit_kind: str | None = RMA_GET
     emit_attrs: dict[str, Any] = field(default_factory=dict)
     # -- results ------------------------------------------------------
     result: int = 0                    #: payload bytes moved
     duration: float = 0.0              #: sync: completion extent (clock - t0)
-    pending_op: _PendingOp | None = None  #: handle for rget/rput requests
+    done_at: float = 0.0               #: data: virtual time the op completes
 
     @property
     def is_data(self) -> bool:
@@ -164,22 +165,12 @@ def _footprint(
 ) -> tuple[int, int, list]:
     """(base, span, blocks) of the op at the target, in target-window bytes.
 
-    ``(span, blocks)`` is a pure function of ``(dtype, count)``, so it is
-    memoized per window — applications issue millions of gets over a
-    handful of datatype/count shapes.  The shared block list is read-only
-    by contract (the data handler only iterates it).  The memo is
-    bounded: cleared wholesale if an adversarial stream of shapes fills it.
+    ``(span, blocks)`` is the datatype's memo (:meth:`Datatype.footprint`);
+    the shared block list is read-only by contract (the data handler only
+    iterates it).
     """
-    memo = window._fp_memo
-    key = (dtype, count)
-    fp = memo.get(key)
-    if fp is None:
-        if len(memo) >= 512:
-            memo.clear()
-        blocks = dtype.flatten(count)
-        span = blocks[-1][0] + blocks[-1][1] if blocks else 0
-        fp = memo[key] = (span, blocks)
-    return disp * window._group.disp_units[target], fp[0], fp[1]
+    span, blocks = dtype.footprint(count)
+    return disp * window._group.disp_units[target], span, blocks
 
 
 def describe_get(
@@ -216,42 +207,36 @@ def describe_get_into(
     *,
     quiet: bool = False,
 ) -> OpDescriptor:
-    """:func:`describe_get` into a caller-provided (pooled) descriptor.
+    """:func:`describe_get` into a get descriptor (the window's pooled one).
 
-    Every field a previous use may have set is re-assigned, so a recycled
-    frame is indistinguishable from a fresh ``OpDescriptor(kind="get")``.
-    The checks are :meth:`Window._admit_get`'s, and the footprint-memo hit
-    of :func:`_footprint` is in line.
+    Every per-op field a previous get may have set is re-assigned; the
+    kind and the policy switches are a get's from construction and no
+    handler writes them, so a recycled frame is indistinguishable from a
+    fresh ``OpDescriptor(kind="get")``.  The checks are
+    :meth:`Window._admit_get`'s, and the footprint-memo hit of
+    :meth:`Datatype.footprint` is in line: the memo is keyed by ``count``
+    on the datatype itself, so no datatype is hashed per get.
     """
     dtype, count = window._admit_get(origin, target_rank, count, datatype)
     if target_disp < 0:
         raise WindowError(f"negative displacement: {target_disp}")
-    fp = window._fp_memo.get((dtype, count))
+    fp = dtype._footprints.get(count)
     if fp is None:
-        base, span, blocks = _footprint(
-            window, target_rank, target_disp, count, dtype
-        )
-    else:
-        span, blocks = fp
-        base = target_disp * window._group.disp_units[target_rank]
-    desc.kind = "get"
+        fp = dtype.footprint(count)
+    span, blocks = fp
     desc.target = target_rank
     desc.disp = target_disp
     desc.count = count
     desc.dtype = dtype
     desc.nbytes = dtype.size * count  # transfer_size: count >= 0 by now
-    desc.base = base
+    desc.base = target_disp * window._group.disp_units[target_rank]
     desc.span = span
     desc.blocks = blocks
     desc.origin = origin
     desc.obuf = None
-    desc.fault_site = "get"
-    desc.retryable = True
     desc.quiet = quiet
-    desc.emit_kind = RMA_GET
     desc.result = 0
-    desc.duration = 0.0
-    desc.pending_op = None
+    desc.done_at = 0.0
     return desc
 
 
@@ -580,14 +565,17 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
     links: dict[int, tuple] = {}
     # The group's buffers are fixed at creation: their bytes, bound once.
     views = [memoryview(buf) for buf in group.buffers]
+    pending = window._pending  # never rebound: syncs pop and clear it
 
     def attempt(desc: OpDescriptor) -> OpDescriptor:
         # -- move: bounds check + payload bytes (zero time).  A single-block
-        # get into an origin that a memoryview fills as numpy's byte view
-        # does (COPY_KINDS) passes every check of _check_bounds / _gather
-        # in line; anything else (multi-block, out of bounds, any other
-        # origin, puts, accumulates) takes the helpers, which raise in
-        # their usual order ---------------------------------------------
+        # get in bounds into an at least 1-d origin that a memoryview fills
+        # as numpy's byte view does (COPY_KINDS) copies in line; the cast
+        # or the slice assignment refuses a non-contiguous, read-only or
+        # too-small origin before any byte moves.  Anything else
+        # (multi-block, out of bounds, any other origin, puts,
+        # accumulates) takes the helpers, which raise in their usual
+        # order ----------------------------------------------------------
         target = desc.target
         kind = desc.kind
         tbuf = group.buffers[target]
@@ -597,17 +585,17 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
             off, size = blocks[0]
             lo = desc.base + off
             origin = desc.origin
-            if lo + size <= tbuf.nbytes and origin.dtype.kind in COPY_KINDS:
-                omv = memoryview(origin)
-                if (
-                    omv.c_contiguous
-                    and not omv.readonly
-                    and omv.ndim
-                    and omv.nbytes >= size
-                ):
-                    omv.cast("B")[:size] = views[target][lo : lo + size]
+            if (
+                lo + size <= tbuf.nbytes
+                and origin.ndim
+                and origin.dtype.kind in COPY_KINDS
+            ):
+                try:
+                    memoryview(origin).cast("B")[:size] = views[target][lo : lo + size]
                     desc.nbytes = size
                     moved = True
+                except (TypeError, ValueError):
+                    pass
         if not moved:
             _check_bounds(desc, tbuf)
             if kind == "accumulate":
@@ -671,12 +659,12 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
                         f"transfer of {nbytes} B to rank {target} stalled "
                         f"{stall:.3e}s past the {timeout:.3e}s op timeout"
                     )
-        desc.pending_op = _PendingOp(target, proc.clock, duration)
-        window._pending.append(desc.pending_op)
-        window._bytes_transferred += nbytes
-        bbd = window._bytes_by_distance
-        bbd[dist] = bbd.get(dist, 0) + nbytes
-        if obs_bus.wants(NET_TRANSFER):
+        # -- completion: the target's entry keeps the latest completion
+        # time (clocks are non-negative, so 0.0 stands for "none") -------
+        done = desc.done_at = proc.clock + duration
+        if done > pending.get(target, 0.0):
+            pending[target] = done
+        if NET_TRANSFER in obs_bus._wanted:
             window._emit(
                 NET_TRANSFER,
                 duration=duration,
@@ -687,7 +675,7 @@ def build_data_pipeline(window: "Window") -> BoundPipeline:
             )
         # -- obs: one per-op event carrying the sanitizer footprint; batch
         # elements (quiet) are covered by their batch's single event -----
-        if not desc.quiet and obs_bus.wants(desc.emit_kind):
+        if not desc.quiet and desc.emit_kind in obs_bus._wanted:
             attrs = {"target": target, "disp": desc.disp, "nbytes": nbytes}
             if kind == "accumulate":
                 attrs["op"] = desc.acc_op
@@ -708,6 +696,7 @@ def build_sync_pipeline(window: "Window") -> BoundPipeline:
     obs_bus = window._obs
     faults = window._faults
     policy = window._retry
+    pending = window._pending
 
     def attempt(desc: OpDescriptor) -> OpDescriptor:
         # -- fault injection: fires before completion, wastes the timeout
@@ -727,19 +716,34 @@ def build_sync_pipeline(window: "Window") -> BoundPipeline:
                 raise RMATimeoutError(
                     f"injected synchronisation timeout towards {where}"
                 )
-        # -- completion: advance past the selected pending ops, then the
+        # -- completion: advance past the selected targets' completion
+        # times (None: every target), charge the call, then the
         # epoch-state finalize hook (lock release, PSCW group reset);
         # locks (completes=False) complete nothing ----------------------
         if desc.completes:
-            t0 = proc.clock
-            window._complete(desc.targets)
+            t0 = done_at = proc.clock
+            targets = desc.targets
+            if targets is None:
+                if pending:
+                    done = max(pending.values())
+                    if done > done_at:
+                        done_at = done
+                    pending.clear()
+            else:
+                for target in targets:
+                    done = pending.pop(target, 0.0)
+                    if done > done_at:
+                        done_at = done
+            if done_at > t0:
+                proc.advance(done_at - t0)
+            proc.advance(SYNC_OVERHEAD)
             if desc.barrier:
                 comm.barrier()
             if desc.finalize is not None:
                 desc.finalize()
             desc.duration = proc.clock - t0
         # -- obs: the op's pre-built attrs + measured completion extent --
-        if not desc.quiet and obs_bus.wants(desc.emit_kind):
+        if not desc.quiet and desc.emit_kind in obs_bus._wanted:
             window._emit(
                 desc.emit_kind, duration=desc.duration, **desc.emit_attrs
             )

@@ -54,7 +54,6 @@ from repro.mpi.errors import (
 from repro.mpi.ops import (
     SYNC_OVERHEAD,
     OpDescriptor,
-    _PendingOp,
     build_data_pipeline,
     build_sync_pipeline,
     describe_accumulate,
@@ -97,38 +96,34 @@ class Request:
     imply remote completion ordering of other operations).
     """
 
-    def __init__(self, window: "Window", op: _PendingOp):
+    def __init__(self, window: "Window", done_at: float):
         self._window = window
-        self._op = op
+        #: virtual time the operation completes
+        self._done_at = done_at
         self._done = False
 
     def test(self) -> bool:
         """Non-blocking completion probe against the virtual clock."""
         if self._done:
             return True
-        proc = self._window._comm.proc
-        if proc.clock >= self._op.issue_clock + self._op.duration:
-            self._finish()
-            return True
-        return False
+        if self._window._proc.clock >= self._done_at:
+            self._done = True
+        return self._done
 
     def wait(self) -> None:
-        """Block (advance the virtual clock) until the operation completes."""
+        """Block (advance the virtual clock) until the operation completes.
+
+        The target's completion time in the window keeps this operation's:
+        the clock is past it now, so a later flush advances exactly as if
+        it had been dropped.
+        """
         if self._done:
             return
-        proc = self._window._comm.proc
-        done_at = self._op.issue_clock + self._op.duration
-        if done_at > proc.clock:
-            proc.advance(done_at - proc.clock)
+        proc = self._window._proc
+        if self._done_at > proc.clock:
+            proc.advance(self._done_at - proc.clock)
         proc.advance(SYNC_OVERHEAD)
-        self._finish()
-
-    def _finish(self) -> None:
         self._done = True
-        try:
-            self._window._pending.remove(self._op)
-        except ValueError:
-            pass  # a flush already completed it
 
     @property
     def done(self) -> bool:
@@ -150,12 +145,12 @@ class Window:
         #: member under lock_all and fence_epoch
         self._mode = CLOSED
         self._access: frozenset[int] = frozenset()
-        self._pending: list[_PendingOp] = []
+        #: per target rank, the latest completion time of the data ops
+        #: posted to it since its last completing sync (repro.mpi.ops)
+        self._pending: dict[int, float] = {}
         self._epoch_close_hooks: list[Callable[["Window", set[int] | None], None]] = []
-        self._bytes_transferred = 0  #: diagnostic: payload bytes moved by gets/puts
-        #: diagnostic: payload bytes per Distance class this rank moved
-        self._bytes_by_distance: dict = {}
-        #: telemetry bus (process-global); hot paths gate on ``.wants(kind)``
+        #: telemetry bus (process-global); hot paths gate on
+        #: ``kind in self._obs._wanted``
         self._obs = get_bus()
         #: per-rank fault injector (None on a fault-free job) and the
         #: retry/backoff policy applied to transient failures
@@ -163,9 +158,6 @@ class Window:
         self._retry = getattr(comm, "retry", None) or DEFAULT_RETRY_POLICY
         self.faults_injected = 0  #: injected faults that raised on this window
         self.retries = 0          #: retry attempts performed on this window
-        #: (span, blocks) footprint memo keyed on (dtype, count) — see
-        #: repro.mpi.ops._footprint
-        self._fp_memo: dict = {}
         #: numpy dtype -> predefined Datatype memo (see :meth:`_resolve_dtype`)
         self._dtype_memo: dict = {}
         #: pooled descriptor frame for the dominant scalar-get path; taken
@@ -314,21 +306,6 @@ class Window:
         """Exposed bytes of ``rank``'s window."""
         self._check_rank(rank)
         return int(self._group.buffers[rank].nbytes)
-
-    @property
-    def bytes_transferred(self) -> int:
-        """Total payload bytes this rank moved over the (virtual) network."""
-        return self._bytes_transferred
-
-    @property
-    def bytes_by_distance(self) -> dict:
-        """Payload bytes split by :class:`~repro.net.Distance` class.
-
-        Lets applications see how much of their RMA traffic stayed on-node
-        vs crossed group boundaries — the locality the Fig. 1 hierarchy is
-        about.
-        """
-        return dict(self._bytes_by_distance)
 
     # ------------------------------------------------------------------
     # epochs
@@ -655,7 +632,7 @@ class Window:
         """Request-based get (MPI_Rget): complete with ``Request.wait``."""
         desc = describe_get(self, origin, target_rank, target_disp, count, datatype)
         self._data_pipe.issue(desc)
-        return Request(self, desc.pending_op)
+        return Request(self, desc.done_at)
 
     def rput(
         self,
@@ -668,7 +645,7 @@ class Window:
         """Request-based put (MPI_Rput)."""
         desc = describe_put(self, origin, target_rank, target_disp, count, datatype)
         self._data_pipe.issue(desc)
-        return Request(self, desc.pending_op)
+        return Request(self, desc.done_at)
 
     def accumulate(
         self,
@@ -762,21 +739,6 @@ class Window:
                 attrs=attrs,
             )
         )
-
-    def _complete(self, targets: set[int] | None) -> None:
-        """Advance the clock past completion of the selected pending ops."""
-        proc = self._proc
-        done_at = proc.clock
-        remaining: list[_PendingOp] = []
-        for op in self._pending:
-            if targets is None or op.target in targets:
-                done_at = max(done_at, op.issue_clock + op.duration)
-            else:
-                remaining.append(op)
-        self._pending = remaining
-        if done_at > proc.clock:
-            proc.advance(done_at - proc.clock)
-        proc.advance(SYNC_OVERHEAD)
 
     def _epoch_state(self) -> str:
         """Human-readable summary of this rank's current epoch state."""

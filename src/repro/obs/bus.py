@@ -10,8 +10,10 @@ JSONL capture sees the merged stream of all layers.
 
 The overhead contract is *per kind*: every bus precomputes the set of
 event kinds some enabling sink — here or anywhere up the parent chain —
-actually consumes, and instrumented hot paths check ``bus.wants(kind)``
-*before constructing the event*.  A sink declares its interest through a
+actually consumes, and instrumented paths check ``bus.wants(kind)`` —
+on the per-op hot paths the same gate as a bare membership test,
+``kind in bus._wanted``, which costs no call — *before constructing the
+event*.  A sink declares its interest through a
 ``kinds`` attribute (``None`` means "every kind"); attaching only
 :class:`NullSink` keeps the bus disabled, and attaching e.g. a sink
 with ``kinds=(CACHE_EPOCH,)`` enables *only* that kind — the
@@ -35,6 +37,20 @@ from repro.obs.sinks import Sink
 _ALL = None
 
 
+class _EveryKind(frozenset):
+    """The effective gate of a bus some sink wants every kind on: an empty
+    frozenset that contains every kind, so ``kind in bus._wanted`` is the
+    whole gate on every bus."""
+
+    __slots__ = ()
+
+    def __contains__(self, kind: object) -> bool:
+        return True
+
+
+_EVERY_KIND = _EveryKind()
+
+
 class EventBus:
     """Fan-out of telemetry events to attached sinks (plus a parent bus)."""
 
@@ -45,7 +61,9 @@ class EventBus:
         self._local_enabled = False
         #: kinds wanted by enabling sinks attached *here* (None = all)
         self._local_kinds: frozenset[str] | None = frozenset()
-        #: effective gate: local ∪ parent-effective (the hot-path fields)
+        #: effective gate: local ∪ parent-effective.  ``_wanted`` contains
+        #: every kind when ``_wants_all`` holds; hot paths read
+        #: ``kind in bus._wanted`` afresh on each op (attach/detach rebinds it)
         self._wants_all = False
         self._wanted: frozenset[str] = frozenset()
         if parent is not None:
@@ -69,9 +87,10 @@ class EventBus:
     # ------------------------------------------------------------------
     def wants(self, kind: str) -> bool:
         """True when some attached sink — local or upstream — consumes
-        events of ``kind``.  O(1); hot paths call this *before* paying
-        for ``Event`` construction."""
-        return self._wants_all or kind in self._wanted
+        events of ``kind``.  O(1); emit sites call this *before* paying
+        for ``Event`` construction, and per-op hot paths test
+        ``kind in bus._wanted`` in line, the same gate without the call."""
+        return kind in self._wanted
 
     # ------------------------------------------------------------------
     def attach(self, sink: Sink) -> Sink:
@@ -114,7 +133,7 @@ class EventBus:
         parent_all = p is not None and p._wants_all
         if self._local_kinds is _ALL or parent_all:
             self._wants_all = True
-            self._wanted = frozenset()
+            self._wanted = _EVERY_KIND
         else:
             self._wants_all = False
             wanted = self._local_kinds

@@ -107,10 +107,9 @@ WHY = {
     "MPI-3 surface": """
         mpi.comm: Communicator.time Communicator.gather
         mpi.ops: _gather
-        mpi.window: Request.__init__ Request.test Request.wait Request._finish
-            Request.done Window.free Window.failed_ranks Window.bytes_transferred
-            Window.bytes_by_distance Window.lock_epoch Window.get_blocking Window.rget
-            Window.rput Window._epoch_state WindowProxy.comm WindowProxy.eph
+        mpi.window: Request.__init__ Request.test Request.wait Request.done
+            Window.free Window.failed_ranks Window.lock_epoch Window.get_blocking
+            Window.rget Window.rput Window._epoch_state WindowProxy.comm WindowProxy.eph
             WindowProxy.info WindowProxy.fence WindowProxy.free WindowProxy.lock_epoch""",
     "paper feature: derived datatypes (Sec. II-B)": """
         mpi.datatypes: _coalesce Contiguous.__post_init__ Contiguous.size

@@ -41,7 +41,9 @@ def fetch_adjacencies(graph: DistributedGraph, vertices) -> list[np.ndarray]:
     return bufs
 
 
-def lcc_rank_program(mpi, csr, src, dst, spec, batch=False):
+def lcc_rank_program(mpi, csr, src, dst, spec, where, batch=False):
+    """``where``, the neighbour locations the rewritten program reads, is
+    accepted so the two programs take the same arguments, and not used."""
     graph = DistributedGraph.build(
         mpi.comm_world,
         src,

@@ -51,20 +51,20 @@ from repro.net import PerfModel
 
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 
-#: calls per operation — (reached at this commit, at the parent 9006a9b)
+#: calls per operation — (reached at this commit, at the parent 3af2a10)
 BUDGET = {
-    "cached_hit": (7, 7),            # full hit, CACHED entry, under lock_all
-    "cached_hit_locked": (7, 7),     # the same hit under lock(1)
-    "cached_miss": (31, 49),         # direct miss into free space, new key
-    "cached_miss_evict": (54, 98),   # miss that evicts one entry, |I_w| = 64
-    "cached_flush_idle": (8, 8),     # nothing pending on the cached window
-    "cached_flush_pending": (13, 15),  # flush that materialises one entry
+    "cached_hit": (5, 7),            # full hit, CACHED entry, under lock_all
+    "cached_hit_locked": (5, 7),     # the same hit under lock(1)
+    "cached_miss": (27, 31),         # direct miss into free space, new key
+    "cached_miss_evict": (49, 54),   # miss that evicts one entry, |I_w| = 64
+    "cached_flush_idle": (5, 8),     # nothing pending on the cached window
+    "cached_flush_pending": (10, 13),  # flush that materialises one entry
     "engine_hit": (1, 1),            # the same hit, standalone engine
-    "engine_miss": (15, 33),         # the same miss, standalone engine
-    "engine_miss_evict": (33, 77),   # the same evicting miss, standalone
-    "plain_get": (7, 7),
-    "plain_flush": (6, 6),
-    "lcc_vertex": (5, 5),            # one local LCC vertex
+    "engine_miss": (15, 15),         # the same miss, standalone engine
+    "engine_miss_evict": (33, 33),   # the same evicting miss, standalone
+    "plain_get": (5, 7),
+    "plain_flush": (4, 6),
+    "lcc_vertex": (1, 5),            # one local LCC vertex
     "bh_body": (0, 0),               # one Barnes-Hut body
 }
 
@@ -205,13 +205,17 @@ def app_calls(program, *args) -> Counter:
 def lcc_calls(nvertices: int, reach: int) -> Counter:
     """App calls of one 2-rank LCC run over a ring whose vertices link to
     the ``reach`` nearest on each side (degree ``2 * reach``, every
-    adjacency sorted and duplicate-free)."""
+    adjacency sorted and duplicate-free), its neighbour locations
+    computed beforehand (as ``LCCApp.run`` does, off the ranks)."""
     v = np.arange(nvertices)
     steps = [s for s in range(-reach, reach + 1) if s]
     src = np.repeat(v, len(steps))
     dst = (src + np.tile(steps, nvertices)) % nvertices
     csr = CSRGraph.from_edges(src, dst, nvertices)
-    return app_calls(lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi())
+    return app_calls(
+        lcc._lcc_rank_program, csr, src, dst, CacheSpec.fompi(),
+        lcc.neighbour_locations(csr, 2),
+    )
 
 
 def bh_calls(app: barnes_hut.BarnesHutApp) -> Counter:

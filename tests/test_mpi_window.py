@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.mpi import (
     BYTE,
     EpochError,
@@ -291,6 +292,8 @@ class TestDataMovement:
             run(1, program)
 
     def test_bytes_transferred_accounting(self):
+        """Every get and put is one ``net.transfer`` event with its bytes."""
+
         def program(m):
             win = Window.allocate(m.comm_world, 128)
             win.lock_all()
@@ -298,12 +301,14 @@ class TestDataMovement:
             win.get(buf, 0, 0)
             win.put(buf[:28], 0, 100)
             win.unlock_all()
-            return win.bytes_transferred
 
-        results, _ = run(1, program)
-        assert results == [128]
+        with obs.capture() as ring:
+            run(1, program)
+        moved = [e.attrs["nbytes"] for e in ring.events(kind=obs.NET_TRANSFER)]
+        assert moved == [100, 28]
 
     def test_bytes_by_distance_accounting(self):
+        """``net.transfer`` names each transfer's Distance class."""
         from repro.net import Distance
 
         def program(m):
@@ -317,13 +322,18 @@ class TestDataMovement:
             win.get(buf, 1, 0)    # same node (2 ranks/node)
             win.get(buf[:32], 2, 0)  # different node, same chassis
             win.unlock_all()
-            return win.bytes_by_distance
 
-        results, _ = run(4, program, ranks_per_node=2)
-        by_dist = results[0]
-        assert by_dist[Distance.SELF] == 64
-        assert by_dist[Distance.SAME_NODE] == 64
-        assert by_dist[Distance.SAME_CHASSIS] == 32
+        with obs.capture() as ring:
+            run(4, program, ranks_per_node=2)
+        by_dist: dict = {}
+        for e in ring.events(kind=obs.NET_TRANSFER, rank=0):
+            name = e.attrs["distance"]
+            by_dist[name] = by_dist.get(name, 0) + e.attrs["nbytes"]
+        assert by_dist == {
+            Distance.SELF.name: 64,
+            Distance.SAME_NODE.name: 64,
+            Distance.SAME_CHASSIS.name: 32,
+        }
 
 
 class TestTiming:

@@ -125,6 +125,67 @@ class TestBus:
         assert not bus.enabled
 
 
+class TestGate:
+    """Hot paths gate with ``kind in bus._wanted``, the same answer as
+    ``bus.wants(kind)`` in every state of a parent and a child bus."""
+
+    EVERY = object()  #: "every kind"
+    KINDS = sorted(obs.ALL_KINDS) + ["x.unregistered"]
+
+    def check(self, bus, wanted, enabled):
+        for kind in self.KINDS:
+            expected = wanted is self.EVERY or kind in wanted
+            assert bus.wants(kind) == (kind in bus._wanted) == expected, kind
+        assert bus.enabled == enabled
+
+    def test_membership_agrees_with_wants(self):
+        parent = obs.EventBus()
+        child = obs.EventBus(parent=parent)
+        epoch = obs.CallbackSink(lambda e: None, kinds=(obs.CACHE_EPOCH,))
+        gets = obs.CallbackSink(
+            lambda e: None, kinds=(obs.RMA_GET, obs.NET_TRANSFER)
+        )
+        passive = obs.CallbackSink(lambda e: None, passive=True)
+        everything = obs.RingBufferSink()
+        on_child = obs.RingBufferSink()
+        none: set = set()
+        steps = [
+            (None, none, none, False, False),
+            (lambda: child.attach(epoch), none, {obs.CACHE_EPOCH}, False, True),
+            (lambda: parent.attach(passive), none, {obs.CACHE_EPOCH}, False, True),
+            (lambda: parent.attach(everything), self.EVERY, self.EVERY, True, True),
+            (lambda: parent.detach(everything), none, {obs.CACHE_EPOCH}, False, True),
+            (
+                lambda: parent.attach(gets),
+                {obs.RMA_GET, obs.NET_TRANSFER},
+                {obs.RMA_GET, obs.NET_TRANSFER, obs.CACHE_EPOCH},
+                True,
+                True,
+            ),
+            (
+                lambda: child.attach(on_child),
+                {obs.RMA_GET, obs.NET_TRANSFER},
+                self.EVERY,
+                True,
+                True,
+            ),
+            (
+                lambda: (child.detach(on_child), child.detach(epoch)),
+                {obs.RMA_GET, obs.NET_TRANSFER},
+                {obs.RMA_GET, obs.NET_TRANSFER},
+                True,
+                True,
+            ),
+            (lambda: parent.detach(gets), none, none, False, False),
+            (lambda: parent.detach(passive), none, none, False, False),
+        ]
+        for act, parent_wants, child_wants, parent_on, child_on in steps:
+            if act is not None:
+                act()
+            self.check(parent, parent_wants, parent_on)
+            self.check(child, child_wants, child_on)
+
+
 # ---------------------------------------------------------------------------
 # instrumentation: events per get, hit vs miss
 # ---------------------------------------------------------------------------

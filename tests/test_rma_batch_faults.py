@@ -10,13 +10,15 @@ exactly like a scalar one.
 """
 
 import numpy as np
+import pytest
 
-from repro import obs
+from repro import clampi, obs, recovery, trace
 from repro.analysis import Sanitizer, ViolationKind, sanitize
 from repro.apps import LCCApp
 from repro.apps.cachespec import CacheSpec
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.mpi import SimMPI, Window
+from repro.mpi.errors import TargetFailedError
 from repro.obs import FAULT_INJECTED, FAULT_RETRY
 from repro.obs.events import (
     CACHE_ACCESS_BATCH,
@@ -24,6 +26,7 @@ from repro.obs.events import (
     RMA_PUT,
     Event,
 )
+from repro.verify.chaos import crash_plan
 
 PLAN = FaultPlan.of(FaultRule("get", probability=0.3), seed=11)
 #: Generous budget so failure streaks cannot realistically exhaust it
@@ -191,3 +194,50 @@ class TestSanitizerUnpacksBatches:
         assert san.violations == []
         assert san._seq > 100  # the batch events really were unpacked
         assert result.lcc.shape == (app.nvertices,)
+
+
+BATCH_VICTIM = 2
+BATCH_DEATH = 0.5e-3
+
+
+def _crashed_batch_program(mpi):
+    """Rank 0's cached batch reaches a live and a crashed target, then
+    puts over the live element's bytes before the flush that completes
+    it: a put/get race only a record of the served element can show."""
+    comm = mpi.comm_world
+    win = clampi.window_allocate(comm, 64, mode=clampi.Mode.ALWAYS_CACHE)
+    win.local_view(np.float64)[:] = 10.0 * (mpi.rank + 1)
+    recovery.barrier(comm)
+    if mpi.rank == BATCH_VICTIM:
+        mpi.compute(1.0)  # dies at BATCH_DEATH on the way
+    if mpi.rank != 0:
+        return None
+    mpi.compute(2 * BATCH_DEATH)  # move causally past the death
+    a, b = np.zeros(4), np.zeros(4)
+    win.lock_all()
+    with pytest.raises(TargetFailedError):
+        win.get_batch([(a, 1, 0), (b, BATCH_VICTIM, 0)])
+    win.put(np.ones(4), 1, 0)
+    win.flush(1)
+    win.unlock_all()
+    return a
+
+
+class TestCachedBatchTelemetryOnFailure:
+    def test_elements_served_before_a_failure_are_recorded(self):
+        """The elements a cached ``get_batch`` served before one raised are
+        issued all the same (their bytes arrive at the next flush), so the
+        get-stream capture and the sanitizer must see them, whether a
+        batch reports its elements in one event or as scalar gets."""
+        plan = crash_plan(0, BATCH_VICTIM, BATCH_DEATH)
+        with sanitize() as san, trace.capture(3) as streams:
+            results = SimMPI(nprocs=3, faults=plan).run(_crashed_batch_program)
+        assert np.all(results[0] == 20.0)  # rank 1's bytes arrived
+        rank0 = streams[0]
+        assert (1, 0, 32) in zip(
+            rank0.target.tolist(), rank0.disp.tolist(), rank0.nbytes.tolist()
+        )
+        races = [v for v in san.violations if v.kind is ViolationKind.RACE_PUT_GET]
+        assert [
+            (v.rank, [(op.op, op.origin, op.target) for op in v.ops]) for v in races
+        ] == [(0, [("get", 0, 1), ("put", 0, 1)])]

@@ -74,6 +74,7 @@ class TestApplicationInvariance:
                 src,
                 dst,
                 CacheSpec.clampi_fixed(512, 1 * MiB),
+                app.locations(3),
             )
             lcc = np.zeros(app.nvertices)
             for lo, hi, values, *_rest in results:
